@@ -4,7 +4,8 @@ Builds one small randomly initialized model of each kind, scores a random
 instance with the fast factorized path, and checks the result against a
 literal sum over all materialized interaction-tensor entries. Also shows the
 pair-matrix factorization trick: a dense field-weighted model converted to
-its low-rank form scores identically at full rank.
+its low-rank form (``tensorfm`` of order 2, which is what the
+``fwfm-lowrank`` alias builds) scores identically at full rank.
 """
 
 import numpy as np
@@ -36,8 +37,8 @@ def main():
     print(f"{'kind':16s} {'params':>7s} {'fast score':>12s} {'brute force':>12s}")
     for kind, kw in zoo:
         bundle = tfm.init(kind, schema, k=4, init_scale=0.4, seed=7, **kw)
-        bundle.linear.w[:] = rng.normal(size=schema.m) * 0.2
-        bundle.linear.b = 0.1
+        bundle.blocks["linear.w"][:] = rng.normal(size=schema.m) * 0.2
+        bundle.blocks["linear.b"][:] = 0.1
         fast = tfm.score(bundle, inst)
         slow = tfm.score_naive_oracle(bundle, inst)
         assert abs(fast - slow) < 1e-9 * max(1.0, abs(fast))
@@ -46,22 +47,22 @@ def main():
     print("\npair-matrix factorization round trip:")
     dense = tfm.init("fwfm", schema, k=4, init_scale=0.5, seed=3)
     low = tfm.fwfm_lowrank_from_dense(dense)
-    a = tfm.score_fwfm_dense(dense, inst)
-    b = tfm.score_fwfm_lowrank(low, inst)
+    a = tfm.interaction_term(dense, inst)
+    b = tfm.interaction_term(low, inst)
     print(f"  dense pair term {a:.10f}")
-    print(f"  factored (rank {low.cp_sets[0].rank}) {b:.10f}")
+    print(f"  factored ({low.kind}, d={low.d}, rank {low.r_vec[0]}) {b:.10f}")
 
     print("\ngradient spot check (central finite differences):")
     bundle = tfm.init("tensorfm", schema, k=3, d=3, r_vec=2, init_scale=0.4, seed=1)
     grads = tfm.backward(bundle, inst, upstream=1.0)
-    u = bundle.cp_sets[1].factors[0]
+    u = bundle.blocks["cp.3.factor.0"]
     h = 1e-5
     u[2, 1] += h
     up = tfm.score(bundle, inst)
     u[2, 1] -= 2 * h
     down = tfm.score(bundle, inst)
     u[2, 1] += h
-    print(f"  analytic  {grads.cp_factors[1][0][2, 1]:+.10f}")
+    print(f"  analytic  {grads['cp.3.factor.0'][2, 1]:+.10f}")
     print(f"  numeric   {(up - down) / (2 * h):+.10f}")
 
 

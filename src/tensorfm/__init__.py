@@ -50,11 +50,9 @@ from .errors import (
 )
 from .metrics import EvalReport, auc, evaluate, logloss
 from .params import (
-    CPFactorSet,
-    EmbeddingTable,
-    LinearWeights,
     ModelBundle,
-    TuckerFactorSet,
+    block_layout,
+    canonical_args,
     fwfm_lowrank_from_dense,
     init,
     load_bundle,
@@ -66,25 +64,19 @@ from .params import (
 )
 from .scoring import (
     embed_view,
+    interaction_term,
     predict_proba,
     score,
     score_dataset,
-    score_fm,
-    score_fwfm_dense,
-    score_fwfm_lowrank,
-    score_hofm,
     score_linear,
     score_naive_oracle,
-    score_tensorfm_cp,
-    score_tensorfm_tucker,
     sigmoid,
 )
 from .training import (
-    AdagradState,
     EpochLog,
-    GradBundle,
     GridResult,
     TrainConfig,
+    adagrad_state,
     adagrad_step,
     backward,
     backward_from_cache,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigError, MetricError
-from .params import ModelBundle
+from .params import ModelBundle, canonical_args
 from .scoring import interaction_tensors, score_dataset
 
 
@@ -73,17 +73,15 @@ def flops_estimate(
       squared field norms ``2nk - 1``, difference and halving ``2``.
     - ``fwfm``: ``n(n-1)/2`` field pairs, each a length-k dot product plus
       weighting and accumulation, ``2k + 2`` each.
-    - ``fwfm-lowrank`` / ``tensorfm``: per order l of rank r, ``l*k*r``
-      length-n dot products plus the across-mode product-and-sum, i.e.
-      ``2*n*k*r*l + k*r*l``.
+    - ``tensorfm``: per order l of rank r, ``l*k*r`` length-n dot products
+      plus the across-mode product-and-sum, i.e. ``2*n*k*r*l + k*r*l``.
+      ``fwfm-lowrank`` is counted as ``tensorfm`` with d=2.
     - ``hofm``: the degree-d dynamic program, ``2nkd`` plus the ``(d-1)k``
       final accumulation.
     - ``tensorfm-tucker``: per order, mode products ``2*n*k*r*l`` plus the
       core contraction ``(r**l) * (l*k + 2)``.
     """
-    if isinstance(r_vec, int):
-        r_vec = (r_vec,) * max(d - 1, 1)
-    r_vec = tuple(r_vec or ())
+    kind, k, d, r_vec = canonical_args(kind, k, d, r_vec)
     total = _linear_flops(n)
     if kind == "lr":
         return FlopsModel(kind, n, 0, 1, (), total)
@@ -93,8 +91,6 @@ def flops_estimate(
         total += (n - 1) * k + (2 * k - 1) + (2 * n * k - 1) + 2
     elif kind == "fwfm":
         total += n * (n - 1) // 2 * (2 * k + 2)
-    elif kind == "fwfm-lowrank":
-        total += _cp_order_flops(n, k, 2, r_vec[0])
     elif kind == "hofm":
         total += 2 * n * k * d + (d - 1) * k
     elif kind == "tensorfm":
@@ -190,7 +186,7 @@ def learned_strength(
     if order not in tensors:
         raise ConfigError(f"bundle has no order-{order} interaction parameters")
     tensor = tensors[order]
-    emb = bundle.embeddings.rows
+    emb = bundle.blocks["embeddings"]
     offsets = train_set.schema.offsets
     cards = train_set.schema.cardinalities
     n = train_set.schema.n

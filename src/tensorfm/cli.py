@@ -187,12 +187,18 @@ def cmd_prep(cfg: RunConfig) -> int:
     return 0
 
 
+def _kind(flag: str) -> str:
+    """The model kind a ``--model`` or ``--kinds`` name stands for; ``fwfm-lr``
+    stands for the ``fwfm-lowrank`` alias, which :func:`params.init` and
+    :func:`analysis.flops_estimate` resolve to ``tensorfm`` with d=2."""
+    if flag not in MODEL_FLAG_TO_KIND:
+        raise ConfigError(f"unknown model kind {flag!r}; choose from {sorted(MODEL_FLAG_TO_KIND)}")
+    return MODEL_FLAG_TO_KIND[flag]
+
+
 def _build_bundle(o: dict, schema: data.FieldSchema) -> params.ModelBundle:
-    kind = MODEL_FLAG_TO_KIND.get(o["model"])
-    if kind is None:
-        raise ConfigError(f"unknown --model {o['model']!r}; choose from {sorted(MODEL_FLAG_TO_KIND)}")
     return params.init(
-        kind, schema, k=o["k"], d=o["d"], r_vec=o["rank"], init_scale=o["init_scale"], seed=o["seed"]
+        _kind(o["model"]), schema, k=o["k"], d=o["d"], r_vec=o["rank"], init_scale=o["init_scale"], seed=o["seed"]
     )
 
 
@@ -249,12 +255,9 @@ def cmd_grid(cfg: RunConfig) -> int:
     _require(o, "train", "valid", "model", "out")
     train_set = data.read_dataset(o["train"])
     valid_set = data.read_dataset(o["valid"])
-    kind = MODEL_FLAG_TO_KIND.get(o["model"])
-    if kind is None:
-        raise ConfigError(f"unknown --model {o['model']!r}; choose from {sorted(MODEL_FLAG_TO_KIND)}")
     grid = [(lr, l2) for lr in o["grid_lr"] for l2 in o["grid_l2"]]
     best, results = training.grid_search(
-        kind,
+        _kind(o["model"]),
         grid,
         train_set,
         valid_set,
@@ -281,9 +284,7 @@ def cmd_bench_flops(cfg: RunConfig) -> int:
     _require(o, "out")
     rows = []
     for kind_flag in o["kinds"]:
-        kind = MODEL_FLAG_TO_KIND.get(kind_flag)
-        if kind is None:
-            raise ConfigError(f"unknown kind {kind_flag!r} in --kinds")
+        kind = _kind(kind_flag)
         for n in o["sweep_n"]:
             d = min(o["d"], n) if kind in params.HIGHER_ORDER_KINDS else o["d"]
             fm = analysis.flops_estimate(kind, n, k=o["k"], d=d, r_vec=o["rank"])
@@ -293,29 +294,25 @@ def cmd_bench_flops(cfg: RunConfig) -> int:
     return 0
 
 
+# The ``:``-separated parameters a bench-latency token takes after its kind.
+_BENCH_TOKEN_PARAMS = {
+    "tensorfm": ("rank", "order"),
+    "tensorfm-tucker": ("rank", "order"),
+    "fwfm-lowrank": ("rank",),
+    "hofm": ("order",),
+}
+
+
 def _parse_bench_kind(token: str, schema: data.FieldSchema, k: int, seed: int) -> tuple[str, params.ModelBundle]:
     """Build a randomly initialized bundle from a token like ``tensorfm:4:3``
     (rank 4, order 3), ``fwfm-lr:2``, ``hofm:3``, or a bare kind name."""
-    pieces = token.split(":")
-    kind = MODEL_FLAG_TO_KIND.get(pieces[0])
-    if kind is None:
-        raise ConfigError(f"unknown kind in --kinds token {token!r}")
-    rank, d = None, 2
-    if kind in ("tensorfm", "tensorfm-tucker"):
-        if len(pieces) != 3:
-            raise ConfigError(f"{token!r}: expected {pieces[0]}:<rank>:<order>")
-        rank, d = int(pieces[1]), int(pieces[2])
-    elif kind == "fwfm-lowrank":
-        if len(pieces) != 2:
-            raise ConfigError(f"{token!r}: expected fwfm-lr:<rank>")
-        rank = int(pieces[1])
-    elif kind == "hofm":
-        if len(pieces) != 2:
-            raise ConfigError(f"{token!r}: expected hofm:<order>")
-        d = int(pieces[1])
-    elif len(pieces) != 1:
-        raise ConfigError(f"{token!r}: kind {pieces[0]!r} takes no parameters")
-    bundle = params.init(kind, schema, k=k, d=d, r_vec=rank, init_scale=0.01, seed=seed)
+    flag, *values = token.split(":")
+    kind = _kind(flag)
+    names = _BENCH_TOKEN_PARAMS.get(kind, ())
+    if len(values) != len(names) or not all(v.isdigit() for v in values):
+        raise ConfigError(f"{token!r}: expected {':'.join([flag, *(f'<{name}>' for name in names)])}")
+    got = dict(zip(names, map(int, values)))
+    bundle = params.init(kind, schema, k=k, d=got.get("order", 2), r_vec=got.get("rank"), init_scale=0.01, seed=seed)
     return token, bundle
 
 

@@ -8,12 +8,14 @@ carried as a per-field real multiplier on the active feature.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -146,6 +148,22 @@ class Dataset:
         )
 
 
+@contextlib.contextmanager
+def atomic_open(path: str | Path) -> Iterator[IO[str]]:
+    """Write text to a temporary file beside ``path`` and move it over
+    ``path`` when the block completes. If the block raises, the temporary
+    file is removed and whatever was at ``path`` stays as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # canonical text format: `#schema m_0,m_1,...` header, then one instance per
 # line as `<label> <field>:<local_index>[:<value>]` with fields in order.
@@ -153,7 +171,7 @@ class Dataset:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write("#schema " + ",".join(str(c) for c in dataset.schema.cardinalities) + "\n")
         for i in range(len(dataset)):
             parts = [str(int(dataset.labels[i]))]

@@ -1,110 +1,121 @@
 """Learnable parameter blocks, initialization, and model serialization.
 
-A :class:`ModelBundle` carries exactly the blocks its kind needs:
+A :class:`ModelBundle` holds its parameters as one ordered dict of named
+blocks. :func:`block_layout` is the single statement of which blocks a kind
+has; every block is float64 and named as in the model file:
 
 ====================  =======================================================
-kind                  blocks beyond linear (w, b)
+kind                  blocks beyond ``linear.b`` (1,) and ``linear.w`` (m,)
 ====================  =======================================================
 ``lr``                none
-``fm``                embeddings
-``fwfm``              embeddings + symmetric zero-diagonal field-pair matrix
-``fwfm-lowrank``      embeddings + one order-2 factor pair (U, V)
-``hofm``              embeddings (interactions up to degree ``d``)
-``tensorfm``          embeddings + one factor set per order 2..d
-``tensorfm-tucker``   embeddings + one core/factor set per order 2..d
+``fm``                ``embeddings`` (m, k)
+``fwfm``              ``embeddings`` + ``pair.upper``, the strict upper
+                      triangle of a symmetric zero-diagonal field-pair matrix
+``hofm``              ``embeddings`` (interactions up to degree ``d``)
+``tensorfm``          ``embeddings`` + ``cp.<o>.factor.<b>`` (n, r_o) for
+                      every order o in 2..d and mode b in 0..o-1
+``tensorfm-tucker``   ``embeddings`` + ``tucker.<o>.core`` (r_o,)*o and
+                      ``tucker.<o>.factor.<b>`` (n, r_o) for every order
 ====================  =======================================================
 
-The field-pair matrix of ``fwfm`` is stored as its strict upper triangle and
-mirrored on read, so symmetry and the zero diagonal hold structurally.
+``fwfm-lowrank`` is an alias, not a kind: a rank-r field-pair matrix is
+``tensorfm`` with d=2 and ranks (r,). :func:`init`, :func:`load_bundle` and
+the FLOPs count resolve it through :func:`canonical_args`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .data import FieldSchema, build_schema
+from .data import FieldSchema, atomic_open, build_schema
 from .errors import ConfigError, ModelIOError
 
-KINDS = ("lr", "fm", "fwfm", "fwfm-lowrank", "hofm", "tensorfm", "tensorfm-tucker")
-EMBEDDED_KINDS = ("fm", "fwfm", "fwfm-lowrank", "hofm", "tensorfm", "tensorfm-tucker")
+KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
 HIGHER_ORDER_KINDS = ("hofm", "tensorfm", "tensorfm-tucker")
+TENSOR_KINDS = ("tensorfm", "tensorfm-tucker")
+
+# One einsum letter per tensor mode; it bounds the Tucker order.
+AXES = "ABCDEFGH"
 
 FORMAT_VERSION = "v1"
 
 
-@dataclass
-class LinearWeights:
-    w: np.ndarray  # (m,)
-    b: float
+def canonical_args(
+    kind: str, k: int, d: int, r_vec: tuple[int, ...] | int | None
+) -> tuple[str, int, int, tuple[int, ...]]:
+    """Resolve the ``fwfm-lowrank`` alias to ``tensorfm`` with d=2 and its
+    first rank, replicate a scalar rank across orders 2..d, and reset the
+    arguments a kind does not use (k for ``lr``, d for the pair kinds, ranks
+    for all but the tensor kinds)."""
+    if kind == "fwfm-lowrank":
+        kind, d = "tensorfm", 2
+        if r_vec is not None and not isinstance(r_vec, int):
+            r_vec = tuple(r_vec)[:1]
+    if kind not in TENSOR_KINDS:
+        r_vec = ()
+    elif isinstance(r_vec, int):
+        r_vec = (r_vec,) * (d - 1)
+    elif r_vec is None:
+        raise ConfigError(f"kind {kind!r} needs interaction ranks")
+    return (
+        kind,
+        0 if kind == "lr" else int(k),
+        int(d) if kind in HIGHER_ORDER_KINDS else 1,
+        tuple(int(r) for r in r_vec),
+    )
 
 
-@dataclass
-class EmbeddingTable:
-    rows: np.ndarray  # (m, k)
+def block_layout(
+    kind: str, schema: FieldSchema, k: int, d: int, r_vec: tuple[int, ...]
+) -> list[tuple[str, tuple[int, ...]]]:
+    """The ``(name, shape)`` of every parameter block of a model, in file
+    order, which is also the order :func:`init` draws them from the RNG.
 
-    @property
-    def k(self) -> int:
-        return self.rows.shape[1]
-
-
-@dataclass
-class CPFactorSet:
-    """Rank-``rank`` sum-of-outer-products parameterization of an order-``order``
-    field interaction tensor: entry (i_1..i_l) = sum_j prod_b factors[b][i_b, j]."""
-
-    order: int
-    rank: int
-    factors: list[np.ndarray]  # order matrices, each (n, rank)
-
-    def __post_init__(self):
-        if len(self.factors) != self.order:
-            raise ConfigError(f"order-{self.order} factor set needs {self.order} matrices")
-        n = self.factors[0].shape[0]
-        for b, U in enumerate(self.factors):
-            if U.shape != (n, self.rank):
-                raise ConfigError(
-                    f"factor {b} of order-{self.order} set has shape {U.shape}, expected {(n, self.rank)}"
-                )
-
-
-@dataclass
-class TuckerFactorSet:
-    """Core-tensor-plus-factor-matrices parameterization with per-mode ranks."""
-
-    order: int
-    ranks: tuple[int, ...]
-    core: np.ndarray  # shape == ranks
-    factors: list[np.ndarray]  # order matrices, the b-th of shape (n, ranks[b])
-
-    def __post_init__(self):
-        self.ranks = tuple(int(r) for r in self.ranks)
-        if len(self.ranks) != self.order or len(self.factors) != self.order:
-            raise ConfigError(f"order-{self.order} set needs {self.order} ranks and factors")
-        if self.core.shape != self.ranks:
-            raise ConfigError(f"core shape {self.core.shape} does not match ranks {self.ranks}")
-        n = self.factors[0].shape[0]
-        for b, U in enumerate(self.factors):
-            if U.shape != (n, self.ranks[b]):
-                raise ConfigError(
-                    f"factor {b} of order-{self.order} set has shape {U.shape}, "
-                    f"expected {(n, self.ranks[b])}"
-                )
+    Raises :class:`ConfigError` for a configuration no model can have.
+    """
+    n, m = schema.n, schema.m
+    if kind not in KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}; choose from {KINDS}")
+    if kind in HIGHER_ORDER_KINDS and not 2 <= d <= n:
+        raise ConfigError(f"interaction order d={d} must lie in [2, n={n}]")
+    layout = [("linear.b", (1,)), ("linear.w", (m,))]
+    if kind == "lr":
+        return layout
+    if k < 1:
+        raise ConfigError("embedding size k must be >= 1")
+    layout.append(("embeddings", (m, k)))
+    if kind == "fwfm":
+        layout.append(("pair.upper", (n * (n - 1) // 2,)))
+    if kind in TENSOR_KINDS:
+        if len(r_vec) != d - 1:
+            raise ConfigError(f"need one rank per order 2..{d}, got {r_vec}")
+        if any(not 1 <= r <= n for r in r_vec):
+            raise ConfigError(f"ranks must lie in [1, n={n}], got {r_vec}")
+        if kind == "tensorfm-tucker" and d > len(AXES):
+            raise ConfigError(f"Tucker order d={d} exceeds the supported maximum of {len(AXES)}")
+        prefix = "cp" if kind == "tensorfm" else "tucker"
+        for order, r in zip(range(2, d + 1), r_vec):
+            if kind == "tensorfm-tucker":
+                layout.append((f"tucker.{order}.core", (r,) * order))
+            layout += [(f"{prefix}.{order}.factor.{b}", (n, r)) for b in range(order)]
+    return layout
 
 
 @dataclass
 class ModelBundle:
+    """A model: its layout arguments plus one array per block of
+    :func:`block_layout`, keyed by block name in layout order."""
+
     kind: str
     schema: FieldSchema
-    linear: LinearWeights
-    embeddings: EmbeddingTable | None = None
-    pair_upper: np.ndarray | None = None  # (n*(n-1)/2,) strict upper triangle, row-major
-    cp_sets: list[CPFactorSet] = field(default_factory=list)
-    tucker_sets: list[TuckerFactorSet] = field(default_factory=list)
+    blocks: dict[str, np.ndarray]
+    k: int = 0
     d: int = 1
     r_vec: tuple[int, ...] = ()
 
@@ -112,57 +123,39 @@ class ModelBundle:
         self.r_vec = tuple(int(r) for r in self.r_vec)
         validate_bundle(self)
 
-    @property
-    def k(self) -> int:
-        return self.embeddings.k if self.embeddings is not None else 0
+    @cached_property
+    def factor_sets(self) -> list[tuple[int, tuple[str, ...]]]:
+        """``(order, block names)`` of each CP or Tucker factor set, orders
+        ascending; a Tucker set names its core first. Computed once so the
+        scorers never format block names."""
+        sets: dict[int, list[str]] = {}
+        for name in self.blocks:
+            if name.startswith(("cp.", "tucker.")):
+                sets.setdefault(int(name.split(".")[1]), []).append(name)
+        return [(order, tuple(names)) for order, names in sets.items()]
 
     @property
     def dense_s(self) -> np.ndarray:
         """Full symmetric zero-diagonal field-pair matrix (fwfm only)."""
         n = self.schema.n
         s = np.zeros((n, n))
-        s[np.triu_indices(n, 1)] = self.pair_upper
+        s[np.triu_indices(n, 1)] = self.blocks["pair.upper"]
         return s + s.T
-
-    def cp_set_for_order(self, order: int) -> CPFactorSet:
-        for cs in self.cp_sets:
-            if cs.order == order:
-                return cs
-        raise ConfigError(f"bundle has no order-{order} factor set")
 
 
 def validate_bundle(bundle: ModelBundle) -> None:
-    kind, schema = bundle.kind, bundle.schema
-    n = schema.n
-    if kind not in KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; choose from {KINDS}")
-    if bundle.linear.w.shape != (schema.m,):
-        raise ConfigError(f"linear weights must have length m={schema.m}")
-    if (kind in EMBEDDED_KINDS) != (bundle.embeddings is not None):
-        raise ConfigError(f"kind {kind!r} and embedding block presence disagree")
-    if bundle.embeddings is not None and bundle.embeddings.rows.shape[0] != schema.m:
-        raise ConfigError("embedding table must have one row per feature")
-    if (kind == "fwfm") != (bundle.pair_upper is not None):
-        raise ConfigError(f"kind {kind!r} and field-pair block presence disagree")
-    if bundle.pair_upper is not None and bundle.pair_upper.shape != (n * (n - 1) // 2,):
-        raise ConfigError("field-pair block must hold the strict upper triangle")
-
-    if kind in HIGHER_ORDER_KINDS:
-        if not 2 <= bundle.d <= n:
-            raise ConfigError(f"interaction order d={bundle.d} must lie in [2, n={n}]")
-    if kind in ("tensorfm", "tensorfm-tucker"):
-        if len(bundle.r_vec) != bundle.d - 1:
-            raise ConfigError(f"need one rank per order 2..{bundle.d}, got {bundle.r_vec}")
-        if any(not 1 <= r <= n for r in bundle.r_vec):
-            raise ConfigError(f"ranks must lie in [1, n={n}], got {bundle.r_vec}")
-    want_cp = {"tensorfm": bundle.d - 1, "fwfm-lowrank": 1}.get(kind, 0)
-    if len(bundle.cp_sets) != want_cp:
-        raise ConfigError(f"kind {kind!r} expects {want_cp} factor sets, got {len(bundle.cp_sets)}")
-    want_tucker = bundle.d - 1 if kind == "tensorfm-tucker" else 0
-    if len(bundle.tucker_sets) != want_tucker:
-        raise ConfigError(f"kind {kind!r} expects {want_tucker} core sets, got {len(bundle.tucker_sets)}")
-    if kind == "fwfm-lowrank" and not 1 <= bundle.cp_sets[0].rank <= n:
-        raise ConfigError(f"pair rank must lie in [1, n={n}]")
+    """Check the blocks against the layout and put them in layout order."""
+    layout = block_layout(bundle.kind, bundle.schema, bundle.k, bundle.d, bundle.r_vec)
+    expected = dict(layout)
+    for name in bundle.blocks:
+        if name not in expected:
+            raise ConfigError(f"kind {bundle.kind!r} has no block {name!r}")
+    for name, shape in layout:
+        if name not in bundle.blocks:
+            raise ConfigError(f"missing block {name!r}")
+        if bundle.blocks[name].shape != shape:
+            raise ConfigError(f"block {name!r} has shape {bundle.blocks[name].shape}, expected {shape}")
+    bundle.blocks = {name: bundle.blocks[name] for name in expected}
 
 
 def init(
@@ -176,107 +169,51 @@ def init(
 ) -> ModelBundle:
     """Build a freshly initialized bundle.
 
-    Embeddings and all interaction parameters are i.i.d. Normal(0,
-    ``init_scale``^2); linear weights and bias start at zero. A scalar
-    ``r_vec`` is replicated across orders 2..d.
+    Linear blocks start at zero; every other block is drawn i.i.d.
+    Normal(0, ``init_scale``^2) in layout order. A scalar ``r_vec`` is
+    replicated across orders 2..d.
     """
-    if kind not in KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; choose from {KINDS}")
-    n = schema.n
+    kind, k, d, r_vec = canonical_args(kind, k, d, r_vec)
     rng = np.random.default_rng(seed)
-    linear = LinearWeights(w=np.zeros(schema.m), b=0.0)
-
-    if kind == "lr":
-        return ModelBundle(kind, schema, linear)
-
-    if k < 1:
-        raise ConfigError("embedding size k must be >= 1")
-    emb = EmbeddingTable(rng.normal(0.0, init_scale, size=(schema.m, k)))
-
-    if kind == "fm":
-        return ModelBundle(kind, schema, linear, embeddings=emb)
-
-    if kind == "fwfm":
-        pair = rng.normal(0.0, init_scale, size=n * (n - 1) // 2)
-        return ModelBundle(kind, schema, linear, embeddings=emb, pair_upper=pair)
-
-    if kind == "hofm":
-        return ModelBundle(kind, schema, linear, embeddings=emb, d=d)
-
-    if isinstance(r_vec, int):
-        r_vec = (r_vec,) * (1 if kind == "fwfm-lowrank" else d - 1)
-    if r_vec is None:
-        raise ConfigError(f"kind {kind!r} needs interaction ranks")
-
-    if kind == "fwfm-lowrank":
-        r = int(r_vec[0])
-        if not 1 <= r <= n:
-            raise ConfigError(f"pair rank {r} must lie in [1, n={n}]")
-        factors = [rng.normal(0.0, init_scale, size=(n, r)) for _ in range(2)]
-        return ModelBundle(
-            kind, schema, linear, embeddings=emb, cp_sets=[CPFactorSet(2, r, factors)], d=2, r_vec=(r,)
-        )
-
-    if kind == "tensorfm":
-        sets = []
-        for order, r in zip(range(2, d + 1), r_vec):
-            if not 1 <= r <= n:
-                raise ConfigError(f"rank {r} for order {order} must lie in [1, n={n}]")
-            sets.append(CPFactorSet(order, r, [rng.normal(0.0, init_scale, size=(n, r)) for _ in range(order)]))
-        return ModelBundle(kind, schema, linear, embeddings=emb, cp_sets=sets, d=d, r_vec=tuple(r_vec))
-
-    # tensorfm-tucker: same rank for every mode within an order
-    sets = []
-    for order, r in zip(range(2, d + 1), r_vec):
-        if not 1 <= r <= n:
-            raise ConfigError(f"rank {r} for order {order} must lie in [1, n={n}]")
-        ranks = (int(r),) * order
-        core = rng.normal(0.0, init_scale, size=ranks)
-        factors = [rng.normal(0.0, init_scale, size=(n, r)) for _ in range(order)]
-        sets.append(TuckerFactorSet(order, ranks, core, factors))
-    return ModelBundle(kind, schema, linear, embeddings=emb, tucker_sets=sets, d=d, r_vec=tuple(r_vec))
+    blocks = {
+        name: np.zeros(shape) if name.startswith("linear.") else rng.normal(0.0, init_scale, size=shape)
+        for name, shape in block_layout(kind, schema, k, d, r_vec)
+    }
+    return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
 
 
 def param_count(bundle: ModelBundle) -> int:
     """Exact number of learnable scalars in the bundle."""
-    total = bundle.linear.w.size + 1
-    if bundle.embeddings is not None:
-        total += bundle.embeddings.rows.size
-    if bundle.pair_upper is not None:
-        total += bundle.pair_upper.size
-    for cs in bundle.cp_sets:
-        total += sum(U.size for U in cs.factors)
-    for ts in bundle.tucker_sets:
-        total += ts.core.size + sum(U.size for U in ts.factors)
-    return int(total)
+    return int(sum(arr.size for arr in bundle.blocks.values()))
 
 
 # ---------------------------------------------------------------------------
 # dense materialization (for oracles and interpretability)
 # ---------------------------------------------------------------------------
 
-_AXES = "abcdefgh"
+
+def _check_dense_size(n: int, order: int, max_entries: int) -> None:
+    if n**order > max_entries:
+        raise ConfigError(f"dense tensor would hold {n ** order} entries, above {max_entries}")
 
 
-def materialize_tensor(cp_set: CPFactorSet, max_entries: int = 10_000_000) -> np.ndarray:
-    """Expand a factor set into the dense order-``order`` tensor it encodes."""
-    n = cp_set.factors[0].shape[0]
-    if n**cp_set.order > max_entries:
-        raise ConfigError(f"dense tensor would hold {n ** cp_set.order} entries, above {max_entries}")
-    axes = _AXES[: cp_set.order]
+def materialize_tensor(factors: list[np.ndarray], max_entries: int = 10_000_000) -> np.ndarray:
+    """Expand CP factor matrices (each (n, rank)) into the dense tensor
+    they encode: entry (i_1..i_l) = sum_j prod_b factors[b][i_b, j]."""
+    _check_dense_size(factors[0].shape[0], len(factors), max_entries)
+    axes = AXES[: len(factors)]
     subscripts = ",".join(f"{a}z" for a in axes) + "->" + axes
-    return np.einsum(subscripts, *cp_set.factors)
+    return np.einsum(subscripts, *factors)
 
 
-def materialize_tucker(tucker_set: TuckerFactorSet, max_entries: int = 10_000_000) -> np.ndarray:
-    """Expand a core/factor set into the dense tensor it encodes."""
-    n = tucker_set.factors[0].shape[0]
-    if n**tucker_set.order > max_entries:
-        raise ConfigError(f"dense tensor would hold {n ** tucker_set.order} entries, above {max_entries}")
-    axes = _AXES[: tucker_set.order]
-    core_axes = axes.upper()
-    subscripts = core_axes + "," + ",".join(f"{a}{A}" for a, A in zip(axes, core_axes)) + "->" + axes
-    return np.einsum(subscripts, tucker_set.core, *tucker_set.factors)
+def materialize_tucker(core: np.ndarray, factors: list[np.ndarray], max_entries: int = 10_000_000) -> np.ndarray:
+    """Expand a Tucker core and its factor matrices (the b-th (n, core.shape[b]))
+    into the dense tensor they encode."""
+    _check_dense_size(factors[0].shape[0], len(factors), max_entries)
+    axes = AXES[: len(factors)]
+    core_axes = axes.lower()
+    subscripts = core_axes + "," + ",".join(f"{a}{c}" for a, c in zip(axes, core_axes)) + "->" + axes
+    return np.einsum(subscripts, core, *factors)
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:
@@ -289,7 +226,8 @@ def symmetrize(tensor: np.ndarray) -> np.ndarray:
 
 
 def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> ModelBundle:
-    """Convert a dense field-pair model into its factored equivalent.
+    """Convert a dense field-pair model into the equivalent ``tensorfm``
+    bundle with d=2.
 
     The pair term of the dense model is half the bilinear form of its matrix
     S, so S/2 is what gets factored; with full rank the two models score
@@ -297,20 +235,12 @@ def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> Mod
     """
     if bundle.kind != "fwfm":
         raise ConfigError("can only factor a dense field-pair bundle")
-    n = bundle.schema.n
-    r = n if rank is None else int(rank)
+    r = bundle.schema.n if rank is None else int(rank)
     uu, sv, vt = np.linalg.svd(bundle.dense_s / 2.0)
-    left = uu[:, :r] * sv[:r]
-    right = vt[:r].T
-    return ModelBundle(
-        "fwfm-lowrank",
-        bundle.schema,
-        LinearWeights(bundle.linear.w.copy(), bundle.linear.b),
-        embeddings=EmbeddingTable(bundle.embeddings.rows.copy()),
-        cp_sets=[CPFactorSet(2, r, [left, right])],
-        d=2,
-        r_vec=(r,),
-    )
+    blocks = {name: arr.copy() for name, arr in bundle.blocks.items() if name != "pair.upper"}
+    blocks["cp.2.factor.0"] = uu[:, :r] * sv[:r]
+    blocks["cp.2.factor.1"] = vt[:r].T
+    return ModelBundle("tensorfm", bundle.schema, blocks, k=bundle.k, d=2, r_vec=(r,))
 
 
 # ---------------------------------------------------------------------------
@@ -320,35 +250,23 @@ def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> Mod
 
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float64)
-    shape = "x".join(str(s) for s in arr.shape) if arr.ndim else "1"
-    fh.write(f"block {name} {shape}\n")
-    flat = arr.reshape(-1, arr.shape[-1]) if arr.ndim >= 2 else arr.reshape(1, -1)
-    for row in flat:
+    fh.write(f"block {name} {'x'.join(str(s) for s in arr.shape)}\n")
+    for row in arr.reshape(-1, arr.shape[-1]) if arr.ndim >= 2 else arr.reshape(1, -1):
         fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write the model file; the previous file at ``path`` is replaced only
+    once the new one is complete."""
+    with atomic_open(path) as fh:
         fh.write(f"tensorfm-model {FORMAT_VERSION}\n")
         fh.write(f"kind {bundle.kind}\n")
         fh.write("cardinalities " + ",".join(str(c) for c in bundle.schema.cardinalities) + "\n")
         fh.write(f"k {bundle.k}\n")
         fh.write(f"d {bundle.d}\n")
         fh.write("r_vec " + (",".join(str(r) for r in bundle.r_vec) or "-") + "\n")
-        _write_block(fh, "linear.b", np.asarray(bundle.linear.b))
-        _write_block(fh, "linear.w", bundle.linear.w)
-        if bundle.embeddings is not None:
-            _write_block(fh, "embeddings", bundle.embeddings.rows)
-        if bundle.pair_upper is not None:
-            _write_block(fh, "pair.upper", bundle.pair_upper)
-        for cs in bundle.cp_sets:
-            for b, U in enumerate(cs.factors):
-                _write_block(fh, f"cp.{cs.order}.factor.{b}", U)
-        for ts in bundle.tucker_sets:
-            _write_block(fh, f"tucker.{ts.order}.core", ts.core)
-            for b, U in enumerate(ts.factors):
-                _write_block(fh, f"tucker.{ts.order}.factor.{b}", U)
+        for name, arr in bundle.blocks.items():
+            _write_block(fh, name, arr)
         fh.write("end\n")
 
 
@@ -372,17 +290,24 @@ def _read_blocks(lines: list[str], start: int) -> dict[str, np.ndarray]:
             i += 1
             if i >= len(lines):
                 raise ModelIOError(f"file truncated inside block {name!r}")
-            rows.append([float(tok) for tok in lines[i].split()])
+            try:
+                rows.append([float(tok) for tok in lines[i].split()])
+            except ValueError as exc:
+                raise ModelIOError(f"block {name!r} row {r}: not a number: {exc}") from exc
         try:
             arr = np.asarray(rows, dtype=np.float64).reshape(shape)
         except ValueError as exc:
             raise ModelIOError(f"block {name!r} does not match its declared shape {shape}") from exc
+        if not np.isfinite(arr).all():
+            raise ModelIOError(f"block {name!r} holds a non-finite value")
         blocks[name] = arr
         i += 1
     raise ModelIOError("file truncated: missing 'end' marker")
 
 
 def load_bundle(path: str | Path) -> ModelBundle:
+    """Read a model file; a ``kind fwfm-lowrank`` file loads as ``tensorfm``
+    with d=2."""
     path = Path(path)
     if not path.exists():
         raise ModelIOError(f"model file not found: {path}")
@@ -400,50 +325,14 @@ def load_bundle(path: str | Path) -> ModelBundle:
         header[key] = value
         i += 1
     try:
-        kind = header["kind"]
         schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
-        d = int(header["d"])
         r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
-    except (KeyError, ValueError) as exc:
+        kind, k, d, r_vec = canonical_args(header["kind"], int(header.get("k", 0)), int(header["d"]), r_vec)
+    except (KeyError, ValueError, ConfigError) as exc:
         raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
 
     blocks = _read_blocks(lines, i)
-
-    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in blocks:
-            raise ModelIOError(f"{path}: missing block {name!r}")
-        arr = blocks.pop(name)
-        if arr.shape != shape:
-            raise ModelIOError(f"{path}: block {name!r} has shape {arr.shape}, expected {shape}")
-        return arr
-
-    linear = LinearWeights(w=take("linear.w", (schema.m,)), b=float(take("linear.b", (1,))[0]))
-    emb = None
-    if kind in EMBEDDED_KINDS:
-        k = int(header.get("k", 0))
-        emb = EmbeddingTable(take("embeddings", (schema.m, k)))
-    pair = None
-    if kind == "fwfm":
-        pair = take("pair.upper", (schema.n * (schema.n - 1) // 2,))
-    cp_sets = []
-    if kind == "fwfm-lowrank":
-        r = r_vec[0]
-        cp_sets = [CPFactorSet(2, r, [take(f"cp.2.factor.{b}", (schema.n, r)) for b in range(2)])]
-    elif kind == "tensorfm":
-        for order, r in zip(range(2, d + 1), r_vec):
-            cp_sets.append(
-                CPFactorSet(order, r, [take(f"cp.{order}.factor.{b}", (schema.n, r)) for b in range(order)])
-            )
-    tucker_sets = []
-    if kind == "tensorfm-tucker":
-        for order, r in zip(range(2, d + 1), r_vec):
-            ranks = (r,) * order
-            core = take(f"tucker.{order}.core", ranks)
-            factors = [take(f"tucker.{order}.factor.{b}", (schema.n, r)) for b in range(order)]
-            tucker_sets.append(TuckerFactorSet(order, ranks, core, factors))
-    if blocks:
-        raise ModelIOError(f"{path}: unexpected blocks {sorted(blocks)} for kind {kind!r}")
-    return ModelBundle(
-        kind, schema, linear, embeddings=emb, pair_upper=pair, cp_sets=cp_sets,
-        tucker_sets=tucker_sets, d=d, r_vec=r_vec,
-    )
+    try:
+        return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
+    except ConfigError as exc:
+        raise ModelIOError(f"{path}: {exc}") from exc

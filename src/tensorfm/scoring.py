@@ -18,20 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError
-from .params import (
-    CPFactorSet,
-    ModelBundle,
-    TuckerFactorSet,
-    materialize_tensor,
-    materialize_tucker,
-)
-
-_AXES = "ABCDEFGH"
+from .params import AXES, ModelBundle, materialize_tensor, materialize_tucker
 
 
 # ---------------------------------------------------------------------------
@@ -42,14 +35,14 @@ _AXES = "ABCDEFGH"
 def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """(B, n, k) array whose row [b, j] is the embedding of the active feature
     of field j, scaled by the instance multiplier."""
-    return bundle.embeddings.rows[gidx] * vals[..., None]
+    return bundle.blocks["embeddings"][gidx] * vals[..., None]
 
 
 def embed_view(bundle: ModelBundle, instance: Instance) -> np.ndarray:
     """The per-instance (k, n) embedding matrix: column j is the scaled
     embedding of the feature active in field j."""
     gidx = instance.active.astype(np.int64) + bundle.schema.offsets
-    return (bundle.embeddings.rows[gidx] * instance.values[:, None]).T
+    return (bundle.blocks["embeddings"][gidx] * instance.values[:, None]).T
 
 
 def _as_batch(bundle: ModelBundle, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -63,14 +56,8 @@ def _as_batch(bundle: ModelBundle, instance: Instance) -> tuple[np.ndarray, np.n
 
 
 def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return bundle.linear.b + (bundle.linear.w[gidx] * vals).sum(axis=1)
-
-
-def fm_pair_batch(A: np.ndarray) -> np.ndarray:
-    """Unweighted distinct-pair dot-product sum: half of (norm of the field
-    sum squared minus the sum of squared field norms)."""
-    s = A.sum(axis=1)
-    return 0.5 * ((s * s).sum(axis=1) - (A * A).sum(axis=(1, 2)))
+    blocks = bundle.blocks
+    return blocks["linear.b"] + (blocks["linear.w"][gidx] * vals).sum(axis=1)
 
 
 def fwfm_pair_batch(A: np.ndarray, pair_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -82,11 +69,11 @@ def fwfm_pair_batch(A: np.ndarray, pair_matrix: np.ndarray) -> tuple[np.ndarray,
     return 0.5 * (abar * sa).sum(axis=(1, 2)), sa
 
 
-def cp_mode_products(A: np.ndarray, cp_set: CPFactorSet) -> list[np.ndarray]:
+def cp_mode_products(A: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
     """Per-mode dot-product tables G_b[., i, j] = <factor column j of mode b,
     coordinate row i of the instance embedding matrix>; each (B, k, rank)."""
     abar = A.transpose(0, 2, 1)
-    return [abar @ U for U in cp_set.factors]
+    return [abar @ U for U in factors]
 
 
 def cp_order_batch(gs: list[np.ndarray]) -> np.ndarray:
@@ -96,15 +83,15 @@ def cp_order_batch(gs: list[np.ndarray]) -> np.ndarray:
     return prod.sum(axis=(1, 2))
 
 
-def tucker_mode_products(A: np.ndarray, ts: TuckerFactorSet) -> list[np.ndarray]:
+def tucker_mode_products(A: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
     abar = A.transpose(0, 2, 1)
-    return [abar @ U for U in ts.factors]
+    return [abar @ U for U in factors]
 
 
-def tucker_order_batch(ms: list[np.ndarray], ts: TuckerFactorSet) -> np.ndarray:
-    axes = _AXES[: ts.order]
+def tucker_order_batch(ms: list[np.ndarray], core: np.ndarray) -> np.ndarray:
+    axes = AXES[: core.ndim]
     subscripts = axes + "," + ",".join(f"bh{a}" for a in axes) + "->b"
-    return np.einsum(subscripts, ts.core, *ms, optimize=True)
+    return np.einsum(subscripts, core, *ms, optimize=True)
 
 
 def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
@@ -126,11 +113,6 @@ def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
     return dp
 
 
-def hofm_batch(A: np.ndarray, degree: int) -> np.ndarray:
-    dp = hofm_table_batch(A, degree)
-    return dp[-1, 2:].sum(axis=(0, 2))
-
-
 # ---------------------------------------------------------------------------
 # full forward pass with gradient cache
 # ---------------------------------------------------------------------------
@@ -142,53 +124,50 @@ class ForwardCache:
 
     gidx: np.ndarray
     vals: np.ndarray
-    scores: np.ndarray
+    scores: np.ndarray | None = None
     A: np.ndarray | None = None
     fm_sum: np.ndarray | None = None  # (B, k) sum of field embeddings
     fwfm_sa: np.ndarray | None = None  # (B, k, n) pair_matrix applied to coordinate rows
-    cp_gs: dict[int, list[np.ndarray]] = field(default_factory=dict)
-    tucker_ms: dict[int, list[np.ndarray]] = field(default_factory=dict)
+    mode_products: dict[int, list[np.ndarray]] = field(default_factory=dict)  # per order, CP or Tucker
     hofm_dp: np.ndarray | None = None
+
+
+def _interaction_terms(bundle: ModelBundle, cache: ForwardCache) -> Iterator[np.ndarray]:
+    """Yield the kind's interaction terms, one (B,) array per order (one in
+    all for fm, fwfm and hofm), keeping backward intermediates in ``cache``."""
+    kind, blocks = bundle.kind, bundle.blocks
+    if kind == "lr":
+        return
+    A = cache.A = gather_embeddings(bundle, cache.gidx, cache.vals)
+    if kind == "fm":
+        cache.fm_sum = A.sum(axis=1)
+        yield 0.5 * ((cache.fm_sum**2).sum(axis=1) - (A * A).sum(axis=(1, 2)))
+    elif kind == "fwfm":
+        term, cache.fwfm_sa = fwfm_pair_batch(A, bundle.dense_s)
+        yield term
+    elif kind == "hofm":
+        cache.hofm_dp = hofm_table_batch(A, bundle.d)
+        yield cache.hofm_dp[-1, 2:].sum(axis=(0, 2))
+    elif kind == "tensorfm":
+        for order, names in bundle.factor_sets:
+            gs = cache.mode_products[order] = cp_mode_products(A, [blocks[name] for name in names])
+            yield cp_order_batch(gs)
+    else:  # tensorfm-tucker
+        for order, (core_name, *names) in bundle.factor_sets:
+            ms = cache.mode_products[order] = tucker_mode_products(A, [blocks[name] for name in names])
+            yield tucker_order_batch(ms, blocks[core_name])
 
 
 def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> ForwardCache:
     """Score a batch under the bundle's kind, keeping backward intermediates.
 
-    The returned scores are the full predictor (linear term plus the kind's
-    interaction terms).
+    The returned scores are the full predictor: the linear term, then each
+    interaction term added in turn.
     """
+    cache = ForwardCache(gidx=gidx, vals=vals)
     scores = linear_batch(bundle, gidx, vals)
-    cache = ForwardCache(gidx=gidx, vals=vals, scores=scores)
-    kind = bundle.kind
-    if kind == "lr":
-        return cache
-
-    A = gather_embeddings(bundle, gidx, vals)
-    cache.A = A
-    if kind == "fm":
-        cache.fm_sum = A.sum(axis=1)
-        scores += 0.5 * ((cache.fm_sum**2).sum(axis=1) - (A * A).sum(axis=(1, 2)))
-    elif kind == "fwfm":
-        term, sa = fwfm_pair_batch(A, bundle.dense_s)
-        cache.fwfm_sa = sa
+    for term in _interaction_terms(bundle, cache):
         scores += term
-    elif kind == "fwfm-lowrank":
-        gs = cp_mode_products(A, bundle.cp_sets[0])
-        cache.cp_gs[2] = gs
-        scores += cp_order_batch(gs)
-    elif kind == "hofm":
-        cache.hofm_dp = hofm_table_batch(A, bundle.d)
-        scores += cache.hofm_dp[-1, 2:].sum(axis=(0, 2))
-    elif kind == "tensorfm":
-        for cs in bundle.cp_sets:
-            gs = cp_mode_products(A, cs)
-            cache.cp_gs[cs.order] = gs
-            scores += cp_order_batch(gs)
-    elif kind == "tensorfm-tucker":
-        for ts in bundle.tucker_sets:
-            ms = tucker_mode_products(A, ts)
-            cache.tucker_ms[ts.order] = ms
-            scores += tucker_order_batch(ms, ts)
     cache.scores = scores
     return cache
 
@@ -217,46 +196,10 @@ def score_linear(bundle: ModelBundle, instance: Instance) -> float:
     return float(linear_batch(bundle, gidx, vals)[0])
 
 
-def score_fm(bundle: ModelBundle, instance: Instance) -> float:
-    """Distinct-field pair term only (no linear block)."""
+def interaction_term(bundle: ModelBundle, instance: Instance) -> float:
+    """Sum of the kind's interaction terms for one instance (no linear block)."""
     gidx, vals = _as_batch(bundle, instance)
-    return float(fm_pair_batch(gather_embeddings(bundle, gidx, vals))[0])
-
-
-def score_fwfm_dense(bundle: ModelBundle, instance: Instance) -> float:
-    """Field-weighted pair term only (no linear block)."""
-    gidx, vals = _as_batch(bundle, instance)
-    term, _ = fwfm_pair_batch(gather_embeddings(bundle, gidx, vals), bundle.dense_s)
-    return float(term[0])
-
-
-def score_fwfm_lowrank(bundle: ModelBundle, instance: Instance) -> float:
-    """Factored pair term only: Frobenius inner product of the embedding
-    matrix applied to the two factor matrices."""
-    gidx, vals = _as_batch(bundle, instance)
-    gs = cp_mode_products(gather_embeddings(bundle, gidx, vals), bundle.cp_sets[0])
-    return float(cp_order_batch(gs)[0])
-
-
-def score_hofm(bundle: ModelBundle, instance: Instance, degree: int | None = None) -> float:
-    """Sum of all distinct-field interaction terms of orders 2..degree."""
-    degree = bundle.d if degree is None else degree
-    if not 2 <= degree <= bundle.schema.n:
-        raise ConfigError(f"degree {degree} must lie in [2, n={bundle.schema.n}]")
-    gidx, vals = _as_batch(bundle, instance)
-    return float(hofm_batch(gather_embeddings(bundle, gidx, vals), degree)[0])
-
-
-def score_tensorfm_cp(bundle: ModelBundle, instance: Instance) -> float:
-    """Full predictor: linear block plus every low-rank interaction order."""
-    gidx, vals = _as_batch(bundle, instance)
-    return float(forward_batch(bundle, gidx, vals).scores[0])
-
-
-def score_tensorfm_tucker(bundle: ModelBundle, instance: Instance) -> float:
-    """Full predictor for the core/factor parameterization."""
-    gidx, vals = _as_batch(bundle, instance)
-    return float(forward_batch(bundle, gidx, vals).scores[0])
+    return float(sum(_interaction_terms(bundle, ForwardCache(gidx=gidx, vals=vals)), np.zeros(1))[0])
 
 
 def score(bundle: ModelBundle, instance: Instance) -> float:
@@ -294,17 +237,21 @@ def interaction_tensors(bundle: ModelBundle, max_entries: int = 10_000_000) -> d
     over the returned tensor reproduces the model's interaction term.
     """
     n = bundle.schema.n
-    kind = bundle.kind
+    kind, blocks = bundle.kind, bundle.blocks
     if kind == "fm":
         return {2: (np.ones((n, n)) - np.eye(n)) / 2.0}
     if kind == "fwfm":
         return {2: bundle.dense_s / 2.0}
-    if kind == "fwfm-lowrank":
-        return {2: materialize_tensor(bundle.cp_sets[0], max_entries)}
     if kind == "tensorfm":
-        return {cs.order: materialize_tensor(cs, max_entries) for cs in bundle.cp_sets}
+        return {
+            order: materialize_tensor([blocks[name] for name in names], max_entries)
+            for order, names in bundle.factor_sets
+        }
     if kind == "tensorfm-tucker":
-        return {ts.order: materialize_tucker(ts, max_entries) for ts in bundle.tucker_sets}
+        return {
+            order: materialize_tucker(blocks[core], [blocks[name] for name in names], max_entries)
+            for order, (core, *names) in bundle.factor_sets
+        }
     return {}
 
 

@@ -10,17 +10,15 @@ training bit-reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
 from .metrics import auc, logloss
-from .params import ModelBundle, init
-from .scoring import ForwardCache, forward_batch, score_dataset, sigmoid
-
-_AXES = "ABCDEFGH"
+from .params import AXES, ModelBundle, init
+from .scoring import ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
 
 
 @dataclass(frozen=True)
@@ -41,19 +39,6 @@ class TrainConfig:
             raise ConfigError("regularization coefficients cannot be negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
-
-
-@dataclass
-class GradBundle:
-    """Gradients with the same shapes as the paired bundle's blocks."""
-
-    w: np.ndarray
-    b: float
-    embeddings: np.ndarray | None = None
-    pair_upper: np.ndarray | None = None
-    cp_factors: list[list[np.ndarray]] = field(default_factory=list)
-    tucker_cores: list[np.ndarray] = field(default_factory=list)
-    tucker_factors: list[list[np.ndarray]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +85,24 @@ def _leave_one_out(gs: list[np.ndarray]) -> list[np.ndarray]:
     return [prefix[i] * suffix[i + 1] for i in range(count)]
 
 
-def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> GradBundle:
+def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Accumulate sum_b upstream[b] * d score_b / d theta for every block.
 
     ``upstream`` holds one multiplier per batch row (for mean-BCE training,
-    (sigmoid(score) - label) / batch_size).
+    (sigmoid(score) - label) / batch_size). The result has one gradient per
+    block of the bundle, under the same names and in the same order.
     """
     if cache.gidx is None:
         raise ConfigError("backward pass needs the forward cache")
     upstream = np.asarray(upstream, dtype=np.float64)
     gidx, vals = cache.gidx, cache.vals
     m = bundle.schema.m
+    kind, blocks = bundle.kind, bundle.blocks
 
-    grads = GradBundle(
-        w=np.bincount(gidx.ravel(), weights=(upstream[:, None] * vals).ravel(), minlength=m),
-        b=float(upstream.sum()),
-    )
-    kind = bundle.kind
+    grads = {
+        "linear.b": np.array([upstream.sum()]),
+        "linear.w": np.bincount(gidx.ravel(), weights=(upstream[:, None] * vals).ravel(), minlength=m),
+    }
     if kind == "lr":
         return grads
 
@@ -132,16 +118,13 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
         weighted = abar * upstream[:, None, None]
         ds_full = 0.5 * (weighted.reshape(-1, n).T @ abar.reshape(-1, n))
         iu = np.triu_indices(n, 1)
-        grads.pair_upper = ds_full[iu] + ds_full.T[iu]
-    elif kind in ("fwfm-lowrank", "tensorfm"):
-        for cs in bundle.cp_sets:
-            gs = cache.cp_gs[cs.order]
-            loo = _leave_one_out(gs)
-            factor_grads = []
-            for b_mode, U in enumerate(cs.factors):
-                factor_grads.append(np.einsum("z,zhn,zhr->nr", upstream, abar, loo[b_mode]))
-                d_a += np.matmul(loo[b_mode], U.T).transpose(0, 2, 1)
-            grads.cp_factors.append(factor_grads)
+        grads["pair.upper"] = ds_full[iu] + ds_full.T[iu]
+    elif kind == "tensorfm":
+        for order, names in bundle.factor_sets:
+            loo = _leave_one_out(cache.mode_products[order])
+            for name, rest in zip(names, loo):
+                grads[name] = np.einsum("z,zhn,zhr->nr", upstream, abar, rest)
+                d_a += np.matmul(rest, blocks[name].T).transpose(0, 2, 1)
     elif kind == "hofm":
         dp = cache.hofm_dp
         degree = bundle.d
@@ -153,38 +136,31 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
                 d_a[:, j - 1, :] += adj[t] * dp[j - 1, t - 1]
             for t in range(1, degree + 1):
                 adj[t - 1] += adj[t] * aj
-    elif kind == "tensorfm-tucker":
-        for ts in bundle.tucker_sets:
-            ms = cache.tucker_ms[ts.order]
-            axes = _AXES[: ts.order]
+    else:  # tensorfm-tucker
+        for order, (core_name, *names) in bundle.factor_sets:
+            ms = cache.mode_products[order]
+            core = blocks[core_name]
+            axes = AXES[:order]
             mode_specs = [f"zh{a}" for a in axes]
-            grads.tucker_cores.append(
-                np.einsum("z," + ",".join(mode_specs) + "->" + axes, upstream, *ms, optimize=True)
-            )
-            factor_grads = []
-            for b_mode, U in enumerate(ts.factors):
-                others = [ms[i] for i in range(ts.order) if i != b_mode]
-                other_specs = [mode_specs[i] for i in range(ts.order) if i != b_mode]
+            grads[core_name] = np.einsum("z," + ",".join(mode_specs) + "->" + axes, upstream, *ms, optimize=True)
+            for b_mode, name in enumerate(names):
+                others = [ms[i] for i in range(order) if i != b_mode]
+                other_specs = [mode_specs[i] for i in range(order) if i != b_mode]
                 dm = np.einsum(
-                    axes + "," + ",".join(other_specs) + "->" + f"zh{axes[b_mode]}",
-                    ts.core,
-                    *others,
-                    optimize=True,
+                    axes + "," + ",".join(other_specs) + "->" + f"zh{axes[b_mode]}", core, *others, optimize=True
                 )
-                factor_grads.append(np.einsum("z,zhn,zhr->nr", upstream, abar, dm))
-                d_a += np.matmul(dm, U.T).transpose(0, 2, 1)
-            grads.tucker_factors.append(factor_grads)
+                grads[name] = np.einsum("z,zhn,zhr->nr", upstream, abar, dm)
+                d_a += np.matmul(dm, blocks[name].T).transpose(0, 2, 1)
 
     weighted_da = d_a * (upstream[:, None, None] * vals[:, :, None])
     flat_idx = (gidx[..., None] * k + np.arange(k)).ravel()
-    grads.embeddings = np.bincount(flat_idx, weights=weighted_da.ravel(), minlength=m * k).reshape(m, k)
-    return grads
+    grads["embeddings"] = np.bincount(flat_idx, weights=weighted_da.ravel(), minlength=m * k).reshape(m, k)
+    return {name: grads[name] for name in blocks}
 
 
-def backward(bundle: ModelBundle, instance: Instance, upstream: float = 1.0) -> GradBundle:
+def backward(bundle: ModelBundle, instance: Instance, upstream: float = 1.0) -> dict[str, np.ndarray]:
     """Gradient of the full score of one instance, scaled by ``upstream``."""
-    gidx = (instance.active.astype(np.int64) + bundle.schema.offsets)[None, :]
-    vals = np.asarray(instance.values, dtype=np.float64)[None, :]
+    gidx, vals = _as_batch(bundle, instance)
     cache = forward_batch(bundle, gidx, vals)
     return backward_from_cache(bundle, cache, np.asarray([upstream]))
 
@@ -194,63 +170,32 @@ def backward(bundle: ModelBundle, instance: Instance, upstream: float = 1.0) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AdagradState:
-    """Per-coordinate squared-gradient accumulators, one per block."""
-
-    w: np.ndarray
-    b: float
-    embeddings: np.ndarray | None = None
-    pair_upper: np.ndarray | None = None
-    cp_factors: list[list[np.ndarray]] = field(default_factory=list)
-    tucker_cores: list[np.ndarray] = field(default_factory=list)
-    tucker_factors: list[list[np.ndarray]] = field(default_factory=list)
-
-    @classmethod
-    def for_bundle(cls, bundle: ModelBundle) -> "AdagradState":
-        state = cls(w=np.zeros_like(bundle.linear.w), b=0.0)
-        if bundle.embeddings is not None:
-            state.embeddings = np.zeros_like(bundle.embeddings.rows)
-        if bundle.pair_upper is not None:
-            state.pair_upper = np.zeros_like(bundle.pair_upper)
-        state.cp_factors = [[np.zeros_like(U) for U in cs.factors] for cs in bundle.cp_sets]
-        state.tucker_cores = [np.zeros_like(ts.core) for ts in bundle.tucker_sets]
-        state.tucker_factors = [[np.zeros_like(U) for U in ts.factors] for ts in bundle.tucker_sets]
-        return state
+def adagrad_state(bundle: ModelBundle) -> dict[str, np.ndarray]:
+    """Per-coordinate squared-gradient accumulators, one zeroed array per
+    block of ``bundle``, under the block's name."""
+    return {name: np.zeros_like(arr) for name, arr in bundle.blocks.items()}
 
 
-def _adagrad_block(theta: np.ndarray, grad: np.ndarray, acc: np.ndarray, lr: float, l2: float, eps: float, name: str) -> None:
-    if not np.all(np.isfinite(grad)):
-        raise NumericError(f"non-finite gradient in block {name!r}")
-    g = grad + l2 * theta if l2 else grad
-    acc += g * g
-    theta -= lr * g / (np.sqrt(acc) + eps)
-
-
-def adagrad_step(bundle: ModelBundle, grads: GradBundle, state: AdagradState, config: TrainConfig) -> None:
+def adagrad_step(
+    bundle: ModelBundle, grads: dict[str, np.ndarray], state: dict[str, np.ndarray], config: TrainConfig
+) -> None:
     """One in-place AdaGrad update: accumulate squared gradients, then scale
     each coordinate's step by the inverse root of its accumulator. L2 terms
-    are added to the gradient before accumulation; the bias is unregularized.
+    are added to the gradient before accumulation; the bias is unregularized,
+    ``linear.w`` and ``embeddings`` take their own coefficients, and every
+    interaction block (``pair.``, ``cp.``, ``tucker.``) takes ``l2_factors``.
     """
     lr, eps = config.learning_rate, config.adagrad_epsilon
-    if not np.isfinite(grads.b):
-        raise NumericError("non-finite gradient in block 'linear.b'")
-    gb = grads.b
-    state.b += gb * gb
-    bundle.linear.b -= lr * gb / (np.sqrt(state.b) + eps)
-    _adagrad_block(bundle.linear.w, grads.w, state.w, lr, config.l2_linear, eps, "linear.w")
-    if bundle.embeddings is not None:
-        _adagrad_block(bundle.embeddings.rows, grads.embeddings, state.embeddings, lr, config.l2_embedding, eps, "embeddings")
-    if bundle.pair_upper is not None:
-        _adagrad_block(bundle.pair_upper, grads.pair_upper, state.pair_upper, lr, config.l2_factors, eps, "pair.upper")
-    for cs, gset, aset in zip(bundle.cp_sets, grads.cp_factors, state.cp_factors):
-        for b_mode, (U, g, acc) in enumerate(zip(cs.factors, gset, aset)):
-            _adagrad_block(U, g, acc, lr, config.l2_factors, eps, f"cp.{cs.order}.factor.{b_mode}")
-    for ts, gcore, acore in zip(bundle.tucker_sets, grads.tucker_cores, state.tucker_cores):
-        _adagrad_block(ts.core, gcore, acore, lr, config.l2_factors, eps, f"tucker.{ts.order}.core")
-    for ts, gset, aset in zip(bundle.tucker_sets, grads.tucker_factors, state.tucker_factors):
-        for b_mode, (U, g, acc) in enumerate(zip(ts.factors, gset, aset)):
-            _adagrad_block(U, g, acc, lr, config.l2_factors, eps, f"tucker.{ts.order}.factor.{b_mode}")
+    l2_by_name = {"linear.b": 0.0, "linear.w": config.l2_linear, "embeddings": config.l2_embedding}
+    for name, theta in bundle.blocks.items():
+        grad = grads[name]
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"non-finite gradient in block {name!r}")
+        l2 = l2_by_name.get(name, config.l2_factors)
+        g = grad + l2 * theta if l2 else grad
+        acc = state[name]
+        acc += g * g
+        theta -= lr * g / (np.sqrt(acc) + eps)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +231,7 @@ def train(
     if valid_set is not None and valid_set.schema.cardinalities != bundle.schema.cardinalities:
         raise ConfigError("validation data schema does not match the model schema")
 
-    state = AdagradState.for_bundle(bundle)
+    state = adagrad_state(bundle)
     rng = np.random.default_rng(config.seed)
     gidx_all = train_set.global_indices
     vals_all = train_set.values

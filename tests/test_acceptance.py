@@ -44,10 +44,10 @@ class TestCriterion01CpOracle:
             bundle = tfm.init(
                 "tensorfm", schema, k=k, d=d, r_vec=r_vec, init_scale=0.8, seed=int(rng.integers(1 << 30))
             )
-            bundle.linear.w[:] = rng.normal(size=schema.m)
-            bundle.linear.b = float(rng.normal())
+            bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
+            bundle.blocks["linear.b"][:] = rng.normal()
             inst = random_instance(schema, rng)
-            worst = max(worst, rel_err(tfm.score_tensorfm_cp(bundle, inst), tfm.score_naive_oracle(bundle, inst)))
+            worst = max(worst, rel_err(tfm.score(bundle, inst), tfm.score_naive_oracle(bundle, inst)))
         elapsed = time.perf_counter() - t0
         report(
             1,
@@ -67,9 +67,7 @@ class TestCriterion02PairFactorizationRoundTrip:
             low = tfm.fwfm_lowrank_from_dense(bundle)
             for _ in range(5):
                 inst = random_instance(schema, rng)
-                worst = max(
-                    worst, rel_err(tfm.score_fwfm_lowrank(low, inst), tfm.score_fwfm_dense(bundle, inst))
-                )
+                worst = max(worst, rel_err(tfm.interaction_term(low, inst), tfm.interaction_term(bundle, inst)))
         report(2, worst < 1e-9, f"100 random pair matrices, worst relative error {worst:.2e}")
 
 
@@ -86,11 +84,9 @@ class TestCriterion03TuckerOracle:
                 "tensorfm-tucker", schema, k=int(rng.integers(1, 4)), d=d, r_vec=r,
                 init_scale=0.8, seed=int(rng.integers(1 << 30)),
             )
-            bundle.linear.w[:] = rng.normal(size=schema.m)
+            bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
             inst = random_instance(schema, rng)
-            worst = max(
-                worst, rel_err(tfm.score_tensorfm_tucker(bundle, inst), tfm.score_naive_oracle(bundle, inst))
-            )
+            worst = max(worst, rel_err(tfm.score(bundle, inst), tfm.score_naive_oracle(bundle, inst)))
         report(3, worst < 1e-9, f"200 random core/factor models, worst relative error {worst:.2e}")
 
 
@@ -119,50 +115,31 @@ class TestCriterion04GradientCheck:
                     kind, schema, k=int(rng.integers(1, 5)), init_scale=0.5,
                     seed=int(rng.integers(1 << 30)), **kw,
                 )
-                bundle.linear.w[:] = rng.normal(size=schema.m) * 0.5
-                bundle.linear.b = float(rng.normal())
+                bundle.blocks["linear.w"][:] = rng.normal(size=schema.m) * 0.5
+                bundle.blocks["linear.b"][:] = rng.normal()
                 inst = random_instance(schema, rng)
                 checked_instances += 1
 
                 grads = tfm.backward(bundle, inst, upstream=1.0)
-                blocks = [(np.asarray([bundle.linear.b]), np.asarray([grads.b]), "__bias__")]
-                blocks.append((bundle.linear.w, grads.w, "w"))
-                if bundle.embeddings is not None:
-                    blocks.append((bundle.embeddings.rows, grads.embeddings, "emb"))
-                if bundle.pair_upper is not None:
-                    blocks.append((bundle.pair_upper, grads.pair_upper, "pair"))
-                for cs, gset in zip(bundle.cp_sets, grads.cp_factors):
-                    blocks.extend((u, g, "cp") for u, g in zip(cs.factors, gset))
-                for ts, gcore in zip(bundle.tucker_sets, grads.tucker_cores):
-                    blocks.append((ts.core, gcore, "core"))
-                for ts, gset in zip(bundle.tucker_sets, grads.tucker_factors):
-                    blocks.extend((u, g, "tf") for u, g in zip(ts.factors, gset))
-
-                for arr, grad, name in blocks:
+                assert list(grads) == list(bundle.blocks)
+                for name, arr in bundle.blocks.items():
                     it = np.nditer(arr, flags=["multi_index"])
                     for _ in it:
                         ix = it.multi_index
                         orig = arr[ix]
-                        if name == "__bias__":
-                            bundle.linear.b = orig + h
-                            up = tfm.score(bundle, inst)
-                            bundle.linear.b = orig - h
-                            down = tfm.score(bundle, inst)
-                            bundle.linear.b = orig
-                        else:
-                            arr[ix] = orig + h
-                            up = tfm.score(bundle, inst)
-                            arr[ix] = orig - h
-                            down = tfm.score(bundle, inst)
-                            arr[ix] = orig
+                        arr[ix] = orig + h
+                        up = tfm.score(bundle, inst)
+                        arr[ix] = orig - h
+                        down = tfm.score(bundle, inst)
+                        arr[ix] = orig
                         numeric = (up - down) / (2 * h)
-                        analytic = grad[ix]
+                        analytic = grads[name][ix]
                         worst = max(worst, abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1.0))
 
         report(
             4,
             worst < tol and checked_instances >= 100,
-            f"{checked_instances} random instances across 7 kinds, worst relative error {worst:.2e}",
+            f"{checked_instances} random instances across {len(self.KINDS)} kinds, worst relative error {worst:.2e}",
         )
 
 

@@ -133,9 +133,9 @@ class TestLearnedStrength:
 
     def test_zero_factors_zero_strength(self):
         bundle, ds = self._toy()
-        for cs in bundle.cp_sets:
-            for u in cs.factors:
-                u[:] = 0.0
+        for name, arr in bundle.blocks.items():
+            if name.startswith("cp."):
+                arr[:] = 0.0
         strengths = learned_strength(bundle, ds, order=3)
         assert set(strengths) == {(0, 1, 2)}
         assert strengths[(0, 1, 2)] == 0.0
@@ -146,7 +146,7 @@ class TestLearnedStrength:
         ds = Dataset(schema, np.array([[1, 0, 1]], dtype=np.int32), labels=np.array([1], dtype=np.int8))
         strengths = learned_strength(bundle, ds, order=3)
         tensor = interaction_tensors(bundle)[3]
-        emb = bundle.embeddings.rows
+        emb = bundle.blocks["embeddings"]
         inner = float((emb[0 + 1] * emb[2 + 0] * emb[4 + 1]).sum())
         weight = sum(abs(float(tensor[p])) for p in itertools.permutations((0, 1, 2))) / 6.0
         assert abs(strengths[(0, 1, 2)] - weight * abs(inner)) < 1e-12
@@ -155,7 +155,7 @@ class TestLearnedStrength:
         bundle, ds = self._toy()
         strengths = learned_strength(bundle, ds, order=2)
         tensor = interaction_tensors(bundle)[2]
-        emb = bundle.embeddings.rows
+        emb = bundle.blocks["embeddings"]
         offsets = ds.schema.offsets
         # independent recomputation for field pair (0, 1)
         expected = 0.0

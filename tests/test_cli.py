@@ -115,6 +115,23 @@ class TestBenchCommands:
         assert lines[0] == "kind,n,k,d,r,flops"
         assert len(lines) == 1 + 4 * 20  # 20 sweep points per kind
 
+    def test_fwfm_lr_flag_trains_tensorfm_of_order_two(self, synth_files, tmp_path):
+        model = tmp_path / "m.txt"
+        rc = main(["train", "--train", f"{synth_files}.train.txt", "--model", "fwfm-lr",
+                   "--d", "3", "--rank", "2", "--epochs", "1", "--out", str(model)])
+        assert rc == 0
+        bundle = load_bundle(model)
+        assert (bundle.kind, bundle.d, bundle.r_vec) == ("tensorfm", 2, (2,))
+
+    def test_fwfm_lr_flops_equal_tensorfm_of_order_two(self, tmp_path):
+        out = {}
+        for token, d in (("fwfm-lr", "3"), ("tensorfm", "2")):
+            path = tmp_path / f"{token}.csv"
+            assert main(["bench-flops", "--sweep-n", "10:20:10", "--kinds", token,
+                         "--d", d, "--rank", "3", "--out", str(path)]) == 0
+            out[token] = [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
+        assert out["fwfm-lr"] == out["tensorfm"]  # the alias always has d=2
+
     def test_latency_command(self, tmp_path, capsys):
         prefix = str(tmp_path / "lat")
         main(["synth", "--fields", "3", "--card", "4", "--order", "2", "--samples", "500",
@@ -199,6 +216,21 @@ class TestExitCodes:
         # mismatch surfaces as a clean nonzero exit, not a crash
         rc = main(["eval", "--model", model, "--data", f"{other}.test.txt"])
         assert rc in (2, 3)
+
+    @pytest.mark.parametrize("token", ["abc", "nan"])
+    def test_corrupt_model_value_is_data_error(self, synth_files, tmp_path, capsys, token):
+        model = tmp_path / "m.txt"
+        main(["train", "--train", f"{synth_files}.train.txt", "--model", "fm",
+              "--epochs", "1", "--out", str(model)])
+        lines = model.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith("block embeddings")) + 1
+        lines[row] = " ".join([token] + lines[row].split()[1:])
+        model.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data", f"{synth_files}.test.txt"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "embeddings" in err and "Traceback" not in err
 
     def test_help_lists_flags(self, capsys):
         for command in ("synth", "prep", "train", "eval", "grid", "bench-flops", "bench-latency", "interpret"):

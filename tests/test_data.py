@@ -100,6 +100,33 @@ class TestTextFormat:
         with pytest.raises(DataError):
             read_dataset(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        schema = build_schema([3, 3])
+        ds = Dataset(schema, np.array([[0, 1], [2, 0], [1, 1]]), labels=np.array([1, 0, 1]))
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        before = path.read_bytes()
+
+        class LabelsFailingAtRow2:
+            def __getitem__(self, i):
+                if i == 2:
+                    raise OSError("disk full")
+                return ds.labels[i]
+
+        class PartlyWritable:
+            schema = ds.schema
+            active = ds.active
+            values = ds.values
+            labels = LabelsFailingAtRow2()
+
+            def __len__(self):
+                return len(ds)
+
+        with pytest.raises(OSError, match="disk full"):
+            write_dataset(PartlyWritable(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
 
 class TestLoadTabular:
     def _write_csv(self, path, header, rows):

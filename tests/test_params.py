@@ -1,13 +1,17 @@
 """Parameter blocks, initialization, materialization, and serialization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tensorfm import (
-    CPFactorSet,
     ConfigError,
     Instance,
+    ModelBundle,
     ModelIOError,
+    block_layout,
     build_schema,
     fwfm_lowrank_from_dense,
     init,
@@ -21,6 +25,52 @@ from tensorfm import (
 )
 
 SCHEMA = build_schema([3, 4, 2, 5])
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+class TestLayout:
+    def test_init_blocks_follow_the_layout(self):
+        for kind, kw in [
+            ("lr", {}),
+            ("fm", {}),
+            ("fwfm", {}),
+            ("hofm", dict(d=3)),
+            ("tensorfm", dict(d=3, r_vec=(2, 3))),
+            ("tensorfm-tucker", dict(d=3, r_vec=2)),
+        ]:
+            bundle = init(kind, SCHEMA, k=3, seed=0, **kw)
+            layout = block_layout(bundle.kind, SCHEMA, bundle.k, bundle.d, bundle.r_vec)
+            assert [(name, arr.shape) for name, arr in bundle.blocks.items()] == layout
+            assert param_count(bundle) == sum(int(np.prod(shape)) for _, shape in layout)
+
+    def test_linear_blocks_start_at_zero(self):
+        bundle = init("fwfm", SCHEMA, k=3, init_scale=0.5, seed=0)
+        assert (bundle.blocks["linear.b"] == 0).all() and (bundle.blocks["linear.w"] == 0).all()
+        assert (bundle.blocks["pair.upper"] != 0).all()
+
+    def test_fwfm_lowrank_is_tensorfm_of_order_two(self):
+        low = init("fwfm-lowrank", SCHEMA, k=3, d=4, r_vec=2, seed=5)
+        ten = init("tensorfm", SCHEMA, k=3, d=2, r_vec=2, seed=5)
+        assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (2,))
+        for name in ten.blocks:
+            assert (low.blocks[name] == ten.blocks[name]).all(), name
+
+    def test_validation_names_the_offending_block(self):
+        bundle = init("tensorfm", SCHEMA, k=2, d=3, r_vec=2, seed=0)
+        bad = dict(bundle.blocks, **{"cp.3.factor.1": np.zeros((SCHEMA.n, 3))})
+        with pytest.raises(ConfigError, match="cp.3.factor.1"):
+            ModelBundle("tensorfm", SCHEMA, bad, k=2, d=3, r_vec=(2, 2))
+        missing = {name: arr for name, arr in bundle.blocks.items() if name != "cp.2.factor.0"}
+        with pytest.raises(ConfigError, match="cp.2.factor.0"):
+            ModelBundle("tensorfm", SCHEMA, missing, k=2, d=3, r_vec=(2, 2))
+        with pytest.raises(ConfigError, match="pair.upper"):
+            ModelBundle("tensorfm", SCHEMA, dict(bundle.blocks, **{"pair.upper": np.zeros(6)}), k=2, d=3, r_vec=(2, 2))
+
+    def test_tucker_order_beyond_einsum_axes_rejected(self):
+        schema = build_schema([2] * 9)
+        with pytest.raises(ConfigError, match="Tucker order"):
+            init("tensorfm-tucker", schema, k=2, d=9, r_vec=1, seed=0)
+        init("tensorfm-tucker", schema, k=2, d=8, r_vec=1, seed=0)
 
 
 class TestInit:
@@ -47,10 +97,9 @@ class TestInit:
     def test_same_seed_bit_identical(self):
         a = init("tensorfm", SCHEMA, k=4, d=3, r_vec=(2, 3), seed=9)
         b = init("tensorfm", SCHEMA, k=4, d=3, r_vec=(2, 3), seed=9)
-        assert (a.embeddings.rows == b.embeddings.rows).all()
-        for ca, cb in zip(a.cp_sets, b.cp_sets):
-            for ua, ub in zip(ca.factors, cb.factors):
-                assert (ua == ub).all()
+        assert list(a.blocks) == list(b.blocks)
+        for name in a.blocks:
+            assert (a.blocks[name] == b.blocks[name]).all(), name
 
     def test_rank_above_field_count_rejected(self):
         with pytest.raises(ConfigError):
@@ -69,21 +118,19 @@ class TestInit:
     def test_scalar_rank_replicated(self):
         bundle = init("tensorfm", SCHEMA, k=2, d=4, r_vec=2, seed=0)
         assert bundle.r_vec == (2, 2, 2)
-        assert [cs.order for cs in bundle.cp_sets] == [2, 3, 4]
+        assert [order for order, _ in bundle.factor_sets] == [2, 3, 4]
 
 
 class TestMaterializeTensor:
     def test_rank_one_all_ones(self):
         ones = np.ones((2, 1))
-        cp = CPFactorSet(order=2, rank=1, factors=[ones, ones])
-        np.testing.assert_array_equal(materialize_tensor(cp), np.ones((2, 2)))
+        np.testing.assert_array_equal(materialize_tensor([ones, ones]), np.ones((2, 2)))
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(4)
         n, r = 2, 2
         factors = [rng.normal(size=(n, r)) for _ in range(3)]
-        cp = CPFactorSet(order=3, rank=r, factors=factors)
-        dense = materialize_tensor(cp)
+        dense = materialize_tensor(factors)
         for i in range(n):
             for j in range(n):
                 for l in range(n):
@@ -96,34 +143,32 @@ class TestMaterializeTensor:
         rng = np.random.default_rng(8)
         s = rng.normal(size=(4, 4))
         uu, sv, vt = np.linalg.svd(s)
-        cp = CPFactorSet(order=2, rank=4, factors=[uu * sv, vt.T])
-        assert np.abs(materialize_tensor(cp) - s).max() < 1e-10
+        assert np.abs(materialize_tensor([uu * sv, vt.T]) - s).max() < 1e-10
 
     def test_linear_in_each_factor(self):
         rng = np.random.default_rng(2)
         factors = [rng.normal(size=(3, 2)) for _ in range(3)]
-        cp = CPFactorSet(order=3, rank=2, factors=factors)
-        base = materialize_tensor(cp)
-        scaled = CPFactorSet(order=3, rank=2, factors=[3.0 * factors[0], factors[1], factors[2]])
+        base = materialize_tensor(factors)
+        scaled = [3.0 * factors[0], factors[1], factors[2]]
         np.testing.assert_allclose(materialize_tensor(scaled), 3.0 * base, rtol=1e-12)
 
     def test_memory_cap(self):
-        cp = CPFactorSet(order=3, rank=1, factors=[np.ones((50, 1))] * 3)
         with pytest.raises(ConfigError):
-            materialize_tensor(cp, max_entries=1000)
+            materialize_tensor([np.ones((50, 1))] * 3, max_entries=1000)
 
     def test_tucker_matches_explicit_sum(self):
         rng = np.random.default_rng(5)
         bundle = init("tensorfm-tucker", SCHEMA, k=2, d=3, r_vec=2, init_scale=0.5, seed=3)
-        ts = bundle.tucker_sets[1]  # order 3
-        dense = materialize_tucker(ts)
+        core = bundle.blocks["tucker.3.core"]
+        f0, f1, f2 = (bundle.blocks[f"tucker.3.factor.{b}"] for b in range(3))
+        dense = materialize_tucker(core, [f0, f1, f2])
         n = SCHEMA.n
         i, j, l = 1, 3, 2
         direct = 0.0
         for a in range(2):
             for b in range(2):
                 for c in range(2):
-                    direct += ts.core[a, b, c] * ts.factors[0][i, a] * ts.factors[1][j, b] * ts.factors[2][l, c]
+                    direct += core[a, b, c] * f0[i, a] * f1[j, b] * f2[l, c]
         assert abs(dense[i, j, l] - direct) < 1e-12
         assert dense.shape == (n, n, n)
 
@@ -144,7 +189,8 @@ class TestFwfmFactorization:
     def test_full_rank_preserves_pair_matrix(self):
         bundle = init("fwfm", SCHEMA, k=3, init_scale=0.3, seed=6)
         low = fwfm_lowrank_from_dense(bundle)
-        u, v = low.cp_sets[0].factors
+        assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (SCHEMA.n,))
+        u, v = low.blocks["cp.2.factor.0"], low.blocks["cp.2.factor.1"]
         np.testing.assert_allclose(u @ v.T, bundle.dense_s / 2.0, atol=1e-12)
 
 
@@ -161,8 +207,8 @@ class TestSaveLoad:
     def test_save_load_save_identical_bytes(self, tmp_path):
         for i, bundle in enumerate(self._bundles()):
             p1, p2 = tmp_path / f"m{i}a.txt", tmp_path / f"m{i}b.txt"
-            bundle.linear.w[:] = np.random.default_rng(i).normal(size=SCHEMA.m)
-            bundle.linear.b = 0.125 + i
+            bundle.blocks["linear.w"][:] = np.random.default_rng(i).normal(size=SCHEMA.m)
+            bundle.blocks["linear.b"][:] = 0.125 + i
             save_bundle(bundle, p1)
             save_bundle(load_bundle(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
@@ -174,11 +220,9 @@ class TestSaveLoad:
         back = load_bundle(path)
         assert back.kind == bundle.kind
         assert back.schema.cardinalities == bundle.schema.cardinalities
-        assert (back.embeddings.rows == bundle.embeddings.rows).all()
-        assert len(back.cp_sets) == 3
-        for ca, cb in zip(back.cp_sets, bundle.cp_sets):
-            for ua, ub in zip(ca.factors, cb.factors):
-                assert (ua == ub).all()
+        assert list(back.blocks) == list(bundle.blocks)
+        for name in bundle.blocks:
+            assert (back.blocks[name] == bundle.blocks[name]).all(), name
 
     def test_wrong_shape_names_block(self, tmp_path):
         bundle = init("fm", SCHEMA, k=3, seed=0)
@@ -213,3 +257,83 @@ class TestDenseS:
         s = bundle.dense_s
         np.testing.assert_array_equal(s, s.T)
         assert (np.diag(s) == 0).all()
+
+
+class TestV1Fixtures:
+    """Model files written by the code before the block registry existed."""
+
+    def _record(self):
+        return json.loads((FIXTURES / "v1_scores.json").read_text())
+
+    def _instances(self, record):
+        return [Instance(np.array(i["active"]), np.array(i["values"]), 0) for i in record["instances"]]
+
+    def test_every_fixture_scores_as_recorded(self):
+        record = self._record()
+        assert len(record["scores"]) == 7
+        for kind, recorded in record["scores"].items():
+            bundle = load_bundle(FIXTURES / f"v1_{kind}.model.txt")
+            assert bundle.schema.cardinalities == tuple(record["schema"])
+            for inst, want in zip(self._instances(record), recorded):
+                got = score(bundle, inst)
+                assert abs(got - float(want)) <= 1e-12 * abs(float(want)), kind
+
+    def test_fwfm_lowrank_file_scores_exactly_like_tensorfm_order_two(self):
+        low = load_bundle(FIXTURES / "v1_fwfm-lowrank.model.txt")
+        assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (2,))
+        blocks = {name: arr.copy() for name, arr in low.blocks.items()}
+        ten = ModelBundle("tensorfm", low.schema, blocks, k=low.k, d=2, r_vec=(2,))
+        for inst in self._instances(self._record()):
+            assert score(low, inst) == score(ten, inst)
+
+    def test_fwfm_lowrank_file_resaves_as_tensorfm(self, tmp_path):
+        original = (FIXTURES / "v1_fwfm-lowrank.model.txt").read_text()
+        save_bundle(load_bundle(FIXTURES / "v1_fwfm-lowrank.model.txt"), tmp_path / "m.txt")
+        assert (tmp_path / "m.txt").read_text() == original.replace("kind fwfm-lowrank", "kind tensorfm")
+
+
+class TestCorruptModelFile:
+    def _saved(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_bundle(init("fm", SCHEMA, k=3, init_scale=0.5, seed=0), path)
+        return path
+
+    def _replace_first_embedding_value(self, path, token):
+        lines = path.read_text().splitlines()
+        row = lines.index(f"block embeddings {SCHEMA.m}x3") + 1
+        lines[row] = " ".join([token] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("token", ["abc", "0x1p3", "nan", "inf", "-inf"])
+    def test_bad_token_names_the_block(self, tmp_path, token):
+        path = self._saved(tmp_path)
+        self._replace_first_embedding_value(path, token)
+        with pytest.raises(ModelIOError, match="embeddings"):
+            load_bundle(path)
+
+    def test_unknown_kind_is_a_model_file_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_text(path.read_text().replace("kind fm", "kind deepfm"))
+        with pytest.raises(ModelIOError, match="deepfm"):
+            load_bundle(path)
+
+
+class TestAtomicSave:
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        import tensorfm.params as params_module
+
+        path = tmp_path / "m.txt"
+        save_bundle(init("fm", SCHEMA, k=3, seed=0), path)
+        before = path.read_bytes()
+        real_write_block = params_module._write_block
+
+        def failing_write_block(fh, name, arr):
+            if name == "embeddings":
+                raise OSError("disk full")
+            real_write_block(fh, name, arr)
+
+        monkeypatch.setattr(params_module, "_write_block", failing_write_block)
+        with pytest.raises(OSError, match="disk full"):
+            save_bundle(init("fm", SCHEMA, k=3, seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]

@@ -14,16 +14,13 @@ from tensorfm import (
     embed_view,
     fwfm_lowrank_from_dense,
     init,
+    interaction_term,
+    materialize_tensor,
+    materialize_tucker,
     predict_proba,
     score,
-    score_fm,
-    score_fwfm_dense,
-    score_fwfm_lowrank,
-    score_hofm,
     score_linear,
     score_naive_oracle,
-    score_tensorfm_cp,
-    score_tensorfm_tucker,
     symmetrize,
 )
 from tensorfm.scoring import interaction_tensors, oracle_interaction_sum
@@ -46,33 +43,33 @@ class TestEmbedView:
         inst = Instance(np.array([2, 1]), np.array([1.0, 2.5]), 0)
         a = embed_view(bundle, inst)
         assert a.shape == (4, 2)
-        np.testing.assert_allclose(a[:, 0], bundle.embeddings.rows[2])
-        np.testing.assert_allclose(a[:, 1], 2.5 * bundle.embeddings.rows[3 + 1])
+        np.testing.assert_allclose(a[:, 0], bundle.blocks["embeddings"][2])
+        np.testing.assert_allclose(a[:, 1], 2.5 * bundle.blocks["embeddings"][3 + 1])
 
 
 class TestScoreLinear:
     def test_bias_only(self):
         schema = build_schema([2, 2])
         bundle = init("lr", schema, seed=0)
-        bundle.linear.b = 0.5
+        bundle.blocks["linear.b"][:] = 0.5
         assert score_linear(bundle, Instance(np.array([0, 1]), np.ones(2), 0)) == 0.5
 
     def test_two_term_sum(self):
         schema = build_schema([2, 2])
         bundle = init("lr", schema, seed=0)
         inst = Instance(np.array([1, 0]), np.ones(2), 0)
-        bundle.linear.w[1] = 0.3
-        bundle.linear.w[2] = -0.1
+        bundle.blocks["linear.w"][1] = 0.3
+        bundle.blocks["linear.w"][2] = -0.1
         assert abs(score_linear(bundle, inst) - 0.2) < 1e-15
 
     def test_numeric_multiplier(self):
         schema = build_schema([3, 4])
         rng = np.random.default_rng(0)
         bundle = init("lr", schema, seed=0)
-        bundle.linear.w[:] = rng.normal(size=schema.m)
-        bundle.linear.b = -0.7
+        bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
+        bundle.blocks["linear.b"][:] = -0.7
         inst = Instance(np.array([2, 1]), np.array([2.0, 1.0]), 1)
-        by_hand = -0.7 + 2.0 * bundle.linear.w[2] + bundle.linear.w[3 + 1]
+        by_hand = -0.7 + 2.0 * bundle.blocks["linear.w"][2] + bundle.blocks["linear.w"][3 + 1]
         assert rel_err(score_linear(bundle, inst), by_hand) < 1e-14
 
 
@@ -80,14 +77,14 @@ class TestScoreFm:
     def test_zero_embeddings(self):
         schema = build_schema([2, 3, 2])
         bundle = init("fm", schema, k=3, init_scale=0.0, seed=0)
-        assert score_fm(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
+        assert interaction_term(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
 
     def test_two_fields_reduce_to_dot(self):
         schema = build_schema([3, 3])
         bundle = init("fm", schema, k=5, init_scale=1.0, seed=2)
         inst = Instance(np.array([1, 2]), np.ones(2), 0)
         a = embed_view(bundle, inst)
-        assert rel_err(score_fm(bundle, inst), float(a[:, 0] @ a[:, 1])) < 1e-12
+        assert rel_err(interaction_term(bundle, inst), float(a[:, 0] @ a[:, 1])) < 1e-12
 
     def test_matches_pair_loop(self):
         schema = build_schema([2, 3, 4, 2])
@@ -99,24 +96,26 @@ class TestScoreFm:
             direct = sum(
                 float(a[:, i] @ a[:, j]) for i in range(4) for j in range(i + 1, 4)
             )
-            assert rel_err(score_fm(bundle, inst), direct) < 1e-11
+            assert rel_err(interaction_term(bundle, inst), direct) < 1e-11
 
 
 class TestScoreFwfm:
     def test_all_ones_pair_matrix_equals_fm(self):
         schema = build_schema([2, 3, 4])
         bundle = init("fwfm", schema, k=3, init_scale=0.6, seed=4)
-        bundle.pair_upper[:] = 1.0
+        bundle.blocks["pair.upper"][:] = 1.0
+        fm = init("fm", schema, k=3, seed=0)
+        fm.blocks["embeddings"][:] = bundle.blocks["embeddings"]
         rng = np.random.default_rng(6)
         for _ in range(10):
             inst = random_instance(schema, rng)
-            assert rel_err(score_fwfm_dense(bundle, inst), score_fm(bundle, inst)) < 1e-12
+            assert rel_err(interaction_term(bundle, inst), interaction_term(fm, inst)) < 1e-12
 
     def test_zero_pair_matrix(self):
         schema = build_schema([2, 3])
         bundle = init("fwfm", schema, k=3, init_scale=0.6, seed=4)
-        bundle.pair_upper[:] = 0.0
-        assert score_fwfm_dense(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
+        bundle.blocks["pair.upper"][:] = 0.0
+        assert interaction_term(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
 
     def test_matches_weighted_double_loop(self):
         schema = build_schema([3, 2, 4])
@@ -129,7 +128,7 @@ class TestScoreFwfm:
             direct = 0.5 * sum(
                 s[i, j] * float(a[:, i] @ a[:, j]) for i in range(3) for j in range(3)
             )
-            assert rel_err(score_fwfm_dense(bundle, inst), direct) < 1e-11
+            assert rel_err(interaction_term(bundle, inst), direct) < 1e-11
 
 
 class TestScoreFwfmLowrank:
@@ -141,33 +140,35 @@ class TestScoreFwfmLowrank:
             low = fwfm_lowrank_from_dense(bundle)
             for _ in range(5):
                 inst = random_instance(schema, rng)
-                assert rel_err(score_fwfm_lowrank(low, inst), score_fwfm_dense(bundle, inst)) < 1e-9
+                assert rel_err(interaction_term(low, inst), interaction_term(bundle, inst)) < 1e-9
 
     def test_zero_factors(self):
         schema = build_schema([2, 2, 2])
         bundle = init("fwfm-lowrank", schema, k=3, r_vec=2, init_scale=0.0, seed=0)
-        assert score_fwfm_lowrank(bundle, random_instance(schema, np.random.default_rng(1))) == 0.0
+        assert interaction_term(bundle, random_instance(schema, np.random.default_rng(1))) == 0.0
 
     def test_rank_one_all_ones_is_squared_field_sum(self):
         schema = build_schema([3, 2, 4])
         bundle = init("fwfm-lowrank", schema, k=4, r_vec=1, init_scale=0.5, seed=5)
-        for u in bundle.cp_sets[0].factors:
-            u[:] = 1.0
+        bundle.blocks["cp.2.factor.0"][:] = 1.0
+        bundle.blocks["cp.2.factor.1"][:] = 1.0
         rng = np.random.default_rng(2)
         inst = random_instance(schema, rng)
         a = embed_view(bundle, inst)
         expected = float((a.sum(axis=1) ** 2).sum())
-        assert rel_err(score_fwfm_lowrank(bundle, inst), expected) < 1e-12
+        assert rel_err(interaction_term(bundle, inst), expected) < 1e-12
 
 
 class TestScoreHofm:
     def test_degree_two_equals_fm(self):
         schema = build_schema([2, 3, 2, 4])
-        bundle = init("hofm", schema, k=3, d=3, init_scale=0.7, seed=1)
+        bundle = init("hofm", schema, k=3, d=2, init_scale=0.7, seed=1)
+        fm = init("fm", schema, k=3, seed=0)
+        fm.blocks["embeddings"][:] = bundle.blocks["embeddings"]
         rng = np.random.default_rng(3)
         for _ in range(10):
             inst = random_instance(schema, rng)
-            assert rel_err(score_hofm(bundle, inst, degree=2), score_fm(bundle, inst)) < 1e-12
+            assert rel_err(interaction_term(bundle, inst), interaction_term(fm, inst)) < 1e-12
 
     def test_degree_three_matches_subset_enumeration(self):
         schema = build_schema([2, 2, 3, 2])
@@ -180,84 +181,83 @@ class TestScoreHofm:
             for t in (2, 3):
                 for combo in itertools.combinations(range(4), t):
                     direct += float(np.prod(a[:, list(combo)], axis=1).sum())
-            assert rel_err(score_hofm(bundle, inst, degree=3), direct) < 1e-11
+            assert rel_err(interaction_term(bundle, inst), direct) < 1e-11
 
     def test_zero_embeddings(self):
         schema = build_schema([2, 2, 2])
         bundle = init("hofm", schema, k=3, d=3, init_scale=0.0, seed=0)
-        assert score_hofm(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
+        assert interaction_term(bundle, random_instance(schema, np.random.default_rng(0))) == 0.0
 
     def test_degree_above_field_count_rejected(self):
         schema = build_schema([2, 2, 2])
-        bundle = init("hofm", schema, k=2, d=3, seed=0)
         with pytest.raises(ConfigError):
-            score_hofm(bundle, random_instance(schema, np.random.default_rng(0)), degree=4)
+            init("hofm", schema, k=2, d=4, seed=0)
 
 
 class TestScoreTensorFmCp:
     def test_zero_factors_reduce_to_linear(self):
         schema = build_schema([3, 4, 2])
         bundle = init("tensorfm", schema, k=3, d=3, r_vec=2, init_scale=0.4, seed=6)
-        for cs in bundle.cp_sets:
-            for u in cs.factors:
-                u[:] = 0.0
-        bundle.linear.w[:] = np.random.default_rng(7).normal(size=schema.m)
-        bundle.linear.b = 1.25
+        for _, names in bundle.factor_sets:
+            for name in names:
+                bundle.blocks[name][:] = 0.0
+        bundle.blocks["linear.w"][:] = np.random.default_rng(7).normal(size=schema.m)
+        bundle.blocks["linear.b"][:] = 1.25
         inst = random_instance(schema, np.random.default_rng(8))
-        assert score_tensorfm_cp(bundle, inst) == score_linear(bundle, inst)
+        assert score(bundle, inst) == score_linear(bundle, inst)
 
     def test_rank_one_all_ones_second_order(self):
         schema = build_schema([3, 2, 2])
         bundle = init("tensorfm", schema, k=4, d=2, r_vec=1, init_scale=0.5, seed=9)
-        for u in bundle.cp_sets[0].factors:
-            u[:] = 1.0
+        bundle.blocks["cp.2.factor.0"][:] = 1.0
+        bundle.blocks["cp.2.factor.1"][:] = 1.0
         inst = random_instance(schema, np.random.default_rng(10))
         a = embed_view(bundle, inst)
         expected = score_linear(bundle, inst) + float((a.sum(axis=1) ** 2).sum())
-        assert rel_err(score_tensorfm_cp(bundle, inst), expected) < 1e-12
+        assert rel_err(score(bundle, inst), expected) < 1e-12
 
     def test_matches_oracle(self):
         schema = build_schema([2, 3, 2])
         bundle = init("tensorfm", schema, k=2, d=3, r_vec=2, init_scale=0.8, seed=11)
-        bundle.linear.w[:] = np.random.default_rng(12).normal(size=schema.m)
+        bundle.blocks["linear.w"][:] = np.random.default_rng(12).normal(size=schema.m)
         rng = np.random.default_rng(13)
         for _ in range(10):
             inst = random_instance(schema, rng)
-            assert rel_err(score_tensorfm_cp(bundle, inst), score_naive_oracle(bundle, inst)) < 1e-9
+            assert rel_err(score(bundle, inst), score_naive_oracle(bundle, inst)) < 1e-9
 
 
 class TestScoreTensorFmTucker:
     def test_zero_core_reduces_to_linear(self):
         schema = build_schema([3, 2, 4])
         bundle = init("tensorfm-tucker", schema, k=3, d=3, r_vec=2, init_scale=0.5, seed=1)
-        for ts in bundle.tucker_sets:
-            ts.core[:] = 0.0
-        bundle.linear.w[:] = np.random.default_rng(2).normal(size=schema.m)
+        bundle.blocks["tucker.2.core"][:] = 0.0
+        bundle.blocks["tucker.3.core"][:] = 0.0
+        bundle.blocks["linear.w"][:] = np.random.default_rng(2).normal(size=schema.m)
         inst = random_instance(schema, np.random.default_rng(3))
-        assert score_tensorfm_tucker(bundle, inst) == score_linear(bundle, inst)
+        assert score(bundle, inst) == score_linear(bundle, inst)
 
     def test_diagonal_core_matches_lowrank_pair_model(self):
         schema = build_schema([3, 3, 3])
         rng = np.random.default_rng(4)
         tucker = init("tensorfm-tucker", schema, k=3, d=2, r_vec=2, init_scale=0.6, seed=5)
-        ts = tucker.tucker_sets[0]
+        core = tucker.blocks["tucker.2.core"]
+        f0, f1 = tucker.blocks["tucker.2.factor.0"], tucker.blocks["tucker.2.factor.1"]
         lam = rng.normal(size=2)
-        ts.core[:] = np.diag(lam)
+        core[:] = np.diag(lam)
 
         low = init("fwfm-lowrank", schema, k=3, r_vec=2, init_scale=0.0, seed=5)
-        low.embeddings.rows[:] = tucker.embeddings.rows
-        low.cp_sets[0].factors[0][:] = ts.factors[0] * lam
-        low.cp_sets[0].factors[1][:] = ts.factors[1]
-
-        from tensorfm.params import materialize_tensor, materialize_tucker
+        low.blocks["embeddings"][:] = tucker.blocks["embeddings"]
+        low.blocks["cp.2.factor.0"][:] = f0 * lam
+        low.blocks["cp.2.factor.1"][:] = f1
 
         np.testing.assert_allclose(
-            materialize_tucker(ts), materialize_tensor(low.cp_sets[0]), atol=1e-12
+            materialize_tucker(core, [f0, f1]),
+            materialize_tensor([low.blocks["cp.2.factor.0"], low.blocks["cp.2.factor.1"]]),
+            atol=1e-12,
         )
         for _ in range(10):
             inst = random_instance(schema, rng)
-            pair_term = score_tensorfm_tucker(tucker, inst) - score_linear(tucker, inst)
-            assert rel_err(pair_term, score_fwfm_lowrank(low, inst)) < 1e-10
+            assert rel_err(interaction_term(tucker, inst), interaction_term(low, inst)) < 1e-10
 
     def test_matches_oracle(self):
         schema = build_schema([3, 3, 3])
@@ -265,7 +265,7 @@ class TestScoreTensorFmTucker:
         rng = np.random.default_rng(7)
         for _ in range(10):
             inst = random_instance(schema, rng)
-            assert rel_err(score_tensorfm_tucker(bundle, inst), score_naive_oracle(bundle, inst)) < 1e-9
+            assert rel_err(score(bundle, inst), score_naive_oracle(bundle, inst)) < 1e-9
 
 
 class TestPredictProba:
@@ -277,19 +277,19 @@ class TestPredictProba:
     def test_saturation(self):
         schema = build_schema([2])
         bundle = init("lr", schema, seed=0)
-        bundle.linear.b = 40.0
+        bundle.blocks["linear.b"][:] = 40.0
         assert predict_proba(bundle, Instance(np.array([0]), np.ones(1), 0)) >= 1 - 1e-17
         # stability at |score| = 500: finite, saturated, never overflows
-        bundle.linear.b = 500.0
+        bundle.blocks["linear.b"][:] = 500.0
         assert predict_proba(bundle, Instance(np.array([0]), np.ones(1), 0)) == 1.0
-        bundle.linear.b = -500.0
+        bundle.blocks["linear.b"][:] = -500.0
         p = predict_proba(bundle, Instance(np.array([0]), np.ones(1), 0))
         assert 0.0 <= p < 1e-100
 
     def test_quarter_probability(self):
         schema = build_schema([2])
         bundle = init("lr", schema, seed=0)
-        bundle.linear.b = -math.log(3.0)
+        bundle.blocks["linear.b"][:] = -math.log(3.0)
         assert abs(predict_proba(bundle, Instance(np.array([0]), np.ones(1), 0)) - 0.25) < 1e-15
 
 
@@ -312,8 +312,8 @@ def random_bundle(rng):
     d = int(rng.integers(2, min(4, n) + 1))
     r = int(rng.integers(1, min(4, n) + 1))
     bundle = init(kind, schema, k=k, d=d, r_vec=r, init_scale=0.8, seed=int(rng.integers(1 << 30)))
-    bundle.linear.w[:] = rng.normal(size=schema.m)
-    bundle.linear.b = float(rng.normal())
+    bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
+    bundle.blocks["linear.b"][:] = rng.normal()
     return bundle
 
 
@@ -327,6 +327,17 @@ class TestOracleEquivalence:
             fast = score(bundle, inst)
             slow = score_naive_oracle(bundle, inst)
             assert rel_err(fast, slow) < 1e-9, bundle.kind
+
+    def test_interaction_term_is_score_without_linear_block(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            bundle = random_bundle(rng)
+            inst = random_instance(bundle.schema, rng, values=rng.uniform(-1.5, 1.5, size=bundle.schema.n))
+            total = score_linear(bundle, inst) + interaction_term(bundle, inst)
+            assert abs(total - score(bundle, inst)) <= 1e-12 * max(abs(total), 1.0), bundle.kind
+        lr = init("lr", build_schema([2, 3]), seed=0)
+        lr.blocks["linear.b"][:] = 0.5
+        assert interaction_term(lr, Instance(np.array([1, 2]), np.ones(2), 0)) == 0.0
 
 
 class TestSymmetrizationInvariance:
@@ -355,13 +366,13 @@ class TestMultilinearity:
 
         def order3_term(b):
             other = copy.deepcopy(b)
-            for u in other.cp_set_for_order(3).factors:
-                u[:] = 0.0
-            return score_tensorfm_cp(b, inst) - score_tensorfm_cp(other, inst)
+            for name in ("cp.3.factor.0", "cp.3.factor.1", "cp.3.factor.2"):
+                other.blocks[name][:] = 0.0
+            return score(b, inst) - score(other, inst)
 
         base = order3_term(bundle)
         scaled = copy.deepcopy(bundle)
-        scaled.cp_set_for_order(3).factors[0][:] *= -2.5
+        scaled.blocks["cp.3.factor.0"][:] *= -2.5
         assert rel_err(order3_term(scaled), -2.5 * base) < 1e-10
 
 
@@ -371,17 +382,17 @@ class TestFieldPermutationEquivariance:
         n, card, k = 5, 3, 3
         schema = build_schema([card] * n)
         bundle = init("tensorfm", schema, k=k, d=3, r_vec=2, init_scale=0.8, seed=41)
-        bundle.linear.w[:] = rng.normal(size=schema.m)
+        bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
         inst = random_instance(schema, rng, values=rng.uniform(0.5, 1.5, size=n))
 
         perm = rng.permutation(n)
         permuted = copy.deepcopy(bundle)
-        blocks = bundle.embeddings.rows.reshape(n, card, k)
-        permuted.embeddings.rows[:] = blocks[perm].reshape(n * card, k)
-        w_blocks = bundle.linear.w.reshape(n, card)
-        permuted.linear.w[:] = w_blocks[perm].reshape(-1)
-        for cs_old, cs_new in zip(bundle.cp_sets, permuted.cp_sets):
-            for u_old, u_new in zip(cs_old.factors, cs_new.factors):
-                u_new[:] = u_old[perm]
+        emb_fields = bundle.blocks["embeddings"].reshape(n, card, k)
+        permuted.blocks["embeddings"][:] = emb_fields[perm].reshape(n * card, k)
+        w_fields = bundle.blocks["linear.w"].reshape(n, card)
+        permuted.blocks["linear.w"][:] = w_fields[perm].reshape(-1)
+        for name, arr in bundle.blocks.items():
+            if name.startswith("cp."):
+                permuted.blocks[name][:] = arr[perm]
         p_inst = Instance(inst.active[perm], inst.values[perm], inst.label)
         assert rel_err(score(permuted, p_inst), score(bundle, inst)) < 1e-12

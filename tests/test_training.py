@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tensorfm import (
-    AdagradState,
     ConfigError,
     DataError,
     Dataset,
@@ -15,6 +14,7 @@ from tensorfm import (
     NumericError,
     SyntheticSpec,
     TrainConfig,
+    adagrad_state,
     adagrad_step,
     auc,
     backward,
@@ -29,7 +29,6 @@ from tensorfm import (
     split,
     train,
 )
-from tensorfm.training import GradBundle
 
 
 class TestBceLoss:
@@ -50,35 +49,10 @@ class TestBceLoss:
         assert np.isfinite(bce_from_score(np.array([-500.0, 500.0]), np.array([1, 0]))).all()
 
 
-def every_block(bundle, grads):
-    """Yield (parameter array, gradient array, name) for every block."""
-    yield bundle.linear.w, grads.w, "linear.w"
-    if bundle.embeddings is not None:
-        yield bundle.embeddings.rows, grads.embeddings, "embeddings"
-    if bundle.pair_upper is not None:
-        yield bundle.pair_upper, grads.pair_upper, "pair.upper"
-    for cs, gset in zip(bundle.cp_sets, grads.cp_factors):
-        for b_mode, (u, g) in enumerate(zip(cs.factors, gset)):
-            yield u, g, f"cp.{cs.order}.factor.{b_mode}"
-    for ts, gcore in zip(bundle.tucker_sets, grads.tucker_cores):
-        yield ts.core, gcore, f"tucker.{ts.order}.core"
-    for ts, gset in zip(bundle.tucker_sets, grads.tucker_factors):
-        for b_mode, (u, g) in enumerate(zip(ts.factors, gset)):
-            yield u, g, f"tucker.{ts.order}.factor.{b_mode}"
-
-
 def finite_difference_check(bundle, inst, h=1e-5, tol=1e-5):
     grads = backward(bundle, inst, upstream=1.0)
-    # bias
-    old = bundle.linear.b
-    bundle.linear.b = old + h
-    up = score(bundle, inst)
-    bundle.linear.b = old - h
-    down = score(bundle, inst)
-    bundle.linear.b = old
-    assert abs((up - down) / (2 * h) - grads.b) < tol
-
-    for arr, grad, name in every_block(bundle, grads):
+    assert list(grads) == list(bundle.blocks)
+    for name, arr in bundle.blocks.items():
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             ix = it.multi_index
@@ -89,7 +63,7 @@ def finite_difference_check(bundle, inst, h=1e-5, tol=1e-5):
             down = score(bundle, inst)
             arr[ix] = orig
             numeric = (up - down) / (2 * h)
-            analytic = grad[ix]
+            analytic = grads[name][ix]
             err = abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1.0)
             assert err < tol, f"{name}[{ix}]: numeric {numeric} vs analytic {analytic}"
 
@@ -109,15 +83,15 @@ class TestBackward:
     def test_zero_factors_give_one_hot_linear_gradient(self):
         schema = build_schema([3, 4, 2])
         bundle = init("tensorfm", schema, k=3, d=2, r_vec=2, init_scale=0.3, seed=0)
-        for u in bundle.cp_sets[0].factors:
-            u[:] = 0.0
+        bundle.blocks["cp.2.factor.0"][:] = 0.0
+        bundle.blocks["cp.2.factor.1"][:] = 0.0
         inst = Instance(np.array([1, 3, 0]), np.array([1.0, 2.0, 1.0]), 1)
         grads = backward(bundle, inst, upstream=1.0)
-        assert (grads.embeddings == 0).all()
+        assert (grads["embeddings"] == 0).all()
         expected_w = np.zeros(schema.m)
         expected_w[[1, 3 + 3, 7 + 0]] = [1.0, 2.0, 1.0]
-        np.testing.assert_array_equal(grads.w, expected_w)
-        assert grads.b == 1.0
+        np.testing.assert_array_equal(grads["linear.w"], expected_w)
+        assert grads["linear.b"].tolist() == [1.0]
 
     @pytest.mark.parametrize("kind,kw", ALL_KINDS)
     def test_finite_difference_small(self, kind, kw):
@@ -125,8 +99,8 @@ class TestBackward:
         for trial in range(3):
             schema = build_schema([int(rng.integers(2, 5)) for _ in range(4)])
             bundle = init(kind, schema, k=3, init_scale=0.5, seed=trial, **kw)
-            bundle.linear.w[:] = rng.normal(size=schema.m) * 0.5
-            bundle.linear.b = float(rng.normal())
+            bundle.blocks["linear.w"][:] = rng.normal(size=schema.m) * 0.5
+            bundle.blocks["linear.b"][:] = rng.normal()
             inst = Instance(
                 np.array([rng.integers(0, c) for c in schema.cardinalities]),
                 rng.uniform(0.5, 2.0, size=4),
@@ -140,8 +114,8 @@ class TestBackward:
         inst = Instance(np.array([0, 2]), np.ones(2), 0)
         g1 = backward(bundle, inst, upstream=1.0)
         g3 = backward(bundle, inst, upstream=-3.0)
-        np.testing.assert_allclose(g3.embeddings, -3.0 * g1.embeddings, rtol=1e-12)
-        np.testing.assert_allclose(g3.w, -3.0 * g1.w, rtol=1e-12)
+        for name in bundle.blocks:
+            np.testing.assert_allclose(g3[name], -3.0 * g1[name], rtol=1e-12)
 
     def test_pair_model_gradients_match_across_parameterizations(self):
         # a low-rank pair model and a depth-2 tensor model with identical
@@ -150,16 +124,14 @@ class TestBackward:
         rng = np.random.default_rng(5)
         low = init("fwfm-lowrank", schema, k=3, r_vec=2, init_scale=0.4, seed=2)
         ten = init("tensorfm", schema, k=3, d=2, r_vec=2, init_scale=0.4, seed=3)
-        ten.embeddings.rows[:] = low.embeddings.rows
-        for u_t, u_l in zip(ten.cp_sets[0].factors, low.cp_sets[0].factors):
-            u_t[:] = u_l
-        ten.linear.w[:] = low.linear.w
+        for name, arr in low.blocks.items():
+            ten.blocks[name][:] = arr
         inst = Instance(np.array([2, 1, 0]), rng.uniform(0.5, 2, size=3), 1)
         g_low = backward(low, inst, upstream=0.7)
         g_ten = backward(ten, inst, upstream=0.7)
-        np.testing.assert_allclose(g_low.embeddings, g_ten.embeddings, rtol=1e-12)
-        for a, b in zip(g_low.cp_factors[0], g_ten.cp_factors[0]):
-            np.testing.assert_allclose(a, b, rtol=1e-12)
+        assert list(g_low) == list(g_ten)
+        for name in g_low:
+            np.testing.assert_allclose(g_low[name], g_ten[name], rtol=1e-12)
 
 
 class TestAdagrad:
@@ -168,37 +140,37 @@ class TestAdagrad:
         return init("lr", schema, seed=0)
 
     def _grads(self, w_grad):
-        return GradBundle(w=np.asarray(w_grad, dtype=np.float64), b=0.0)
+        return {"linear.b": np.zeros(1), "linear.w": np.asarray(w_grad, dtype=np.float64)}
 
     def test_first_step_size(self):
         bundle = self._lr_bundle()
-        state = AdagradState.for_bundle(bundle)
+        state = adagrad_state(bundle)
         cfg = TrainConfig(learning_rate=0.1)
         adagrad_step(bundle, self._grads([1.0, 0.0]), state, cfg)
-        assert abs(bundle.linear.w[0] + 0.1) < 1e-7  # one step of -lr * g / sqrt(g^2)
-        assert bundle.linear.w[1] == 0.0
+        assert abs(bundle.blocks["linear.w"][0] + 0.1) < 1e-7  # one step of -lr * g / sqrt(g^2)
+        assert bundle.blocks["linear.w"][1] == 0.0
 
     def test_zero_gradient_no_change(self):
         bundle = self._lr_bundle()
-        bundle.linear.w[:] = [0.4, -0.2]
-        state = AdagradState.for_bundle(bundle)
+        bundle.blocks["linear.w"][:] = [0.4, -0.2]
+        state = adagrad_state(bundle)
         adagrad_step(bundle, self._grads([0.0, 0.0]), state, TrainConfig(learning_rate=0.1))
-        assert bundle.linear.w.tolist() == [0.4, -0.2]
+        assert bundle.blocks["linear.w"].tolist() == [0.4, -0.2]
 
     def test_second_step_shrinks_by_sqrt_two(self):
         bundle = self._lr_bundle()
-        state = AdagradState.for_bundle(bundle)
+        state = adagrad_state(bundle)
         cfg = TrainConfig(learning_rate=0.1)
         adagrad_step(bundle, self._grads([1.0, 0.0]), state, cfg)
-        first = bundle.linear.w[0]
+        first = bundle.blocks["linear.w"][0]
         adagrad_step(bundle, self._grads([1.0, 0.0]), state, cfg)
-        second = bundle.linear.w[0] - first
+        second = bundle.blocks["linear.w"][0] - first
         assert abs(second + 0.1 / math.sqrt(2)) < 1e-7
 
     def test_non_finite_gradient_names_block(self):
         bundle = init("fm", build_schema([2, 2]), k=2, seed=0)
-        state = AdagradState.for_bundle(bundle)
-        grads = GradBundle(w=np.zeros(4), b=0.0, embeddings=np.full((4, 2), np.nan))
+        state = adagrad_state(bundle)
+        grads = {"linear.b": np.zeros(1), "linear.w": np.zeros(4), "embeddings": np.full((4, 2), np.nan)}
         with pytest.raises(NumericError, match="embeddings"):
             adagrad_step(bundle, grads, state, TrainConfig())
 
@@ -207,18 +179,34 @@ class TestAdagrad:
         # only the L2 term drives the update and norms must strictly shrink
         schema = build_schema([3, 3])
         bundle = init("tensorfm", schema, k=2, d=2, r_vec=1, init_scale=0.1, seed=4)
-        for u in bundle.cp_sets[0].factors:
-            u[:] = 0.0
-        state = AdagradState.for_bundle(bundle)
+        bundle.blocks["cp.2.factor.0"][:] = 0.0
+        bundle.blocks["cp.2.factor.1"][:] = 0.0
+        state = adagrad_state(bundle)
         cfg = TrainConfig(learning_rate=0.01, l2_embedding=0.1)
         inst = Instance(np.array([0, 1]), np.ones(2), 1)
-        norms = [np.abs(bundle.embeddings.rows).sum()]
+        norms = [np.abs(bundle.blocks["embeddings"]).sum()]
         for _ in range(5):
             grads = backward(bundle, inst, upstream=float(np.random.default_rng(0).normal()))
-            assert (grads.embeddings == 0).all()
+            assert (grads["embeddings"] == 0).all()
             adagrad_step(bundle, grads, state, cfg)
-            norms.append(np.abs(bundle.embeddings.rows).sum())
+            norms.append(np.abs(bundle.blocks["embeddings"]).sum())
         assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+    @pytest.mark.parametrize("kind,kw", [("fwfm", {}), ("tensorfm-tucker", dict(d=3, r_vec=2))])
+    def test_block_name_picks_l2_coefficient(self, kind, kw):
+        # with a zero data gradient only the L2 term moves a block, so each
+        # coefficient must move exactly the blocks it is named for
+        prefixes = {"l2_linear": ("linear.w",), "l2_embedding": ("embeddings",), "l2_factors": ("pair.", "cp.", "tucker.")}
+        for coefficient, moved in prefixes.items():
+            bundle = init(kind, build_schema([2, 3, 2]), k=2, init_scale=0.5, seed=1, **kw)
+            bundle.blocks["linear.w"][:] = 0.5
+            bundle.blocks["linear.b"][:] = 0.5
+            before = {name: arr.copy() for name, arr in bundle.blocks.items()}
+            zero = {name: np.zeros_like(arr) for name, arr in bundle.blocks.items()}
+            adagrad_step(bundle, zero, adagrad_state(bundle), TrainConfig(**{coefficient: 0.1}))
+            for name, arr in bundle.blocks.items():
+                assert (arr != before[name]).all() == name.startswith(moved), (coefficient, name)
 
 
 def two_instance_dataset():
@@ -234,9 +222,8 @@ class TestTrain:
         bundle = init("fm", ds.schema, k=2, init_scale=0.3, seed=1)
         before = copy.deepcopy(bundle)
         train(bundle, ds, None, TrainConfig(learning_rate=0.0, epochs=3, batch_size=2))
-        assert (bundle.embeddings.rows == before.embeddings.rows).all()
-        assert (bundle.linear.w == before.linear.w).all()
-        assert bundle.linear.b == before.linear.b
+        for name in bundle.blocks:
+            assert (bundle.blocks[name] == before.blocks[name]).all(), name
 
     def test_deterministic_given_seed(self):
         spec = SyntheticSpec(n_signal=2, cardinality=5, order=2, n_samples=800, seed=3)
@@ -245,7 +232,7 @@ class TestTrain:
         for _ in range(2):
             bundle = init("tensorfm", ds.schema, k=3, d=2, r_vec=2, seed=9)
             bundle, log = train(bundle, ds, None, TrainConfig(learning_rate=0.1, epochs=2, seed=5))
-            results.append((bundle.embeddings.rows.copy(), log[-1].train_loss))
+            results.append((bundle.blocks["embeddings"].copy(), log[-1].train_loss))
         assert (results[0][0] == results[1][0]).all()
         assert results[0][1] == results[1][1]
 
@@ -308,7 +295,7 @@ class TestGridSearch:
         best, results = grid_search("fm", [(0.1, 0.0)], tr, va, cfg, k=3)
         direct = init("fm", tr.schema, k=3, seed=3)
         direct, _ = train(direct, tr, va, cfg)
-        assert (best.embeddings.rows == direct.embeddings.rows).all()
+        assert (best.blocks["embeddings"] == direct.blocks["embeddings"]).all()
         assert len(results) == 1 and results[0].status == "ok"
 
     def test_divergent_point_excluded(self):
