@@ -171,7 +171,6 @@ def learned_strength(
     bundle: ModelBundle,
     train_set: Dataset,
     order: int,
-    max_entries: int = 10_000_000,
 ) -> dict[tuple[int, ...], float]:
     """Occurrence-weighted mean interaction magnitude per field combination.
 
@@ -182,7 +181,7 @@ def learned_strength(
     of all orderings of the field combination are averaged, which makes the
     score comparable to the (order-free) mutual information.
     """
-    tensors = interaction_tensors(bundle, max_entries=max_entries)
+    tensors = interaction_tensors(bundle)
     if order not in tensors:
         raise ConfigError(f"bundle has no order-{order} interaction parameters")
     tensor = tensors[order]
@@ -271,11 +270,10 @@ def interaction_report(
     train_set: Dataset,
     order: int,
     k_list: list[int],
-    max_entries: int = 10_000_000,
 ) -> InteractionReport:
     """Learned strength vs. mutual information across all field combinations
     of the given order, with their correlation and top-k ranking overlap."""
-    strengths = learned_strength(bundle, train_set, order, max_entries=max_entries)
+    strengths = learned_strength(bundle, train_set, order)
     tuples = sorted(strengths)
     learned = [strengths[t] for t in tuples]
     mi = [mutual_information(train_set, t) for t in tuples]

@@ -6,8 +6,10 @@ evaluation (``eval``), inference-cost benchmarks (``bench-flops``,
 ``bench-latency``), and interpretability export (``interpret``).
 
 Every option can also come from a ``key=value`` config file passed with
-``--config``; explicit command-line flags win. Exit codes: 0 success,
-2 usage error, 3 data error, 4 numeric failure.
+``--config``; the file's values become the sub-command's defaults, so
+explicit command-line flags win. Exit codes: 0 success, 2 usage error
+(including a malformed flag or config value), 3 data error, 4 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,21 +46,13 @@ MODEL_FLAG_TO_KIND = {
 }
 
 
-@dataclass
-class RunConfig:
-    """A sub-command name plus its fully merged option values."""
-
-    command: str
-    options: dict
-
-
 # ---------------------------------------------------------------------------
-# option plumbing: argparse catches unknown flags; defaults are merged as
-# command line > config file > built-in default.
+# option plumbing: argparse parses every value, from the command line or,
+# as a sub-command default, from the config file.
 # ---------------------------------------------------------------------------
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
     cfg = {}
     p = Path(path)
     if not p.exists():
@@ -72,30 +65,16 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
         cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
-
-
-def _merge(args: argparse.Namespace, defaults: dict) -> RunConfig:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_cfg) - set(defaults)
+    unknown = set(cfg) - known
     if unknown:
         raise ConfigError(f"config file sets unknown options: {sorted(unknown)}")
-    options = {}
-    for key, (default, parse) in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            options[key] = parse(cli_value)
-        elif key in file_cfg:
-            options[key] = parse(file_cfg[key])
-        else:
-            options[key] = default
-    return RunConfig(command=args.command, options=options)
+    return cfg
 
 
 def _fractions(text: str) -> tuple[float, float, float]:
     parts = [float(t) for t in text.split(",")]
     if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated fractions, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected three comma-separated fractions, got {text!r}")
     return tuple(parts)  # type: ignore[return-value]
 
 
@@ -115,14 +94,14 @@ def _sweep(text: str) -> list[int]:
     try:
         lo, hi, step = (int(t) for t in text.split(":"))
     except ValueError as exc:
-        raise ConfigError(f"expected a lo:hi:step sweep, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected a lo:hi:step sweep, got {text!r}") from exc
     if step < 1 or hi < lo:
-        raise ConfigError(f"bad sweep {text!r}")
+        raise argparse.ArgumentTypeError(f"bad sweep {text!r}")
     return list(range(lo, hi + 1, step))
 
 
-def _require(options: dict, *keys: str) -> None:
-    missing = [k for k in keys if options[k] is None]
+def _require(args: argparse.Namespace, *keys: str) -> None:
+    missing = [k for k in keys if getattr(args, k) is None]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
@@ -141,46 +120,44 @@ def _write_csv(path: str, header: list[str], rows: list[list], nondet_note: str 
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "out_prefix")
+def cmd_synth(a: argparse.Namespace) -> int:
+    _require(a, "out_prefix")
     spec = data.SyntheticSpec(
-        n_signal=o["fields"],
-        cardinality=o["card"],
-        order=o["order"],
-        n_noise=o["noise"],
-        n_samples=o["samples"],
-        seed=o["seed"],
+        n_signal=a.fields,
+        cardinality=a.card,
+        order=a.order,
+        n_noise=a.noise,
+        n_samples=a.samples,
+        seed=a.seed,
     )
     dataset = data.generate_synthetic(spec)
     if len(dataset) >= 3:
-        parts = data.split(dataset, o["fractions"], seed=o["seed"])
+        parts = data.split(dataset, a.fractions, seed=a.seed)
     else:
         # too small to partition: everything goes to train
         empty = dataset.subset(np.zeros(0, dtype=np.int64))
         parts = (dataset, empty, empty)
     for part, tag in zip(parts, ("train", "valid", "test")):
-        data.write_dataset(part, f"{o['out_prefix']}.{tag}.txt")
+        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
     schema = dataset.schema
     print(f"schema: {schema.n} fields, {schema.m} features")
     print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
     return 0
 
 
-def cmd_prep(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "csv", "fields", "label", "out_prefix")
+def cmd_prep(a: argparse.Namespace) -> int:
+    _require(a, "csv", "fields", "label", "out_prefix")
     dataset = data.load_tabular(
-        o["csv"],
-        field_columns=o["fields"],
-        label_column=o["label"],
-        numeric_bins=o["bins"],
-        delimiter=o["delimiter"],
-        min_count=o["min_count"],
+        a.csv,
+        field_columns=a.fields,
+        label_column=a.label,
+        numeric_bins=a.bins,
+        delimiter=a.delimiter,
+        min_count=a.min_count,
     )
-    parts = data.split(dataset, o["fractions"], seed=o["seed"])
+    parts = data.split(dataset, a.fractions, seed=a.seed)
     for part, tag in zip(parts, ("train", "valid", "test")):
-        data.write_dataset(part, f"{o['out_prefix']}.{tag}.txt")
+        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
     schema = dataset.schema
     print(f"schema: {schema.n} fields, {schema.m} features, skipped {dataset.skipped_rows} rows")
     print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
@@ -196,24 +173,6 @@ def _kind(flag: str) -> str:
     return MODEL_FLAG_TO_KIND[flag]
 
 
-def _build_bundle(o: dict, schema: data.FieldSchema) -> params.ModelBundle:
-    return params.init(
-        _kind(o["model"]), schema, k=o["k"], d=o["d"], r_vec=o["rank"], init_scale=o["init_scale"], seed=o["seed"]
-    )
-
-
-def _train_config(o: dict) -> training.TrainConfig:
-    return training.TrainConfig(
-        learning_rate=o["lr"],
-        l2_linear=o["l2"],
-        l2_embedding=o["l2"],
-        l2_factors=o["l2"],
-        epochs=o["epochs"],
-        batch_size=o["batch_size"],
-        seed=o["seed"],
-    )
-
-
 def _write_epoch_log(path: str, log: list[training.EpochLog]) -> None:
     _write_csv(
         path,
@@ -223,26 +182,27 @@ def _write_epoch_log(path: str, log: list[training.EpochLog]) -> None:
     )
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "train", "model", "out")
-    train_set = data.read_dataset(o["train"])
-    valid_set = data.read_dataset(o["valid"]) if o["valid"] else None
-    bundle = _build_bundle(o, train_set.schema)
-    bundle, log = training.train(bundle, train_set, valid_set, _train_config(o))
-    params.save_bundle(bundle, o["out"])
-    if o["log"]:
-        _write_epoch_log(o["log"], log)
+def cmd_train(a: argparse.Namespace) -> int:
+    _require(a, "train", "model", "out")
+    train_set = data.read_dataset(a.train)
+    valid_set = data.read_dataset(a.valid) if a.valid else None
+    bundle = params.init(
+        _kind(a.model), train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed
+    )
+    config = training.TrainConfig(learning_rate=a.lr, l2=a.l2, epochs=a.epochs, batch_size=a.batch_size, seed=a.seed)
+    bundle, log = training.train(bundle, train_set, valid_set, config)
+    params.save_bundle(bundle, a.out)
+    if a.log:
+        _write_epoch_log(a.log, log)
     last = log[-1]
     print(f"epoch {last.epoch}: train_loss={last.train_loss:.6f} valid_auc={last.valid_auc:.6f}")
     return 0
 
 
-def cmd_eval(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "model", "data")
-    bundle = params.load_bundle(o["model"])
-    dataset = data.read_dataset(o["data"])
+def cmd_eval(a: argparse.Namespace) -> int:
+    _require(a, "model", "data")
+    bundle = params.load_bundle(a.model)
+    dataset = data.read_dataset(a.data)
     scores = scoring.score_dataset(bundle, dataset)
     report = metrics.evaluate(scores, dataset.labels)
     print("test_logloss,test_auc")
@@ -250,27 +210,26 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "train", "valid", "model", "out")
-    train_set = data.read_dataset(o["train"])
-    valid_set = data.read_dataset(o["valid"])
-    grid = [(lr, l2) for lr in o["grid_lr"] for l2 in o["grid_l2"]]
+def cmd_grid(a: argparse.Namespace) -> int:
+    _require(a, "train", "valid", "model", "out")
+    train_set = data.read_dataset(a.train)
+    valid_set = data.read_dataset(a.valid)
+    grid = [(lr, l2) for lr in a.grid_lr for l2 in a.grid_l2]
     best, results = training.grid_search(
-        _kind(o["model"]),
+        _kind(a.model),
         grid,
         train_set,
         valid_set,
-        _train_config(o),
-        k=o["k"],
-        d=o["d"],
-        r_vec=o["rank"],
-        init_scale=o["init_scale"],
+        training.TrainConfig(epochs=a.epochs, batch_size=a.batch_size, seed=a.seed),
+        k=a.k,
+        d=a.d,
+        r_vec=a.rank,
+        init_scale=a.init_scale,
     )
-    params.save_bundle(best, o["out"])
-    if o["report"]:
+    params.save_bundle(best, a.out)
+    if a.report:
         _write_csv(
-            o["report"],
+            a.report,
             ["learning_rate", "l2", "valid_auc", "valid_logloss", "status"],
             [[repr(r.learning_rate), repr(r.l2), repr(r.valid_auc), repr(r.valid_logloss), r.status] for r in results],
         )
@@ -279,18 +238,17 @@ def cmd_grid(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_bench_flops(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "out")
+def cmd_bench_flops(a: argparse.Namespace) -> int:
+    _require(a, "out")
     rows = []
-    for kind_flag in o["kinds"]:
+    for kind_flag in a.kinds:
         kind = _kind(kind_flag)
-        for n in o["sweep_n"]:
-            d = min(o["d"], n) if kind in params.HIGHER_ORDER_KINDS else o["d"]
-            fm = analysis.flops_estimate(kind, n, k=o["k"], d=d, r_vec=o["rank"])
-            rows.append([kind_flag, n, o["k"], fm.d, o["rank"], fm.flops])
-    _write_csv(o["out"], ["kind", "n", "k", "d", "r", "flops"], rows)
-    print(f"wrote {len(rows)} rows to {o['out']}")
+        for n in a.sweep_n:
+            d = min(a.d, n) if kind in params.HIGHER_ORDER_KINDS else a.d
+            fm = analysis.flops_estimate(kind, n, k=a.k, d=d, r_vec=a.rank)
+            rows.append([kind_flag, n, a.k, fm.d, a.rank, fm.flops])
+    _write_csv(a.out, ["kind", "n", "k", "d", "r", "flops"], rows)
+    print(f"wrote {len(rows)} rows to {a.out}")
     return 0
 
 
@@ -316,35 +274,33 @@ def _parse_bench_kind(token: str, schema: data.FieldSchema, k: int, seed: int) -
     return token, bundle
 
 
-def cmd_bench_latency(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "data", "out")
-    dataset = data.read_dataset(o["data"])
+def cmd_bench_latency(a: argparse.Namespace) -> int:
+    _require(a, "data", "out")
+    dataset = data.read_dataset(a.data)
     rows = []
-    for token in o["kinds"]:
-        name, bundle = _parse_bench_kind(token, dataset.schema, o["k"], o["seed"])
-        rep = analysis.time_inference(bundle, dataset, repeats=o["repeats"], batch_size=o["batch_size"])
+    for token in a.kinds:
+        name, bundle = _parse_bench_kind(token, dataset.schema, a.k, a.seed)
+        rep = analysis.time_inference(bundle, dataset, repeats=a.repeats, batch_size=a.batch_size)
         rows.append([name, repr(rep.seconds_per_instance * 1e3), repr(rep.std_seconds * 1e3), rep.repeats])
-    _write_csv(o["out"], ["kind", "ms_per_instance", "std_ms", "repeats"], rows, nondet_note="ms_per_instance,std_ms")
+    _write_csv(a.out, ["kind", "ms_per_instance", "std_ms", "repeats"], rows, nondet_note="ms_per_instance,std_ms")
     for row in rows:
         print(f"{row[0]}: {float(row[1]):.6f} ms/instance")
     return 0
 
 
-def cmd_interpret(cfg: RunConfig) -> int:
-    o = cfg.options
-    _require(o, "model", "data", "out_prefix")
-    bundle = params.load_bundle(o["model"])
-    train_set = data.read_dataset(o["data"])
-    report = analysis.interaction_report(bundle, train_set, o["order"], o["topk"])
+def cmd_interpret(a: argparse.Namespace) -> int:
+    _require(a, "model", "data", "out_prefix")
+    bundle = params.load_bundle(a.model)
+    train_set = data.read_dataset(a.data)
+    report = analysis.interaction_report(bundle, train_set, a.order, a.topk)
 
     ranked = sorted(zip(report.tuples, report.learned, report.mutual_info), key=lambda t: -t[1])
     rows = [["+".join(str(f) for f in tup), repr(s), repr(mi)] for tup, s, mi in ranked]
-    _write_csv(f"{o['out_prefix']}.interactions.csv", ["tuple", "learned_strength", "mutual_info"], rows)
-    top_n = max(o["topk"])
-    _write_csv(f"{o['out_prefix']}.top{top_n}.csv", ["tuple", "learned_strength", "mutual_info"], rows[:top_n])
+    _write_csv(f"{a.out_prefix}.interactions.csv", ["tuple", "learned_strength", "mutual_info"], rows)
+    top_n = max(a.topk)
+    _write_csv(f"{a.out_prefix}.top{top_n}.csv", ["tuple", "learned_strength", "mutual_info"], rows[:top_n])
     summary = {
-        "order": o["order"],
+        "order": a.order,
         "n_tuples": len(report.tuples),
         "pearson": report.pearson,
         "overlap": [
@@ -357,7 +313,7 @@ def cmd_interpret(cfg: RunConfig) -> int:
             for p in report.topk_overlap
         ],
     }
-    with open(f"{o['out_prefix']}.summary.json", "w", encoding="utf-8") as fh:
+    with open(f"{a.out_prefix}.summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"pearson={report.pearson:.4f} over {len(report.tuples)} field tuples")
@@ -367,100 +323,6 @@ def cmd_interpret(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-_COMMON = {
-    "config": (None, str),
-    "seed": (0, int),
-}
-
-_DEFAULTS: dict[str, dict] = {
-    "synth": {
-        **_COMMON,
-        "fields": (3, int),
-        "card": (20, int),
-        "order": (3, int),
-        "noise": (0, int),
-        "samples": (100_000, int),
-        "fractions": ((0.70, 0.15, 0.15), _fractions),
-        "out_prefix": (None, str),
-    },
-    "prep": {
-        **_COMMON,
-        "csv": (None, str),
-        "fields": (None, _str_list),
-        "label": (None, str),
-        "bins": (5, int),
-        "delimiter": (",", str),
-        "min_count": (0, int),
-        "fractions": ((0.70, 0.15, 0.15), _fractions),
-        "out_prefix": (None, str),
-    },
-    "train": {
-        **_COMMON,
-        "train": (None, str),
-        "valid": (None, str),
-        "model": (None, str),
-        "k": (8, int),
-        "d": (2, int),
-        "rank": (1, int),
-        "lr": (0.05, float),
-        "l2": (0.0, float),
-        "epochs": (5, int),
-        "batch_size": (1024, int),
-        "init_scale": (0.01, float),
-        "out": (None, str),
-        "log": (None, str),
-    },
-    "eval": {
-        **_COMMON,
-        "model": (None, str),
-        "data": (None, str),
-    },
-    "grid": {
-        **_COMMON,
-        "train": (None, str),
-        "valid": (None, str),
-        "model": (None, str),
-        "k": (8, int),
-        "d": (2, int),
-        "rank": (1, int),
-        "grid_lr": ([0.01, 0.05, 0.1], _float_list),
-        "grid_l2": ([0.0, 1e-6, 1e-5, 1e-4], _float_list),
-        "epochs": (5, int),
-        "batch_size": (1024, int),
-        "init_scale": (0.01, float),
-        "lr": (0.05, float),
-        "l2": (0.0, float),
-        "out": (None, str),
-        "report": (None, str),
-    },
-    "bench-flops": {
-        **_COMMON,
-        "kinds": (["lr", "fm", "fwfm", "hofm", "tensorfm"], _str_list),
-        "sweep_n": ([10, 20, 40, 80, 160], _sweep),
-        "k": (8, int),
-        "d": (3, int),
-        "rank": (3, int),
-        "out": (None, str),
-    },
-    "bench-latency": {
-        **_COMMON,
-        "data": (None, str),
-        "kinds": (["tensorfm:1:2", "tensorfm:4:3", "fwfm"], _str_list),
-        "k": (8, int),
-        "repeats": (5, int),
-        "batch_size": (4096, int),
-        "out": (None, str),
-    },
-    "interpret": {
-        **_COMMON,
-        "model": (None, str),
-        "data": (None, str),
-        "order": (3, int),
-        "topk": ([3, 10, 36], _int_list),
-        "out_prefix": (None, str),
-    },
-}
 
 _HELP = {
     "config": "key=value file supplying defaults for any flag",
@@ -484,7 +346,7 @@ _HELP = {
     "d": "highest interaction order",
     "rank": "interaction rank (replicated across orders 2..d)",
     "lr": "AdaGrad learning rate",
-    "l2": "L2 coefficient applied to every regularized block",
+    "l2": "L2 coefficient applied to every block but the bias",
     "epochs": "training epochs",
     "batch_size": "mini-batch size",
     "init_scale": "stddev of the parameter initialization",
@@ -500,27 +362,19 @@ _HELP = {
     "topk": "comma-separated k values for the ranking-overlap curve",
 }
 
-_HANDLERS = {
-    "synth": cmd_synth,
-    "prep": cmd_prep,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "grid": cmd_grid,
-    "bench-flops": cmd_bench_flops,
-    "bench-latency": cmd_bench_latency,
-    "interpret": cmd_interpret,
-}
-
-_COMMAND_HELP = {
-    "synth": "generate and split a synthetic pure-interaction dataset",
-    "prep": "ingest a headered CSV into train/valid/test dataset files",
-    "train": "train one model and write the model file plus an epoch log",
-    "eval": "score a dataset with a saved model; prints test_logloss,test_auc",
-    "grid": "train over a (learning rate, l2) grid, keep the best by validation AUC",
-    "bench-flops": "exact forward-pass operation counts over a field-count sweep",
-    "bench-latency": "measured per-instance scoring latency for chosen model kinds",
-    "interpret": "learned interaction strengths vs. mutual information reports",
-}
+# The (name, type, default) of the model and data options train and grid share.
+_MODEL_OPTIONS = (
+    ("train", str, None),
+    ("valid", str, None),
+    ("model", str, None),
+    ("k", int, 8),
+    ("d", int, 2),
+    ("rank", int, 1),
+    ("epochs", int, 5),
+    ("batch_size", int, 1024),
+    ("init_scale", float, 0.01),
+    ("out", str, None),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,20 +383,70 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and analyze low-rank field-interaction models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command], description=_COMMAND_HELP[command])
-        for key, (default, _) in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            default_text = "" if default is None else f" (default: {default})"
-            p.add_argument(flag, default=None, help=_HELP.get(key, "") + default_text)
+
+    def command(name, handler, help_text, *options):
+        """Add sub-command ``name`` with ``--config``, ``--seed`` and
+        ``options``, each a (name, type function, built-in default)."""
+        p = sub.add_parser(name, help=help_text, description=help_text)
+        for key, parse, default in (("config", str, None), ("seed", int, 0), *options):
+            default_text = "" if default is None else " (default: %(default)s)"
+            p.add_argument("--" + key.replace("_", "-"), type=parse, default=default, help=_HELP[key] + default_text)
+        p.set_defaults(handler=handler, parser=p)
+
+    fractions = ("fractions", _fractions, (0.70, 0.15, 0.15))
+    command(
+        "synth", cmd_synth, "generate and split a synthetic pure-interaction dataset",
+        ("fields", int, 3), ("card", int, 20), ("order", int, 3), ("noise", int, 0), ("samples", int, 100_000),
+        fractions, ("out_prefix", str, None),
+    )
+    command(
+        "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",
+        ("csv", str, None), ("fields", _str_list, None), ("label", str, None), ("bins", int, 5),
+        ("delimiter", str, ","), ("min_count", int, 0), fractions, ("out_prefix", str, None),
+    )
+    command(
+        "train", cmd_train, "train one model and write the model file plus an epoch log",
+        *_MODEL_OPTIONS, ("lr", float, 0.05), ("l2", float, 0.0), ("log", str, None),
+    )
+    command(
+        "eval", cmd_eval, "score a dataset with a saved model; prints test_logloss,test_auc",
+        ("model", str, None), ("data", str, None),
+    )
+    command(
+        "grid", cmd_grid, "train over a (learning rate, l2) grid, keep the best by validation AUC",
+        *_MODEL_OPTIONS, ("grid_lr", _float_list, [0.01, 0.05, 0.1]), ("grid_l2", _float_list, [0.0, 1e-6, 1e-5, 1e-4]),
+        ("report", str, None),
+    )
+    command(
+        "bench-flops", cmd_bench_flops, "exact forward-pass operation counts over a field-count sweep",
+        ("kinds", _str_list, ["lr", "fm", "fwfm", "hofm", "tensorfm"]), ("sweep_n", _sweep, [10, 20, 40, 80, 160]),
+        ("k", int, 8), ("d", int, 3), ("rank", int, 3), ("out", str, None),
+    )
+    command(
+        "bench-latency", cmd_bench_latency, "measured per-instance scoring latency for chosen model kinds",
+        ("data", str, None), ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"]), ("k", int, 8),
+        ("repeats", int, 5), ("batch_size", int, 4096), ("out", str, None),
+    )
+    command(
+        "interpret", cmd_interpret, "learned interaction strengths vs. mutual information reports",
+        ("model", str, None), ("data", str, None), ("order", int, 3), ("topk", _int_list, [3, 10, 36]),
+        ("out_prefix", str, None),
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        cfg = _merge(args, _DEFAULTS[args.command])
-        return _HANDLERS[args.command](cfg)
+        if args.config:
+            # The file's values become the sub-command's defaults and the
+            # arguments are parsed again: a flag on the command line still
+            # wins, and each file value goes through its flag's type.
+            options = set(vars(args)) - {"command", "handler", "parser"}
+            args.parser.set_defaults(**_read_config_file(args.config, options))
+            args = parser.parse_args(argv)
+        return args.handler(args)
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,9 +53,6 @@ class FieldSchema:
     def m(self) -> int:
         return int(sum(self.cardinalities))
 
-    def global_index(self, fld: int, local: int) -> int:
-        return int(self.offsets[fld]) + int(local)
-
 
 def build_schema(cardinalities: Sequence[int]) -> FieldSchema:
     """Build a :class:`FieldSchema` from per-field cardinalities."""
@@ -132,11 +129,6 @@ class Dataset:
 
     def instance(self, i: int) -> Instance:
         return Instance(self.active[i], self.values[i], int(self.labels[i]))
-
-    @property
-    def instances(self) -> Iterator[Instance]:
-        for i in range(len(self)):
-            yield self.instance(i)
 
     def subset(self, rows: np.ndarray, provenance: str = "") -> "Dataset":
         return Dataset(
@@ -383,6 +375,10 @@ def split(
 # ---------------------------------------------------------------------------
 
 
+# Most signal tuples generate_synthetic tabulates: 20 MB of int8 labels.
+SYNTHETIC_TABLE_LIMIT = 20_000_000
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a dataset whose label is a pure order-`order` interaction.
@@ -410,7 +406,7 @@ class SyntheticSpec:
             raise DataError(f"interaction order {self.order} exceeds signal field count {self.n_signal}")
 
 
-def generate_synthetic(spec: SyntheticSpec, table_limit: int = 20_000_000) -> Dataset:
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Sample a dataset according to ``spec``.
 
     A lookup table over all ``cardinality ** order`` signal tuples is drawn
@@ -418,10 +414,8 @@ def generate_synthetic(spec: SyntheticSpec, table_limit: int = 20_000_000) -> Da
     every field uniformly and reads its label off the table.
     """
     n_tuples = spec.cardinality**spec.order
-    if n_tuples > table_limit:
-        raise DataError(
-            f"signal tuple table would hold {n_tuples} entries, above the limit of {table_limit}"
-        )
+    if n_tuples > SYNTHETIC_TABLE_LIMIT:
+        raise DataError(f"signal tuple table would hold {n_tuples} entries, above the limit of {SYNTHETIC_TABLE_LIMIT}")
     rng = np.random.default_rng(spec.seed)
     table = rng.integers(0, 2, size=n_tuples, dtype=np.int8)
 

@@ -54,14 +54,19 @@ def auc_pair_oracle(scores, labels) -> float:
     return float(wins / (len(pos) * len(neg)))
 
 
+def softplus(x) -> np.ndarray:
+    """log(1 + exp(x)), computed without overflow for any finite x."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def logloss(scores, labels) -> float:
     """Mean binary cross-entropy of raw scores (logits) against labels."""
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if s.size == 0:
         raise MetricError("log-loss is undefined on an empty input")
-    softplus = np.maximum(s, 0.0) + np.log1p(np.exp(-np.abs(s)))
-    return float((softplus - s * y).mean())
+    return float((softplus(s) - s * y).mean())
 
 
 def evaluate(scores, labels) -> EvalReport:

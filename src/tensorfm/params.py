@@ -45,6 +45,10 @@ AXES = "ABCDEFGH"
 
 FORMAT_VERSION = "v1"
 
+# Largest dense interaction tensor the oracle and interpretability code
+# materialize: 80 MB of float64.
+MAX_DENSE_ENTRIES = 10_000_000
+
 
 def canonical_args(
     kind: str, k: int, d: int, r_vec: tuple[int, ...] | int | None
@@ -192,28 +196,40 @@ def param_count(bundle: ModelBundle) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_dense_size(n: int, order: int, max_entries: int) -> None:
-    if n**order > max_entries:
-        raise ConfigError(f"dense tensor would hold {n ** order} entries, above {max_entries}")
+def _check_dense_size(n: int, order: int) -> None:
+    if n**order > MAX_DENSE_ENTRIES:
+        raise ConfigError(f"dense tensor would hold {n ** order} entries, above {MAX_DENSE_ENTRIES}")
 
 
-def materialize_tensor(factors: list[np.ndarray], max_entries: int = 10_000_000) -> np.ndarray:
+def materialize_tensor(factors: list[np.ndarray]) -> np.ndarray:
     """Expand CP factor matrices (each (n, rank)) into the dense tensor
     they encode: entry (i_1..i_l) = sum_j prod_b factors[b][i_b, j]."""
-    _check_dense_size(factors[0].shape[0], len(factors), max_entries)
+    _check_dense_size(factors[0].shape[0], len(factors))
     axes = AXES[: len(factors)]
     subscripts = ",".join(f"{a}z" for a in axes) + "->" + axes
     return np.einsum(subscripts, *factors)
 
 
-def materialize_tucker(core: np.ndarray, factors: list[np.ndarray], max_entries: int = 10_000_000) -> np.ndarray:
+def materialize_tucker(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Expand a Tucker core and its factor matrices (the b-th (n, core.shape[b]))
     into the dense tensor they encode."""
-    _check_dense_size(factors[0].shape[0], len(factors), max_entries)
+    _check_dense_size(factors[0].shape[0], len(factors))
     axes = AXES[: len(factors)]
     core_axes = axes.lower()
     subscripts = core_axes + "," + ",".join(f"{a}{c}" for a, c in zip(axes, core_axes)) + "->" + axes
     return np.einsum(subscripts, core, *factors)
+
+
+def materialize_distinct(n: int, order: int) -> np.ndarray:
+    """The (n,)*order tensor holding 1/order! on every tuple of distinct
+    fields and 0 elsewhere: summed over ordered tuples, it counts each field
+    subset of size ``order`` once, as fm and hofm do."""
+    _check_dense_size(n, order)
+    index = np.indices((n,) * order, sparse=True)
+    distinct = np.ones((n,) * order, dtype=bool)
+    for a, b in itertools.combinations(range(order), 2):
+        distinct &= index[a] != index[b]
+    return distinct / math.factorial(order)
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:

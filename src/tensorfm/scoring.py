@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError
-from .params import AXES, ModelBundle, materialize_tensor, materialize_tucker
+from .params import AXES, ModelBundle, materialize_distinct, materialize_tensor, materialize_tucker
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +172,13 @@ def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> Fo
     return cache
 
 
-def score_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    return forward_batch(bundle, gidx, vals).scores
-
-
 def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096) -> np.ndarray:
     if dataset.schema.cardinalities != bundle.schema.cardinalities:
         raise ConfigError("dataset schema does not match the model schema")
     out = np.empty(len(dataset))
     for lo in range(0, len(dataset), batch_size):
         hi = min(lo + batch_size, len(dataset))
-        out[lo:hi] = score_batch(bundle, dataset.global_indices[lo:hi], dataset.values[lo:hi])
+        out[lo:hi] = forward_batch(bundle, dataset.global_indices[lo:hi], dataset.values[lo:hi]).scores
     return out
 
 
@@ -229,27 +225,24 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def interaction_tensors(bundle: ModelBundle, max_entries: int = 10_000_000) -> dict[int, np.ndarray]:
+def interaction_tensors(bundle: ModelBundle) -> dict[int, np.ndarray]:
     """Dense per-order field interaction tensors implied by the bundle.
 
-    For the pair-based kinds the order-2 tensor already folds in the half
-    factor of their symmetric formulation, so the literal ordered-tuple sum
-    over the returned tensor reproduces the model's interaction term.
+    The literal ordered-tuple sum over the returned tensors reproduces the
+    model's interaction term. fm and hofm weight each tuple of distinct
+    fields 1/t! at order t, so each field subset counts once; fwfm's
+    order-2 tensor is half its symmetric pair matrix.
     """
-    n = bundle.schema.n
     kind, blocks = bundle.kind, bundle.blocks
-    if kind == "fm":
-        return {2: (np.ones((n, n)) - np.eye(n)) / 2.0}
+    if kind in ("fm", "hofm"):
+        return {order: materialize_distinct(bundle.schema.n, order) for order in range(2, max(bundle.d, 2) + 1)}
     if kind == "fwfm":
         return {2: bundle.dense_s / 2.0}
     if kind == "tensorfm":
-        return {
-            order: materialize_tensor([blocks[name] for name in names], max_entries)
-            for order, names in bundle.factor_sets
-        }
+        return {order: materialize_tensor([blocks[name] for name in names]) for order, names in bundle.factor_sets}
     if kind == "tensorfm-tucker":
         return {
-            order: materialize_tucker(blocks[core], [blocks[name] for name in names], max_entries)
+            order: materialize_tucker(blocks[core], [blocks[name] for name in names])
             for order, (core, *names) in bundle.factor_sets
         }
     return {}
@@ -276,19 +269,15 @@ def oracle_interaction_sum(a_matrix: np.ndarray, tensors: dict[int, np.ndarray])
 def score_naive_oracle(bundle: ModelBundle, instance: Instance, max_tuples: int = 1_000_000) -> float:
     """Reference score: linear block plus interaction terms computed by
     materializing every interaction tensor and summing over all index tuples.
+
+    Raises :class:`ConfigError` when that sum would exceed ``max_tuples``
+    ordered tuples (orders 2..max(d, 2) for every kind with interactions).
     """
+    if bundle.kind == "lr":
+        return score_linear(bundle, instance)
     n = bundle.schema.n
-    total_tuples = sum(n**o for o in range(2, bundle.d + 1)) if bundle.kind != "lr" else 0
+    total_tuples = sum(n**o for o in range(2, max(bundle.d, 2) + 1))
     if total_tuples > max_tuples:
         raise ConfigError(f"oracle would sum {total_tuples} tuples, above the cap of {max_tuples}")
-
-    total = score_linear(bundle, instance)
-    if bundle.kind == "lr":
-        return total
-    a_matrix = embed_view(bundle, instance)
-    if bundle.kind == "hofm":
-        for order in range(2, bundle.d + 1):
-            for combo in itertools.combinations(range(n), order):
-                total += float(np.prod(a_matrix[:, list(combo)], axis=1).sum())
-        return total
-    return total + oracle_interaction_sum(a_matrix, interaction_tensors(bundle, max_entries=max_tuples))
+    interactions = oracle_interaction_sum(embed_view(bundle, instance), interaction_tensors(bundle))
+    return score_linear(bundle, instance) + interactions

@@ -16,27 +16,32 @@ import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
-from .metrics import auc, logloss
+from .metrics import auc, logloss, softplus
 from .params import AXES, ModelBundle, init
 from .scoring import ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
 
 
+# Added to the root of each AdaGrad accumulator so an untouched coordinate
+# (accumulator 0) takes a zero step rather than dividing by zero.
+ADAGRAD_EPSILON = 1e-8
+
+
 @dataclass(frozen=True)
 class TrainConfig:
+    """Mini-batch AdaGrad settings. ``l2`` is the L2 coefficient of every
+    parameter block except the bias ``linear.b``, which is unregularized."""
+
     learning_rate: float = 0.05
-    l2_linear: float = 0.0
-    l2_embedding: float = 0.0
-    l2_factors: float = 0.0
+    l2: float = 0.0
     epochs: int = 5
     batch_size: int = 1024
     seed: int = 0
-    adagrad_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ConfigError("learning rate cannot be negative")
-        if min(self.l2_linear, self.l2_embedding, self.l2_factors) < 0:
-            raise ConfigError("regularization coefficients cannot be negative")
+        if self.l2 < 0:
+            raise ConfigError("regularization coefficient cannot be negative")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
 
@@ -44,11 +49,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def bce_from_score(score, label) -> np.ndarray:
@@ -180,22 +180,21 @@ def adagrad_step(
     bundle: ModelBundle, grads: dict[str, np.ndarray], state: dict[str, np.ndarray], config: TrainConfig
 ) -> None:
     """One in-place AdaGrad update: accumulate squared gradients, then scale
-    each coordinate's step by the inverse root of its accumulator. L2 terms
-    are added to the gradient before accumulation; the bias is unregularized,
-    ``linear.w`` and ``embeddings`` take their own coefficients, and every
-    interaction block (``pair.``, ``cp.``, ``tucker.``) takes ``l2_factors``.
+    each coordinate's step by the inverse root of its accumulator (plus
+    :data:`ADAGRAD_EPSILON`). The L2 term ``config.l2 * theta`` is added to
+    the gradient of every block but the bias ``linear.b`` before
+    accumulation.
     """
-    lr, eps = config.learning_rate, config.adagrad_epsilon
-    l2_by_name = {"linear.b": 0.0, "linear.w": config.l2_linear, "embeddings": config.l2_embedding}
+    lr = config.learning_rate
     for name, theta in bundle.blocks.items():
         grad = grads[name]
         if not np.all(np.isfinite(grad)):
             raise NumericError(f"non-finite gradient in block {name!r}")
-        l2 = l2_by_name.get(name, config.l2_factors)
+        l2 = 0.0 if name == "linear.b" else config.l2
         g = grad + l2 * theta if l2 else grad
         acc = state[name]
         acc += g * g
-        theta -= lr * g / (np.sqrt(acc) + eps)
+        theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def grid_search(
     best: tuple[float, float, int] | None = None
     best_bundle: ModelBundle | None = None
     for order_idx, (lr, l2) in enumerate(grid):
-        cfg = replace(config, learning_rate=lr, l2_linear=l2, l2_embedding=l2, l2_factors=l2)
+        cfg = replace(config, learning_rate=lr, l2=l2)
         bundle = init(kind, train_set.schema, k=k, d=d, r_vec=r_vec, init_scale=init_scale, seed=config.seed)
         try:
             bundle, _ = train(bundle, train_set, valid_set, cfg)

@@ -166,6 +166,15 @@ class TestLearnedStrength:
         expected /= len(ds)
         assert abs(strengths[(0, 1)] - expected) < 1e-12
 
+    def test_hofm_weights_each_field_subset_once(self):
+        # hofm's order-3 tensor is 1/3! on every tuple of distinct fields
+        schema = build_schema([2, 2, 2])
+        bundle = init("hofm", schema, k=2, d=3, init_scale=0.6, seed=10)
+        ds = Dataset(schema, np.array([[1, 0, 1]], dtype=np.int32), labels=np.array([1], dtype=np.int8))
+        emb = bundle.blocks["embeddings"]
+        inner = float((emb[0 + 1] * emb[2 + 0] * emb[4 + 1]).sum())
+        assert abs(learned_strength(bundle, ds, order=3)[(0, 1, 2)] - abs(inner) / 6.0) < 1e-12
+
     def test_order_without_parameters_rejected(self):
         bundle, ds = self._toy()
         with pytest.raises(ConfigError):
@@ -213,3 +222,11 @@ class TestInteractionReport:
             assert 0.0 <= point.overlap <= 1.0
             assert abs(point.baseline_squared - (point.k / n_tuples) ** 2) < 1e-15
             assert abs(point.baseline_uniform - point.k / n_tuples) < 1e-15
+
+    def test_hofm_bundle(self):
+        spec = SyntheticSpec(n_signal=3, cardinality=4, order=3, n_noise=1, n_samples=500, seed=13)
+        ds = generate_synthetic(spec)
+        report = interaction_report(init("hofm", ds.schema, d=3), ds, 3, [3])
+        assert report.tuples == list(itertools.combinations(range(4), 3))
+        assert all(s > 0 for s in report.learned)
+        assert [p.k for p in report.topk_overlap] == [3]

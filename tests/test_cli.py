@@ -1,9 +1,14 @@
 """Command-line interface: workflows, determinism, config files, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tensorfm
 from tensorfm import auc, logloss, read_dataset, score_dataset
 from tensorfm.cli import main
 from tensorfm.params import load_bundle
@@ -200,6 +205,20 @@ class TestExitCodes:
         rc = main(["train", "--train", f"{synth_files}.train.txt", "--model", "tensorfm",
                    "--d", "2", "--rank", "99", "--out", str(tmp_path / "m.txt")])
         assert rc == 2
+
+    @pytest.mark.parametrize("where", ["command line", "config file"])
+    def test_malformed_value_is_usage_error(self, tmp_path, where):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=x\n")
+        bad = ["--k", "x"] if where == "command line" else ["--config", str(cfg)]
+        env = {**os.environ, "PYTHONPATH": str(Path(tensorfm.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "tensorfm.cli", "train", "--train", "t.txt", "--model", "fm", "--out", "m.txt", *bad],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert "--k" in proc.stderr and "'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from tensorfm import (
     score,
     symmetrize,
 )
+from tensorfm.params import MAX_DENSE_ENTRIES
 
 SCHEMA = build_schema([3, 4, 2, 5])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -153,8 +154,10 @@ class TestMaterializeTensor:
         np.testing.assert_allclose(materialize_tensor(scaled), 3.0 * base, rtol=1e-12)
 
     def test_memory_cap(self):
-        with pytest.raises(ConfigError):
-            materialize_tensor([np.ones((50, 1))] * 3, max_entries=1000)
+        # 50**5 float64 entries would take 2.5 GB: the size check refuses first
+        assert 50**5 > MAX_DENSE_ENTRIES
+        with pytest.raises(ConfigError, match=f"above {MAX_DENSE_ENTRIES}"):
+            materialize_tensor([np.ones((50, 1))] * 5)
 
     def test_tucker_matches_explicit_sum(self):
         rng = np.random.default_rng(5)

@@ -301,6 +301,16 @@ class TestOracleCap:
         with pytest.raises(ConfigError):
             score_naive_oracle(bundle, inst, max_tuples=100)
 
+    @pytest.mark.parametrize("kind", ["fm", "fwfm"])
+    def test_pair_kinds_count_their_order_two_tuples(self, kind):
+        # the pair kinds have d=1, yet the oracle sums their n**2 pair tuples
+        schema = build_schema([2, 3])
+        bundle = init(kind, schema, k=2, seed=0)
+        inst = random_instance(schema, np.random.default_rng(0))
+        with pytest.raises(ConfigError, match="4 tuples"):
+            score_naive_oracle(bundle, inst, max_tuples=1)
+        assert score_naive_oracle(bundle, inst, max_tuples=4) == pytest.approx(score(bundle, inst), rel=1e-12)
+
 
 def random_bundle(rng):
     """A random small bundle of a random kind, exercising every code path."""
