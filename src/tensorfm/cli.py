@@ -52,7 +52,11 @@ MODEL_FLAG_TO_KIND = {
 # ---------------------------------------------------------------------------
 
 
-def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
+def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+    """The options a ``key=value`` file sets, each value parsed by the type
+    function of its flag on ``parser``; an unknown key or a malformed value
+    is a :class:`ConfigError` naming the file, the line and the key."""
+    types = {action.dest: action.type for action in parser._actions if action.type is not None}
     cfg = {}
     p = Path(path)
     if not p.exists():
@@ -64,18 +68,37 @@ def _read_config_file(path: str, known: set[str]) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value")
         key, _, value = line.partition("=")
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    unknown = set(cfg) - known
-    if unknown:
-        raise ConfigError(f"config file sets unknown options: {sorted(unknown)}")
+        key, value = key.strip().replace("-", "_"), value.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
+        parse = types[key]
+        try:
+            cfg[key] = parse(value)
+        except (argparse.ArgumentTypeError, TypeError, ValueError) as exc:
+            # argparse's own wording for a value its type function rejects
+            reason = f"invalid {parse.__name__} value: {value!r}"
+            if isinstance(exc, argparse.ArgumentTypeError):
+                reason = str(exc)
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{path}:{lineno}: {key}={value}: argument {flag}: {reason}") from exc
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _fractions(text: str) -> tuple[float, float, float]:
-    parts = [float(t) for t in text.split(",")]
+    parts = tuple(float(t) for t in text.split(","))
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected three comma-separated fractions, got {text!r}")
-    return tuple(parts)  # type: ignore[return-value]
+    try:
+        data.check_fractions(parts)
+    except DataError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parts  # type: ignore[return-value]
 
 
 def _float_list(text: str) -> list[float]:
@@ -396,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     fractions = ("fractions", _fractions, (0.70, 0.15, 0.15))
     command(
         "synth", cmd_synth, "generate and split a synthetic pure-interaction dataset",
-        ("fields", int, 3), ("card", int, 20), ("order", int, 3), ("noise", int, 0), ("samples", int, 100_000),
-        fractions, ("out_prefix", str, None),
+        ("fields", _positive_int, 3), ("card", _positive_int, 20), ("order", _positive_int, 3), ("noise", int, 0),
+        ("samples", _positive_int, 100_000), fractions, ("out_prefix", str, None),
     )
     command(
         "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",
@@ -443,8 +466,7 @@ def main(argv: list[str] | None = None) -> int:
             # The file's values become the sub-command's defaults and the
             # arguments are parsed again: a flag on the command line still
             # wins, and each file value goes through its flag's type.
-            options = set(vars(args)) - {"command", "handler", "parser"}
-            args.parser.set_defaults(**_read_config_file(args.config, options))
+            args.parser.set_defaults(**_read_config_file(args.config, args.parser))
             args = parser.parse_args(argv)
         return args.handler(args)
     except _USAGE_ERRORS as exc:

@@ -341,6 +341,15 @@ def load_tabular(
 # ---------------------------------------------------------------------------
 
 
+def check_fractions(fractions: tuple[float, ...]) -> None:
+    """Raise :class:`DataError` unless every fraction is positive and they
+    sum to 1 (within 1e-9)."""
+    if any(f <= 0 for f in fractions):
+        raise DataError(f"fractions must be positive, got {fractions}")
+    if not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
+        raise DataError(f"fractions must sum to 1, got {fractions}")
+
+
 def split(
     dataset: Dataset,
     fractions: tuple[float, float, float] = (0.70, 0.15, 0.15),
@@ -350,10 +359,7 @@ def split(
 
     Sizes are floor(N * f) for train and valid; the remainder goes to test.
     """
-    if any(f <= 0 for f in fractions):
-        raise DataError(f"fractions must be positive, got {fractions}")
-    if not math.isclose(sum(fractions), 1.0, abs_tol=1e-9):
-        raise DataError(f"fractions must sum to 1, got {fractions}")
+    check_fractions(fractions)
     n = len(dataset)
     if n < 3:
         raise DataError(f"need at least 3 instances to split, got {n}")

@@ -21,15 +21,20 @@ kind                  blocks beyond ``linear.b`` (1,) and ``linear.w`` (m,)
 ``fwfm-lowrank`` is an alias, not a kind: a rank-r field-pair matrix is
 ``tensorfm`` with d=2 and ranks (r,). :func:`init`, :func:`load_bundle` and
 the FLOPs count resolve it through :func:`canonical_args`.
+
+The factor blocks of a bundle are column views of one contiguous
+(n, sum_o o * r_o) array, ``ModelBundle.factor_stack``, in layout order, so
+the scorers contract every factor of a batch with one matrix product.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -79,7 +84,8 @@ def block_layout(
     kind: str, schema: FieldSchema, k: int, d: int, r_vec: tuple[int, ...]
 ) -> list[tuple[str, tuple[int, ...]]]:
     """The ``(name, shape)`` of every parameter block of a model, in file
-    order, which is also the order :func:`init` draws them from the RNG.
+    order, which is also the order :func:`init` draws them from the RNG and
+    the column order of the factor blocks in ``ModelBundle.factor_stack``.
 
     Raises :class:`ConfigError` for a configuration no model can have.
     """
@@ -114,7 +120,16 @@ def block_layout(
 @dataclass
 class ModelBundle:
     """A model: its layout arguments plus one array per block of
-    :func:`block_layout`, keyed by block name in layout order."""
+    :func:`block_layout`, keyed by block name in layout order.
+
+    Construction copies every ``*.factor.*`` block into ``factor_stack`` and
+    rebinds it to a column view of the stack, so an in-place edit of a factor
+    block (an optimizer step, a test's perturbation) is an edit of the stack.
+    ``factor_columns`` maps each factor block to its columns and
+    ``factor_spans`` holds ``(order, first column, rank)`` per order; an
+    order's ``order`` factor blocks are adjacent, mode 0 first. Replacing a
+    dict entry instead of editing it in place unties it from the stack.
+    """
 
     kind: str
     schema: FieldSchema
@@ -122,10 +137,18 @@ class ModelBundle:
     k: int = 0
     d: int = 1
     r_vec: tuple[int, ...] = ()
+    factor_stack: np.ndarray = field(init=False, repr=False, compare=False)
+    factor_columns: dict[str, slice] = field(init=False, repr=False, compare=False)
+    factor_spans: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.r_vec = tuple(int(r) for r in self.r_vec)
         validate_bundle(self)
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so a copy or an unpickled bundle
+        # has its own stack with its factor blocks viewing it.
+        return (ModelBundle, (self.kind, self.schema, self.blocks, self.k, self.d, self.r_vec))
 
     @cached_property
     def factor_sets(self) -> list[tuple[int, tuple[str, ...]]]:
@@ -148,7 +171,8 @@ class ModelBundle:
 
 
 def validate_bundle(bundle: ModelBundle) -> None:
-    """Check the blocks against the layout and put them in layout order."""
+    """Check the blocks against the layout, put them in layout order and
+    pack the factor blocks into ``bundle.factor_stack``."""
     layout = block_layout(bundle.kind, bundle.schema, bundle.k, bundle.d, bundle.r_vec)
     expected = dict(layout)
     for name in bundle.blocks:
@@ -159,7 +183,23 @@ def validate_bundle(bundle: ModelBundle) -> None:
             raise ConfigError(f"missing block {name!r}")
         if bundle.blocks[name].shape != shape:
             raise ConfigError(f"block {name!r} has shape {bundle.blocks[name].shape}, expected {shape}")
-    bundle.blocks = {name: bundle.blocks[name] for name in expected}
+    blocks = {name: bundle.blocks[name] for name in expected}
+
+    columns, width = {}, 0
+    for name, shape in layout:
+        if ".factor." in name:
+            columns[name] = slice(width, width + shape[1])
+            width += shape[1]
+    stack = np.empty((bundle.schema.n, width))
+    for name, cols in columns.items():
+        stack[:, cols] = blocks[name]
+        blocks[name] = stack[:, cols]
+    spans, first = [], 0
+    for order, rank in zip(range(2, bundle.d + 1), bundle.r_vec):
+        spans.append((order, first, rank))
+        first += order * rank
+    bundle.blocks, bundle.factor_stack = blocks, stack
+    bundle.factor_columns, bundle.factor_spans = columns, tuple(spans)
 
 
 def init(
@@ -286,11 +326,11 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("end\n")
 
 
-def _read_blocks(lines: list[str], start: int) -> dict[str, np.ndarray]:
+def _read_blocks(lines: Iterator[str]) -> dict[str, np.ndarray]:
+    """Parse the blocks that follow the header, one row at a time into each
+    block's array, so no line list or float list of a whole block is held."""
     blocks: dict[str, np.ndarray] = {}
-    i = start
-    while i < len(lines):
-        line = lines[i].rstrip("\n")
+    for line in lines:
         if line == "end":
             return blocks
         if not line.startswith("block "):
@@ -298,26 +338,24 @@ def _read_blocks(lines: list[str], start: int) -> dict[str, np.ndarray]:
         try:
             _, name, shape_s = line.split()
             shape = tuple(int(s) for s in shape_s.split("x"))
+            arr = np.empty(shape)
         except ValueError as exc:
             raise ModelIOError(f"malformed block header {line!r}") from exc
-        n_rows = 1 if len(shape) < 2 else int(np.prod(shape[:-1]))
-        rows = []
-        for r in range(n_rows):
-            i += 1
-            if i >= len(lines):
+        rows = arr.reshape(math.prod(shape[:-1]), shape[-1]) if len(shape) >= 2 else arr.reshape(1, -1)
+        for r, row in enumerate(rows):
+            text = next(lines, None)
+            if text is None:
                 raise ModelIOError(f"file truncated inside block {name!r}")
             try:
-                rows.append([float(tok) for tok in lines[i].split()])
+                values = [float(tok) for tok in text.split()]
             except ValueError as exc:
                 raise ModelIOError(f"block {name!r} row {r}: not a number: {exc}") from exc
-        try:
-            arr = np.asarray(rows, dtype=np.float64).reshape(shape)
-        except ValueError as exc:
-            raise ModelIOError(f"block {name!r} does not match its declared shape {shape}") from exc
+            if len(values) != len(row):
+                raise ModelIOError(f"block {name!r} does not match its declared shape {shape}")
+            row[:] = values
         if not np.isfinite(arr).all():
             raise ModelIOError(f"block {name!r} holds a non-finite value")
         blocks[name] = arr
-        i += 1
     raise ModelIOError("file truncated: missing 'end' marker")
 
 
@@ -327,27 +365,29 @@ def load_bundle(path: str | Path) -> ModelBundle:
     path = Path(path)
     if not path.exists():
         raise ModelIOError(f"model file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("tensorfm-model "):
-        raise ModelIOError(f"{path}: not a model file")
-    version = lines[0].split(maxsplit=1)[1]
-    if version != FORMAT_VERSION:
-        raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
+    with path.open(encoding="utf-8") as fh:
+        lines = (line.rstrip("\n") for line in fh)
+        first = next(lines, "")
+        if not first.startswith("tensorfm-model "):
+            raise ModelIOError(f"{path}: not a model file")
+        version = first.split(maxsplit=1)[1]
+        if version != FORMAT_VERSION:
+            raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
 
-    header: dict[str, str] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("block "):
-        key, _, value = lines[i].partition(" ")
-        header[key] = value
-        i += 1
-    try:
-        schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
-        r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
-        kind, k, d, r_vec = canonical_args(header["kind"], int(header.get("k", 0)), int(header["d"]), r_vec)
-    except (KeyError, ValueError, ConfigError) as exc:
-        raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
+        header: dict[str, str] = {}
+        line = next(lines, None)
+        while line is not None and not line.startswith("block "):
+            key, _, value = line.partition(" ")
+            header[key] = value
+            line = next(lines, None)
+        try:
+            schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
+            r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
+            kind, k, d, r_vec = canonical_args(header["kind"], int(header.get("k", 0)), int(header["d"]), r_vec)
+        except (KeyError, ValueError, ConfigError) as exc:
+            raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
 
-    blocks = _read_blocks(lines, i)
+        blocks = _read_blocks(itertools.chain([] if line is None else [line], lines))
     try:
         return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
     except ConfigError as exc:

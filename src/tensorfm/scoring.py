@@ -16,8 +16,9 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +36,9 @@ from .params import AXES, ModelBundle, materialize_distinct, materialize_tensor,
 def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """(B, n, k) array whose row [b, j] is the embedding of the active feature
     of field j, scaled by the instance multiplier."""
-    return bundle.blocks["embeddings"][gidx] * vals[..., None]
+    A = bundle.blocks["embeddings"][gidx]
+    A *= vals[..., None]  # in place: no second (B, n, k) array
+    return A
 
 
 def embed_view(bundle: ModelBundle, instance: Instance) -> np.ndarray:
@@ -69,29 +72,47 @@ def fwfm_pair_batch(A: np.ndarray, pair_matrix: np.ndarray) -> tuple[np.ndarray,
     return 0.5 * (abar * sa).sum(axis=(1, 2)), sa
 
 
-def cp_mode_products(A: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-mode dot-product tables G_b[., i, j] = <factor column j of mode b,
-    coordinate row i of the instance embedding matrix>; each (B, k, rank)."""
-    abar = A.transpose(0, 2, 1)
-    return [abar @ U for U in factors]
+def planned_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(subscripts, *operands, optimize=True)`` with its
+    contraction path planned once per subscripts and operand shapes."""
+    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
 
 
-def cp_order_batch(gs: list[np.ndarray]) -> np.ndarray:
-    prod = gs[0].copy()
-    for g in gs[1:]:
-        prod *= g
-    return prod.sum(axis=(1, 2))
+@functools.lru_cache(maxsize=256)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
+    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, shape) for shape in shapes), optimize="greedy")[0]
 
 
-def tucker_mode_products(A: np.ndarray, factors: list[np.ndarray]) -> list[np.ndarray]:
-    abar = A.transpose(0, 2, 1)
-    return [abar @ U for U in factors]
+def order_tables(G: np.ndarray, span: tuple[int, int, int]) -> np.ndarray:
+    """The (B, k, order, rank) view of the factor-stack products ``G`` that
+    holds one order's tables; ``[:, :, b]`` is mode b's."""
+    order, first, rank = span
+    return G[:, :, first : first + order * rank].reshape(G.shape[0], G.shape[1], order, rank)
 
 
-def tucker_order_batch(ms: list[np.ndarray], core: np.ndarray) -> np.ndarray:
+def cp_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Dot-product tables of every factor at once: G[., i, c] = <column c of
+    the factor stack, coordinate row i of the instance embedding matrix>;
+    (B, k, stack columns)."""
+    return A.transpose(0, 2, 1) @ stack
+
+
+def cp_order_batch(g: np.ndarray) -> np.ndarray:
+    """One CP order's term from its :func:`order_tables` view."""
+    return g.prod(axis=2).sum(axis=(1, 2))
+
+
+def tucker_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """The Tucker factor-stack tables, as :func:`cp_mode_products`."""
+    return A.transpose(0, 2, 1) @ stack
+
+
+def tucker_order_batch(g: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """One Tucker order's term: its core contracted with the mode tables of
+    its :func:`order_tables` view."""
     axes = AXES[: core.ndim]
     subscripts = axes + "," + ",".join(f"bh{a}" for a in axes) + "->b"
-    return np.einsum(subscripts, core, *ms, optimize=True)
+    return planned_einsum(subscripts, core, *(g[:, :, b] for b in range(core.ndim)))
 
 
 def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
@@ -128,7 +149,7 @@ class ForwardCache:
     A: np.ndarray | None = None
     fm_sum: np.ndarray | None = None  # (B, k) sum of field embeddings
     fwfm_sa: np.ndarray | None = None  # (B, k, n) pair_matrix applied to coordinate rows
-    mode_products: dict[int, list[np.ndarray]] = field(default_factory=dict)  # per order, CP or Tucker
+    mode_products: np.ndarray | None = None  # (B, k, stack columns) CP or Tucker factor-stack tables
     hofm_dp: np.ndarray | None = None
 
 
@@ -149,13 +170,13 @@ def _interaction_terms(bundle: ModelBundle, cache: ForwardCache) -> Iterator[np.
         cache.hofm_dp = hofm_table_batch(A, bundle.d)
         yield cache.hofm_dp[-1, 2:].sum(axis=(0, 2))
     elif kind == "tensorfm":
-        for order, names in bundle.factor_sets:
-            gs = cache.mode_products[order] = cp_mode_products(A, [blocks[name] for name in names])
-            yield cp_order_batch(gs)
+        G = cache.mode_products = cp_mode_products(A, bundle.factor_stack)
+        for span in bundle.factor_spans:
+            yield cp_order_batch(order_tables(G, span))
     else:  # tensorfm-tucker
-        for order, (core_name, *names) in bundle.factor_sets:
-            ms = cache.mode_products[order] = tucker_mode_products(A, [blocks[name] for name in names])
-            yield tucker_order_batch(ms, blocks[core_name])
+        G = cache.mode_products = tucker_mode_products(A, bundle.factor_stack)
+        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
+            yield tucker_order_batch(order_tables(G, span), blocks[names[0]])
 
 
 def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> ForwardCache:

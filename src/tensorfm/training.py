@@ -18,7 +18,7 @@ from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
 from .metrics import auc, logloss, softplus
 from .params import AXES, ModelBundle, init
-from .scoring import ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
+from .scoring import ForwardCache, _as_batch, forward_batch, order_tables, planned_einsum, score_dataset, sigmoid
 
 
 # Added to the root of each AdaGrad accumulator so an untouched coordinate
@@ -71,18 +71,30 @@ def bce_loss(probability, label) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _leave_one_out(gs: list[np.ndarray]) -> list[np.ndarray]:
-    """For tables G_1..G_l, the elementwise products of all tables but one."""
-    count = len(gs)
-    prefix = [None] * (count + 1)
-    suffix = [None] * (count + 1)
-    prefix[0] = np.ones_like(gs[0])
-    suffix[count] = np.ones_like(gs[0])
-    for i in range(count):
-        prefix[i + 1] = prefix[i] * gs[i]
+def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
+    """For the tables g[:, :, 0..l-1] of one CP order, write into
+    out[:, :, b] the elementwise product of all tables but g[:, :, b]."""
+    count = g.shape[2]
+    prefix = [np.ones_like(g[:, :, 0])]
+    for i in range(count - 1):
+        prefix.append(prefix[i] * g[:, :, i])
+    suffix = np.ones_like(g[:, :, 0])
     for i in range(count - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * gs[i]
-    return [prefix[i] * suffix[i + 1] for i in range(count)]
+        np.multiply(prefix[i], suffix, out=out[:, :, i])
+        suffix = suffix * g[:, :, i]
+
+
+def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """For the mode tables g[:, :, 0..l-1] of one Tucker order, write into
+    out[:, :, b] the core contracted with every mode table but b's, and
+    return the gradient of the core."""
+    axes = AXES[: core.ndim]
+    specs = [f"zh{a}" for a in axes]
+    tables = [g[:, :, b] for b in range(core.ndim)]
+    for b in range(core.ndim):
+        others = ",".join(specs[:b] + specs[b + 1 :])
+        out[:, :, b] = planned_einsum(f"{axes},{others}->{specs[b]}", core, *tables[:b], *tables[b + 1 :])
+    return planned_einsum("z," + ",".join(specs) + "->" + axes, upstream, *tables)
 
 
 def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> dict[str, np.ndarray]:
@@ -109,25 +121,20 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
     A = cache.A
     batch, n, k = A.shape
     abar = A.transpose(0, 2, 1)  # (B, k, n) coordinate rows
-    d_a = np.zeros_like(A)  # d score / d A per instance, upstream applied later
+    # d_a: d score / d A per instance, (B, n, k), upstream applied later
 
     if kind == "fm":
-        d_a[:] = cache.fm_sum[:, None, :] - A
+        d_a = cache.fm_sum[:, None, :] - A
     elif kind == "fwfm":
-        d_a += cache.fwfm_sa.transpose(0, 2, 1)
+        d_a = cache.fwfm_sa.transpose(0, 2, 1).copy()
         weighted = abar * upstream[:, None, None]
         ds_full = 0.5 * (weighted.reshape(-1, n).T @ abar.reshape(-1, n))
         iu = np.triu_indices(n, 1)
         grads["pair.upper"] = ds_full[iu] + ds_full.T[iu]
-    elif kind == "tensorfm":
-        for order, names in bundle.factor_sets:
-            loo = _leave_one_out(cache.mode_products[order])
-            for name, rest in zip(names, loo):
-                grads[name] = np.einsum("z,zhn,zhr->nr", upstream, abar, rest)
-                d_a += np.matmul(rest, blocks[name].T).transpose(0, 2, 1)
     elif kind == "hofm":
         dp = cache.hofm_dp
         degree = bundle.d
+        d_a = np.zeros_like(A)
         adj = np.zeros((degree + 1, batch, k))
         adj[2:] = 1.0
         for j in range(n, 0, -1):
@@ -136,25 +143,34 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
                 d_a[:, j - 1, :] += adj[t] * dp[j - 1, t - 1]
             for t in range(1, degree + 1):
                 adj[t - 1] += adj[t] * aj
-    else:  # tensorfm-tucker
-        for order, (core_name, *names) in bundle.factor_sets:
-            ms = cache.mode_products[order]
-            core = blocks[core_name]
-            axes = AXES[:order]
-            mode_specs = [f"zh{a}" for a in axes]
-            grads[core_name] = np.einsum("z," + ",".join(mode_specs) + "->" + axes, upstream, *ms, optimize=True)
-            for b_mode, name in enumerate(names):
-                others = [ms[i] for i in range(order) if i != b_mode]
-                other_specs = [mode_specs[i] for i in range(order) if i != b_mode]
-                dm = np.einsum(
-                    axes + "," + ",".join(other_specs) + "->" + f"zh{axes[b_mode]}", core, *others, optimize=True
-                )
-                grads[name] = np.einsum("z,zhn,zhr->nr", upstream, abar, dm)
-                d_a += np.matmul(dm, blocks[name].T).transpose(0, 2, 1)
+    else:  # tensorfm, tensorfm-tucker
+        # d score / d G, column for column of the factor-stack tables: for CP
+        # the product of the order's other tables, for Tucker the core
+        # contracted with them. Two GEMMs then give d_a and every factor
+        # gradient.
+        G = cache.mode_products
+        rest = np.empty_like(G)
+        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
+            g, out = order_tables(G, span), order_tables(rest, span)
+            if kind == "tensorfm":
+                _leave_one_out(g, out)
+            else:
+                grads[names[0]] = _tucker_rest(g, blocks[names[0]], upstream, out)
+        rest = rest.reshape(batch * k, -1)
+        d_a = (rest @ bundle.factor_stack.T).reshape(batch, k, n).transpose(0, 2, 1)
+        weighted = np.multiply(abar, upstream[:, None, None], order="C").reshape(batch * k, n)
+        stack_grad = weighted.T @ rest
+        del weighted
+        grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
 
-    weighted_da = d_a * (upstream[:, None, None] * vals[:, :, None])
-    flat_idx = (gidx[..., None] * k + np.arange(k)).ravel()
-    grads["embeddings"] = np.bincount(flat_idx, weights=weighted_da.ravel(), minlength=m * k).reshape(m, k)
+    # Scatter d_a, scaled in place, into the embedding rows one coordinate
+    # at a time: no (B, n, k) index array, and each bin sums in row order.
+    d_a *= upstream[:, None, None] * vals[:, :, None]
+    flat_gidx = gidx.ravel()
+    d_emb = np.empty((m, k))
+    for h in range(k):
+        d_emb[:, h] = np.bincount(flat_gidx, weights=d_a[:, :, h].ravel(), minlength=m)
+    grads["embeddings"] = d_emb
     return {name: grads[name] for name in blocks}
 
 

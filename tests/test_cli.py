@@ -196,6 +196,16 @@ class TestConfigFile:
         rc = main(["synth", "--config", str(cfg), "--out-prefix", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("line", ["k=x", "fractions=0.5,0.3,0.3", "samples=0"])
+    def test_bad_config_value_names_file_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# comment\n{line}\n")
+        command = "train" if line.startswith("k=") else "synth"
+        assert main([command, "--config", str(cfg)]) == 2
+        key, _, value = line.partition("=")
+        err = capsys.readouterr().err
+        assert f"{cfg}:2: {line}" in err and f"--{key}" in err
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
@@ -219,6 +229,18 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "--k" in proc.stderr and "'x'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command, bad", [
+        ("synth", ["--samples", "0"]),
+        ("synth", ["--fractions", "0.5,0.3,0.3"]),
+        ("prep", ["--fractions", "0.5,0.3,0.3"]),
+        ("prep", ["--fractions", "0.9,0.1,0"]),
+    ])
+    def test_bad_count_or_fractions_is_usage_error(self, tmp_path, capsys, command, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *bad, "--out-prefix", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert bad[0] in capsys.readouterr().err
 
     def test_unknown_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

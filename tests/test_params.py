@@ -121,6 +121,23 @@ class TestInit:
         assert bundle.r_vec == (2, 2, 2)
         assert [order for order, _ in bundle.factor_sets] == [2, 3, 4]
 
+    @pytest.mark.parametrize("kind", ["tensorfm", "tensorfm-tucker"])
+    def test_factor_blocks_are_columns_of_one_stack(self, kind):
+        bundle = init(kind, SCHEMA, k=2, d=4, r_vec=(3, 1, 2), seed=5)
+        assert bundle.factor_stack.shape == (SCHEMA.n, 2 * 3 + 3 * 1 + 4 * 2)
+        assert bundle.factor_spans == ((2, 0, 3), (3, 6, 1), (4, 9, 2))
+        names = [name for name in bundle.blocks if ".factor." in name]
+        assert list(bundle.factor_columns) == names
+        np.testing.assert_array_equal(np.hstack([bundle.blocks[name] for name in names]), bundle.factor_stack)
+        bundle.blocks[names[4]][1, 0] = 7.0  # in-place edits write the stack
+        assert bundle.factor_stack[1, bundle.factor_columns[names[4]].start] == 7.0
+
+    def test_stack_does_not_alias_the_callers_arrays(self):
+        blocks = {name: np.full(shape, 0.5) for name, shape in block_layout("tensorfm", SCHEMA, 2, 2, (2,))}
+        bundle = ModelBundle("tensorfm", SCHEMA, blocks, k=2, d=2, r_vec=(2,))
+        blocks["cp.2.factor.0"][:] = 9.0
+        assert (bundle.blocks["cp.2.factor.0"] == 0.5).all()
+
 
 class TestMaterializeTensor:
     def test_rank_one_all_ones(self):
