@@ -90,6 +90,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _fractions(text: str) -> tuple[float, float, float]:
     parts = tuple(float(t) for t in text.split(","))
     if len(parts) != 3:
@@ -145,6 +151,8 @@ def _write_csv(path: str, header: list[str], rows: list[list], nondet_note: str 
 
 def cmd_synth(a: argparse.Namespace) -> int:
     _require(a, "out_prefix")
+    if a.order > a.fields:
+        raise ConfigError(f"argument --order: interaction order {a.order} exceeds --fields {a.fields}")
     spec = data.SyntheticSpec(
         n_signal=a.fields,
         cardinality=a.card,
@@ -419,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     fractions = ("fractions", _fractions, (0.70, 0.15, 0.15))
     command(
         "synth", cmd_synth, "generate and split a synthetic pure-interaction dataset",
-        ("fields", _positive_int, 3), ("card", _positive_int, 20), ("order", _positive_int, 3), ("noise", int, 0),
-        ("samples", _positive_int, 100_000), fractions, ("out_prefix", str, None),
+        ("fields", _positive_int, 3), ("card", _positive_int, 20), ("order", _positive_int, 3),
+        ("noise", _non_negative_int, 0), ("samples", _positive_int, 100_000), fractions, ("out_prefix", str, None),
     )
     command(
         "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",

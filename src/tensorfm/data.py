@@ -189,27 +189,40 @@ def read_dataset(path: str | Path) -> Dataset:
         except (ValueError, SchemaError) as exc:
             raise DataError(f"{path}: bad schema header: {exc}") from exc
 
+        n = schema.n
         active_rows, value_rows, labels = [], [], []
         for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
             toks = line.split()
-            if len(toks) != schema.n + 1:
-                raise DataError(f"{path}:{lineno}: expected {schema.n} field tokens")
-            labels.append(int(toks[0]))
-            act = np.empty(schema.n, dtype=np.int32)
-            val = np.ones(schema.n, dtype=np.float64)
-            for tok in toks[1:]:
-                pieces = tok.split(":")
-                if len(pieces) not in (2, 3):
-                    raise DataError(f"{path}:{lineno}: malformed token {tok!r}")
-                j = int(pieces[0])
-                if not 0 <= j < schema.n:
-                    raise DataError(f"{path}:{lineno}: field index {j} out of range")
-                act[j] = int(pieces[1])
-                if len(pieces) == 3:
-                    val[j] = float(pieces[2])
+            if not toks:
+                continue
+            if len(toks) != n + 1:
+                raise DataError(f"{path}:{lineno}: expected {n} field tokens")
+            act = np.empty(n, dtype=np.int32)
+            val = np.ones(n, dtype=np.float64)
+            fields = set()
+            try:
+                label = int(toks[0])
+                for tok in toks[1:]:
+                    pieces = tok.split(":")
+                    if len(pieces) not in (2, 3):
+                        raise DataError(f"{path}:{lineno}: malformed token {tok!r}")
+                    j = int(pieces[0])
+                    if not 0 <= j < n:
+                        raise DataError(f"{path}:{lineno}: field index {j} out of range")
+                    fields.add(j)
+                    act[j] = int(pieces[1])
+                    if len(pieces) == 3:
+                        value = float(pieces[2])
+                        if not math.isfinite(value):
+                            raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
+                        val[j] = value
+            except (ValueError, OverflowError) as exc:
+                raise DataError(f"{path}:{lineno}: bad token: {exc}") from exc
+            if label not in (0, 1):
+                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+            if len(fields) != n:
+                raise DataError(f"{path}:{lineno}: every field must appear exactly once")
+            labels.append(label)
             active_rows.append(act)
             value_rows.append(val)
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -49,6 +50,9 @@ TENSOR_KINDS = ("tensorfm", "tensorfm-tucker")
 AXES = "ABCDEFGH"
 
 FORMAT_VERSION = "v1"
+
+# Most model-file rows parsed at once: bounds the line list the reader holds.
+READ_ROWS = 4096
 
 # Largest dense interaction tensor the oracle and interpretability code
 # materialize: 80 MB of float64.
@@ -326,9 +330,20 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("end\n")
 
 
+def _parse_rows(lines: list[str], width: int) -> np.ndarray:
+    """The float rows of ``lines`` as one (rows, width) array. A blank line
+    gives no row, so it shows as a row count below ``len(lines)``."""
+    if width == 0:  # zero-width rows (fwfm on one field) are blank lines
+        return np.empty((sum(not line.strip() for line in lines), 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # all lines blank: no rows
+        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
 def _read_blocks(lines: Iterator[str]) -> dict[str, np.ndarray]:
-    """Parse the blocks that follow the header, one row at a time into each
-    block's array, so no line list or float list of a whole block is held."""
+    """Parse the blocks that follow the header into each block's array, at
+    most :data:`READ_ROWS` rows per parse, so no line list or float list of
+    a whole block is held."""
     blocks: dict[str, np.ndarray] = {}
     for line in lines:
         if line == "end":
@@ -342,17 +357,18 @@ def _read_blocks(lines: Iterator[str]) -> dict[str, np.ndarray]:
         except ValueError as exc:
             raise ModelIOError(f"malformed block header {line!r}") from exc
         rows = arr.reshape(math.prod(shape[:-1]), shape[-1]) if len(shape) >= 2 else arr.reshape(1, -1)
-        for r, row in enumerate(rows):
-            text = next(lines, None)
-            if text is None:
+        for lo in range(0, len(rows), READ_ROWS):
+            part = rows[lo : lo + READ_ROWS]
+            chunk = list(itertools.islice(lines, len(part)))
+            if len(chunk) < len(part):
                 raise ModelIOError(f"file truncated inside block {name!r}")
             try:
-                values = [float(tok) for tok in text.split()]
+                values = _parse_rows(chunk, part.shape[1])
             except ValueError as exc:
-                raise ModelIOError(f"block {name!r} row {r}: not a number: {exc}") from exc
-            if len(values) != len(row):
+                raise ModelIOError(f"block {name!r} rows {lo}..{lo + len(part) - 1}: not a number: {exc}") from exc
+            if values.shape != part.shape:
                 raise ModelIOError(f"block {name!r} does not match its declared shape {shape}")
-            row[:] = values
+            part[...] = values
         if not np.isfinite(arr).all():
             raise ModelIOError(f"block {name!r} holds a non-finite value")
         blocks[name] = arr

@@ -16,7 +16,6 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -25,7 +24,7 @@ import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError
-from .params import AXES, ModelBundle, materialize_distinct, materialize_tensor, materialize_tucker
+from .params import ModelBundle, materialize_distinct, materialize_tensor, materialize_tucker
 
 
 # ---------------------------------------------------------------------------
@@ -72,17 +71,6 @@ def fwfm_pair_batch(A: np.ndarray, pair_matrix: np.ndarray) -> tuple[np.ndarray,
     return 0.5 * (abar * sa).sum(axis=(1, 2)), sa
 
 
-def planned_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
-    """``np.einsum(subscripts, *operands, optimize=True)`` with its
-    contraction path planned once per subscripts and operand shapes."""
-    return np.einsum(subscripts, *operands, optimize=_einsum_path(subscripts, *(op.shape for op in operands)))
-
-
-@functools.lru_cache(maxsize=256)
-def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
-    return np.einsum_path(subscripts, *(np.broadcast_to(0.0, shape) for shape in shapes), optimize="greedy")[0]
-
-
 def order_tables(G: np.ndarray, span: tuple[int, int, int]) -> np.ndarray:
     """The (B, k, order, rank) view of the factor-stack products ``G`` that
     holds one order's tables; ``[:, :, b]`` is mode b's."""
@@ -109,10 +97,20 @@ def tucker_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
 
 def tucker_order_batch(g: np.ndarray, core: np.ndarray) -> np.ndarray:
     """One Tucker order's term: its core contracted with the mode tables of
-    its :func:`order_tables` view."""
-    axes = AXES[: core.ndim]
-    subscripts = axes + "," + ",".join(f"bh{a}" for a in axes) + "->b"
-    return planned_einsum(subscripts, core, *(g[:, :, b] for b in range(core.ndim)))
+    its :func:`order_tables` view, as a chain of matrix products.
+
+    The last mode's tables meet the core unfolded along its last axis in one
+    GEMM over the B·k coordinate rows, giving a (B·k, r^(order-1)) array.
+    Modes order-2 down to 1 each contract that array's trailing axis with
+    one batched (r^m, r) @ (r, 1) product. Mode 0 and the sum over the k
+    coordinates are one (1, k·r) @ (k·r, 1) product per batch row.
+    """
+    batch, k, order, rank = g.shape
+    rows = g.reshape(batch * k, order, rank)
+    x = rows[:, order - 1] @ core.reshape(-1, rank).T
+    for m in range(order - 2, 0, -1):
+        x = x.reshape(batch * k, -1, rank) @ rows[:, m, :, None]
+    return (x.reshape(batch, 1, k * rank) @ g[:, :, 0].reshape(batch, k * rank, 1)).reshape(batch)
 
 
 def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:

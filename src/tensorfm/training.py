@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
 from .metrics import auc, logloss, softplus
-from .params import AXES, ModelBundle, init
-from .scoring import ForwardCache, _as_batch, forward_batch, order_tables, planned_einsum, score_dataset, sigmoid
+from .params import ModelBundle, init
+from .scoring import ForwardCache, _as_batch, forward_batch, order_tables, score_dataset, sigmoid
 
 
 # Added to the root of each AdaGrad accumulator so an untouched coordinate
@@ -87,14 +87,29 @@ def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
 def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
     """For the mode tables g[:, :, 0..l-1] of one Tucker order, write into
     out[:, :, b] the core contracted with every mode table but b's, and
-    return the gradient of the core."""
-    axes = AXES[: core.ndim]
-    specs = [f"zh{a}" for a in axes]
-    tables = [g[:, :, b] for b in range(core.ndim)]
-    for b in range(core.ndim):
-        others = ",".join(specs[:b] + specs[b + 1 :])
-        out[:, :, b] = planned_einsum(f"{axes},{others}->{specs[b]}", core, *tables[:b], *tables[b + 1 :])
-    return planned_einsum("z," + ",".join(specs) + "->" + axes, upstream, *tables)
+    return the gradient of the core.
+
+    Both are chains of matrix products over the B·k coordinate rows. For
+    mode b the core's axis b is moved last; the first other mode's tables
+    meet the core unfolded along its first axis in one GEMM, and each later
+    other mode contracts the leading axis of the result with one batched
+    (1, r) @ (r, r^m) product, leaving the (B·k, r) rest. The core gradient
+    is one GEMM: mode 0's tables, weighted by each row's upstream value,
+    against the Khatri-Rao product of modes 1..l-1 built by broadcasting.
+    """
+    batch, k, order, rank = g.shape
+    rows = g.reshape(batch * k, order, rank)
+    for b in range(order):
+        others = [m for m in range(order) if m != b]
+        x = rows[:, others[0]] @ np.moveaxis(core, b, -1).reshape(rank, -1)
+        for m in others[1:]:
+            x = rows[:, m, None, :] @ x.reshape(batch * k, rank, -1)
+        out[:, :, b] = x.reshape(batch, k, rank)
+    khatri_rao = rows[:, 1]
+    for m in range(2, order):
+        khatri_rao = (khatri_rao[:, :, None] * rows[:, m, None, :]).reshape(batch * k, -1)
+    weighted = (g[:, :, 0] * upstream[:, None, None]).reshape(batch * k, rank)
+    return (weighted.T @ khatri_rao).reshape(core.shape)
 
 
 def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> dict[str, np.ndarray]:

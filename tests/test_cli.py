@@ -235,12 +235,19 @@ class TestExitCodes:
         ("synth", ["--fractions", "0.5,0.3,0.3"]),
         ("prep", ["--fractions", "0.5,0.3,0.3"]),
         ("prep", ["--fractions", "0.9,0.1,0"]),
+        ("synth", ["--noise", "-1"]),
     ])
     def test_bad_count_or_fractions_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:
             main([command, *bad, "--out-prefix", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert bad[0] in capsys.readouterr().err
+
+    def test_order_above_fields_is_usage_error(self, tmp_path, capsys):
+        code = main(["synth", "--order", "4", "--fields", "3", "--out-prefix", str(tmp_path / "x")])
+        assert code == 2
+        assert "--order" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_flag_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:
@@ -272,6 +279,20 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert "embeddings" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["x 0:1 1:2 2:0", "1 0:a 1:2 2:0", "1 0:1 0:2 2:0", "1 0:1 1:2:nan 2:0"])
+    def test_corrupt_dataset_line_is_data_error(self, synth_files, tmp_path, capsys, line):
+        model = tmp_path / "m.txt"
+        main(["train", "--train", f"{synth_files}.train.txt", "--model", "lr",
+              "--epochs", "1", "--out", str(model)])
+        data = tmp_path / "bad.txt"
+        header = Path(f"{synth_files}.test.txt").read_text().splitlines()[0]
+        data.write_text(f"{header}\n1 0:1 1:2 2:0\n{line}\n")
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model), "--data", str(data)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "bad.txt:3" in err and "Traceback" not in err
 
     def test_help_lists_flags(self, capsys):
         for command in ("synth", "prep", "train", "eval", "grid", "bench-flops", "bench-latency", "interpret"):

@@ -100,6 +100,30 @@ class TestTextFormat:
         with pytest.raises(DataError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("line, reason", [
+        ("x 0:1 1:2", "bad token"),
+        ("1 0:a 1:2", "bad token"),
+        ("1 0:1 1:2:x", "bad token"),
+        ("1 0:1 0:2", "exactly once"),
+        ("1 0:1 1:2:nan", "non-finite"),
+        ("1 0:1 1:2:-inf", "non-finite"),
+        ("300 0:1 1:2", "label"),
+        ("1 0:99999999999 1:2", "bad token"),
+    ])
+    def test_bad_line_names_path_and_line(self, tmp_path, line, reason):
+        path = tmp_path / "bad.txt"
+        path.write_text("#schema 3,3\n1 0:1 1:2\n\n" + line + "\n")
+        with pytest.raises(DataError, match=f"bad.txt:4: .*{reason}"):
+            read_dataset(path)
+
+    def test_fields_in_any_order_with_blank_lines(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("#schema 3,3\n\n0 1:2 0:1:2.5\n  \n1 0:0 1:1\n")
+        back = read_dataset(path)
+        np.testing.assert_array_equal(back.active, [[1, 2], [0, 1]])
+        np.testing.assert_array_equal(back.values, [[2.5, 1.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(back.labels, [0, 1])
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         schema = build_schema([3, 3])
         ds = Dataset(schema, np.array([[0, 1], [2, 0], [1, 1]]), labels=np.array([1, 0, 1]))

@@ -23,6 +23,7 @@ from tensorfm import (
     score,
     symmetrize,
 )
+import tensorfm.params as params_module
 from tensorfm.params import MAX_DENSE_ENTRIES
 
 SCHEMA = build_schema([3, 4, 2, 5])
@@ -331,6 +332,49 @@ class TestCorruptModelFile:
         with pytest.raises(ModelIOError, match="embeddings"):
             load_bundle(path)
 
+    @pytest.mark.parametrize("edit", ["short_row", "long_row", "blank_line", "truncated"])
+    def test_bad_row_names_the_block(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        lines = path.read_text().splitlines()
+        row = lines.index(f"block embeddings {SCHEMA.m}x3") + 2
+        if edit == "short_row":
+            lines[row] = " ".join(lines[row].split()[:-1])
+        elif edit == "long_row":
+            lines[row] += " 1.0"
+        elif edit == "blank_line":
+            lines.insert(row, "")
+        else:
+            lines = lines[: row + 1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelIOError, match="embeddings"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("edit", [None, "bad_token", "truncated"])
+    def test_blocks_read_in_several_slices(self, tmp_path, monkeypatch, edit):
+        monkeypatch.setattr(params_module, "READ_ROWS", 3)
+        path = tmp_path / "m.txt"
+        bundle = init("tensorfm", SCHEMA, k=3, d=3, r_vec=2, init_scale=0.5, seed=4)
+        save_bundle(bundle, path)
+        lines = path.read_text().splitlines()
+        last = lines.index(f"block embeddings {SCHEMA.m}x3") + SCHEMA.m  # in the block's last slice
+        if edit is None:
+            back = load_bundle(path)
+            assert all(np.array_equal(back.blocks[name], bundle.blocks[name]) for name in bundle.blocks)
+            return
+        if edit == "bad_token":
+            lines[last] = "0x1p3 " + lines[last].split(maxsplit=1)[1]
+        else:
+            lines = lines[:last]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelIOError, match="embeddings"):
+            load_bundle(path)
+
+    def test_zero_width_block_round_trips(self, tmp_path):
+        path = tmp_path / "m.txt"
+        bundle = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=0)
+        save_bundle(bundle, path)
+        assert load_bundle(path).blocks["pair.upper"].shape == (0,)
+
     def test_unknown_kind_is_a_model_file_error(self, tmp_path):
         path = self._saved(tmp_path)
         path.write_text(path.read_text().replace("kind fm", "kind deepfm"))
@@ -340,8 +384,6 @@ class TestCorruptModelFile:
 
 class TestAtomicSave:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        import tensorfm.params as params_module
-
         path = tmp_path / "m.txt"
         save_bundle(init("fm", SCHEMA, k=3, seed=0), path)
         before = path.read_bytes()

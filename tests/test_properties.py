@@ -1,5 +1,9 @@
 """Property tests: random schemas (n = 2..6), orders d = 2..4 and unequal
-ranks per order, on both tensor kinds."""
+ranks per order. Each example builds one bundle of every kind it covers
+over the same schema. Oracle agreement, finite differences, batch
+gradients and seeded determinism cover every kind; copies cover the two
+tensor kinds, whose factor blocks view one stack; a d=5 Tucker check
+covers a longer contraction chain."""
 
 import copy
 import pickle
@@ -9,28 +13,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tensorfm as tfm
-from tensorfm.params import TENSOR_KINDS
+from tensorfm.params import KINDS, TENSOR_KINDS
+from tensorfm.scoring import forward_batch
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 @st.composite
-def models(draw):
-    """A tensor-kind bundle with non-trivial parameters, plus an RNG for
-    drawing instances."""
-    n = draw(st.integers(2, 6))
-    d = draw(st.integers(2, min(4, n)))
+def models(draw, kinds=KINDS, n_range=(2, 6), d_range=(2, 4)):
+    """One bundle of each of ``kinds`` over one random schema, order and
+    rank list, each with non-trivial parameters, plus an RNG for drawing
+    instances. The pair kinds ignore d and all but the tensor kinds the
+    ranks."""
+    n = draw(st.integers(*n_range))
+    d = draw(st.integers(d_range[0], min(d_range[1], n)))
     # d - 1 <= n - 1 distinct ranks in [1, n]: every order has its own rank
     ranks = draw(st.lists(st.integers(1, n), min_size=d - 1, max_size=d - 1, unique=True))
     schema = tfm.build_schema(draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))
-    kind = draw(st.sampled_from(TENSOR_KINDS))
+    k = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**31))
-    bundle = tfm.init(kind, schema, k=draw(st.integers(1, 4)), d=d, r_vec=tuple(ranks), init_scale=0.5, seed=seed)
     rng = np.random.default_rng(seed)
-    bundle.blocks["linear.w"][:] = rng.normal(size=schema.m) * 0.5
-    bundle.blocks["linear.b"][:] = rng.normal()
-    return bundle, rng
+    bundles = []
+    for kind in kinds:
+        bundle = tfm.init(kind, schema, k=k, d=d, r_vec=tuple(ranks), init_scale=0.5, seed=seed)
+        bundle.blocks["linear.w"][:] = rng.normal(size=schema.m) * 0.5
+        bundle.blocks["linear.b"][:] = rng.normal()
+        bundles.append(bundle)
+    return bundles, rng
 
 
 def random_instance(schema, rng):
@@ -41,58 +51,94 @@ def random_instance(schema, rng):
 @PROPERTY
 @given(models())
 def test_score_equals_oracle(model):
-    bundle, rng = model
+    bundles, rng = model
     for _ in range(3):
-        inst = random_instance(bundle.schema, rng)
-        oracle = tfm.score_naive_oracle(bundle, inst)
-        assert abs(tfm.score(bundle, inst) - oracle) <= 1e-9 * max(1.0, abs(oracle))
+        inst = random_instance(bundles[0].schema, rng)
+        for bundle in bundles:
+            oracle = tfm.score_naive_oracle(bundle, inst)
+            assert abs(tfm.score(bundle, inst) - oracle) <= 1e-9 * max(1.0, abs(oracle)), bundle.kind
 
 
 @PROPERTY
 @given(models())
 def test_backward_equals_central_differences(model):
-    bundle, rng = model
-    inst = random_instance(bundle.schema, rng)
-    grads = tfm.backward(bundle, inst, upstream=1.0)
-    assert list(grads) == list(bundle.blocks)
+    bundles, rng = model
+    inst = random_instance(bundles[0].schema, rng)
+    upstream = rng.uniform(-2.0, 2.0)
     h = 1e-5
-    for name, arr in bundle.blocks.items():
-        # at most 12 coordinates per block keep an example under a second
-        for flat in rng.permutation(arr.size)[:12]:
-            ix = np.unravel_index(flat, arr.shape)
-            orig = arr[ix]
-            arr[ix] = orig + h
-            up = tfm.score(bundle, inst)
-            arr[ix] = orig - h
-            down = tfm.score(bundle, inst)
-            arr[ix] = orig
-            numeric, analytic = (up - down) / (2 * h), grads[name][ix]
-            assert abs(numeric - analytic) <= 1e-5 * max(abs(numeric), abs(analytic), 1.0), (name, ix)
+    for bundle in bundles:
+        grads = tfm.backward(bundle, inst, upstream=upstream)
+        assert list(grads) == list(bundle.blocks)
+        for name, arr in bundle.blocks.items():
+            # at most 12 coordinates per block keep an example under a second
+            for flat in rng.permutation(arr.size)[:12]:
+                ix = np.unravel_index(flat, arr.shape)
+                orig = arr[ix]
+                arr[ix] = orig + h
+                up = tfm.score(bundle, inst)
+                arr[ix] = orig - h
+                down = tfm.score(bundle, inst)
+                arr[ix] = orig
+                numeric, analytic = upstream * (up - down) / (2 * h), grads[name][ix]
+                assert abs(numeric - analytic) <= 1e-5 * max(abs(numeric), abs(analytic), 1.0), (bundle.kind, name, ix)
 
 
 @PROPERTY
 @given(models())
+def test_batch_gradient_is_the_upstream_weighted_sum_of_instance_gradients(model):
+    bundles, rng = model
+    insts = [random_instance(bundles[0].schema, rng) for _ in range(5)]
+    upstream = rng.normal(size=len(insts))
+    gidx = np.stack([inst.active + bundles[0].schema.offsets for inst in insts])
+    vals = np.stack([inst.values for inst in insts])
+    for bundle in bundles:
+        batch = tfm.backward_from_cache(bundle, forward_batch(bundle, gidx, vals), upstream)
+        singles = [tfm.backward(bundle, inst, upstream=u) for inst, u in zip(insts, upstream)]
+        for name in bundle.blocks:
+            want = sum(grads[name] for grads in singles)
+            np.testing.assert_allclose(batch[name], want, rtol=1e-10, atol=1e-12, err_msg=f"{bundle.kind} {name}")
+
+
+@PROPERTY
+@given(models(TENSOR_KINDS))
 def test_copies_score_identically_and_own_their_factors(model):
-    bundle, rng = model
-    insts = [random_instance(bundle.schema, rng) for _ in range(3)]
-    before = [tfm.score(bundle, inst) for inst in insts]
-    for other in (copy.deepcopy(bundle), pickle.loads(pickle.dumps(bundle))):
-        assert [tfm.score(other, inst) for inst in insts] == before
-        name = next(name for name in other.blocks if ".factor." in name)
-        other.blocks[name][...] += 0.25
-        assert [tfm.score(other, inst) for inst in insts] != before
-        assert [tfm.score(bundle, inst) for inst in insts] == before
+    bundles, rng = model
+    insts = [random_instance(bundles[0].schema, rng) for _ in range(3)]
+    for bundle in bundles:
+        before = [tfm.score(bundle, inst) for inst in insts]
+        for other in (copy.deepcopy(bundle), pickle.loads(pickle.dumps(bundle))):
+            assert [tfm.score(other, inst) for inst in insts] == before
+            name = next(name for name in other.blocks if ".factor." in name)
+            other.blocks[name][...] += 0.25
+            assert [tfm.score(other, inst) for inst in insts] != before
+            assert [tfm.score(bundle, inst) for inst in insts] == before
 
 
 @PROPERTY
 @given(models())
 def test_seeded_training_is_bit_reproducible(model):
-    bundle, rng = model
-    n_rows = 48
-    active = np.stack([rng.integers(0, c, size=n_rows) for c in bundle.schema.cardinalities], axis=1)
+    bundles, rng = model
+    schema, n_rows = bundles[0].schema, 48
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in schema.cardinalities], axis=1)
     values = rng.uniform(0.5, 1.5, size=active.shape)
-    dataset = tfm.Dataset(bundle.schema, active, values, rng.integers(0, 2, size=n_rows))
+    dataset = tfm.Dataset(schema, active, values, rng.integers(0, 2, size=n_rows))
     config = tfm.TrainConfig(learning_rate=0.1, l2=1e-3, epochs=2, batch_size=16, seed=7)
-    runs = [tfm.train(copy.deepcopy(bundle), dataset, None, config)[0] for _ in range(2)]
-    for name in bundle.blocks:
-        assert np.array_equal(runs[0].blocks[name], runs[1].blocks[name]), name
+    for bundle in bundles:
+        runs = [tfm.train(copy.deepcopy(bundle), dataset, None, config)[0] for _ in range(2)]
+        for name in bundle.blocks:
+            assert np.array_equal(runs[0].blocks[name], runs[1].blocks[name]), (bundle.kind, name)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(models(("tensorfm-tucker",), n_range=(5, 6), d_range=(5, 5)))
+def test_order_five_tucker_batch_scores_equal_single_scores(model):
+    (bundle,), rng = model
+    n_rows = 24
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in bundle.schema.cardinalities], axis=1)
+    dataset = tfm.Dataset(bundle.schema, active, rng.uniform(0.5, 1.5, size=active.shape))
+    batch = tfm.score_dataset(bundle, dataset, batch_size=10)
+    for i in range(n_rows):
+        one = tfm.score(bundle, dataset.instance(i))
+        assert abs(batch[i] - one) <= 1e-12 * max(1.0, abs(one)), i
+    oracle = tfm.score_naive_oracle(bundle, dataset.instance(0))
+    assert abs(batch[0] - oracle) <= 1e-9 * max(1.0, abs(oracle))
