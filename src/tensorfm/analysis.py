@@ -2,9 +2,11 @@
 
 FLOPs counts are exact closed forms over the mathematical formulation of each
 scorer (one count per scalar multiply or add), so cost comparisons do not
-depend on vectorization details. Latency measurement, by contrast, times the
-real batch scorers and is only meaningful for ordinal comparisons on one
-machine.
+depend on vectorization details. A kind is stated in two places:
+``params.block_layout`` for its blocks and ``scoring.KERNELS`` for its math,
+whose ``flops`` gives the kind's own count. Latency measurement, by contrast,
+times the real batch scorers and is only meaningful for ordinal comparisons
+on one machine.
 
 The interpretability pipeline compares two per-field-combination rankings:
 the occurrence-weighted magnitude of the model's learned interaction terms,
@@ -23,7 +25,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, MetricError
 from .params import ModelBundle, canonical_args
-from .scoring import interaction_tensors, score_dataset
+from .scoring import KERNELS, interaction_tensors, score_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -41,22 +43,6 @@ class FlopsModel:
     flops: int
 
 
-def _linear_flops(n: int) -> int:
-    # n multiply-adds plus the bias add
-    return 2 * n + 1
-
-
-def _gather_flops(n: int, k: int) -> int:
-    # scaling each gathered embedding by the instance multiplier
-    return n * k
-
-
-def _cp_order_flops(n: int, k: int, order: int, rank: int) -> int:
-    # order * k * rank dot products of length n, then an (order-1)-way
-    # product and accumulation per (coordinate, component) pair
-    return order * k * rank * 2 * n + k * rank * order
-
-
 def flops_estimate(
     kind: str,
     n: int,
@@ -64,44 +50,14 @@ def flops_estimate(
     d: int = 2,
     r_vec: tuple[int, ...] | int | None = None,
 ) -> FlopsModel:
-    """Closed-form scalar operation count for one forward pass.
-
-    Formulas per kind (beyond the shared linear term ``2n + 1`` and, for the
-    embedded kinds, the ``nk`` multiplier scaling):
-
-    - ``fm``: field sum ``(n-1)k``, its squared norm ``2k - 1``, the summed
-      squared field norms ``2nk - 1``, difference and halving ``2``.
-    - ``fwfm``: ``n(n-1)/2`` field pairs, each a length-k dot product plus
-      weighting and accumulation, ``2k + 2`` each.
-    - ``tensorfm``: per order l of rank r, ``l*k*r`` length-n dot products
-      plus the across-mode product-and-sum, i.e. ``2*n*k*r*l + k*r*l``.
-      ``fwfm-lowrank`` is counted as ``tensorfm`` with d=2.
-    - ``hofm``: the degree-d dynamic program, ``2nkd`` plus the ``(d-1)k``
-      final accumulation.
-    - ``tensorfm-tucker``: per order, mode products ``2*n*k*r*l`` plus the
-      core contraction ``(r**l) * (l*k + 2)``.
-    """
+    """Closed-form scalar operation count for one forward pass: the linear
+    term's ``2n + 1`` (n multiply-adds plus the bias add), the ``nk``
+    scaling of the gathered embeddings by their multipliers, and the count
+    of the kind's kernel, whose ``flops`` states its formula."""
     kind, k, d, r_vec = canonical_args(kind, k, d, r_vec)
-    total = _linear_flops(n)
-    if kind == "lr":
-        return FlopsModel(kind, n, 0, 1, (), total)
-
-    total += _gather_flops(n, k)
-    if kind == "fm":
-        total += (n - 1) * k + (2 * k - 1) + (2 * n * k - 1) + 2
-    elif kind == "fwfm":
-        total += n * (n - 1) // 2 * (2 * k + 2)
-    elif kind == "hofm":
-        total += 2 * n * k * d + (d - 1) * k
-    elif kind == "tensorfm":
-        for order, r in zip(range(2, d + 1), r_vec):
-            total += _cp_order_flops(n, k, order, r)
-    elif kind == "tensorfm-tucker":
-        for order, r in zip(range(2, d + 1), r_vec):
-            total += 2 * n * k * r * order + (r**order) * (order * k + 2)
-    else:
+    if kind not in KERNELS:
         raise ConfigError(f"unknown model kind {kind!r}")
-    return FlopsModel(kind, n, k, d, r_vec, total)
+    return FlopsModel(kind, n, k, d, r_vec, 2 * n + 1 + n * k + KERNELS[kind].flops(n, k, d, r_vec))
 
 
 # ---------------------------------------------------------------------------
@@ -149,24 +105,6 @@ def time_inference(
 # ---------------------------------------------------------------------------
 
 
-def _tuple_keys(dataset: Dataset, fields: tuple[int, ...]) -> np.ndarray:
-    """Integer key per instance identifying its feature tuple at ``fields``."""
-    cards = dataset.schema.cardinalities
-    keys = np.zeros(len(dataset), dtype=np.int64)
-    for f in fields:
-        keys = keys * cards[f] + dataset.active[:, f]
-    return keys
-
-
-def _decode_keys(keys: np.ndarray, cards: list[int]) -> np.ndarray:
-    out = np.empty((len(keys), len(cards)), dtype=np.int64)
-    rem = keys.copy()
-    for pos in range(len(cards) - 1, -1, -1):
-        out[:, pos] = rem % cards[pos]
-        rem //= cards[pos]
-    return out
-
-
 def learned_strength(
     bundle: ModelBundle,
     train_set: Dataset,
@@ -187,22 +125,18 @@ def learned_strength(
     tensor = tensors[order]
     emb = bundle.blocks["embeddings"]
     offsets = train_set.schema.offsets
-    cards = train_set.schema.cardinalities
     n = train_set.schema.n
 
     out: dict[tuple[int, ...], float] = {}
     for combo in itertools.combinations(range(n), order):
         # mean |tensor entry| over orderings of this field combination
-        weight = 0.0
-        for perm in itertools.permutations(combo):
-            weight += abs(float(tensor[perm]))
-        weight /= math.factorial(order)
+        weight = sum(abs(float(tensor[perm])) for perm in itertools.permutations(combo)) / math.factorial(order)
 
-        keys, counts = np.unique(_tuple_keys(train_set, combo), return_counts=True)
-        locals_ = _decode_keys(keys, [cards[f] for f in combo])
-        prod = np.ones((len(keys), emb.shape[1]))
+        # the distinct feature tuples at these fields, in lexicographic order
+        tuples, counts = np.unique(train_set.active[:, combo], axis=0, return_counts=True)
+        prod = np.ones((len(tuples), emb.shape[1]))
         for pos, f in enumerate(combo):
-            prod *= emb[offsets[f] + locals_[:, pos]]
+            prod *= emb[offsets[f] + tuples[:, pos]]
         inner = prod.sum(axis=1)
         out[combo] = float((np.abs(inner) * weight * counts).sum() / counts.sum())
     return out
@@ -213,11 +147,10 @@ def mutual_information(train_set: Dataset, fields: tuple[int, ...]) -> float:
     ``fields`` and the label, from empirical frequencies."""
     if len(train_set) == 0:
         raise ConfigError("mutual information needs a non-empty dataset")
-    keys = _tuple_keys(train_set, tuple(fields))
+    _, key_ids = np.unique(train_set.active[:, list(fields)], axis=0, return_inverse=True)
     y = train_set.labels.astype(np.int64)
     n = float(len(train_set))
 
-    _, key_ids = np.unique(keys, return_inverse=True)
     joint = np.zeros((key_ids.max() + 1, 2))
     np.add.at(joint, (key_ids, y), 1.0)
     p_joint = joint / n

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -35,15 +36,7 @@ from .errors import (
 _USAGE_ERRORS = (ConfigError,)
 _DATA_ERRORS = (DataError, SchemaError, ModelIOError, MetricError, FileNotFoundError)
 
-MODEL_FLAG_TO_KIND = {
-    "lr": "lr",
-    "fm": "fm",
-    "fwfm": "fwfm",
-    "fwfm-lr": "fwfm-lowrank",
-    "hofm": "hofm",
-    "tensorfm": "tensorfm",
-    "tensorfm-tucker": "tensorfm-tucker",
-}
+MODEL_FLAG_TO_KIND = {**{kind: kind for kind in params.KINDS}, "fwfm-lr": "fwfm-lowrank"}
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +268,7 @@ def cmd_bench_flops(a: argparse.Namespace) -> int:
     for kind_flag in a.kinds:
         kind = _kind(kind_flag)
         for n in a.sweep_n:
-            d = min(a.d, n) if kind in params.HIGHER_ORDER_KINDS else a.d
-            fm = analysis.flops_estimate(kind, n, k=a.k, d=d, r_vec=a.rank)
+            fm = analysis.flops_estimate(kind, n, k=a.k, d=min(a.d, n), r_vec=a.rank)
             rows.append([kind_flag, n, a.k, fm.d, a.rank, fm.flops])
     _write_csv(a.out, ["kind", "n", "k", "d", "r", "flops"], rows)
     print(f"wrote {len(rows)} rows to {a.out}")
@@ -334,15 +326,7 @@ def cmd_interpret(a: argparse.Namespace) -> int:
         "order": a.order,
         "n_tuples": len(report.tuples),
         "pearson": report.pearson,
-        "overlap": [
-            {
-                "k": p.k,
-                "overlap": p.overlap,
-                "baseline_squared": p.baseline_squared,
-                "baseline_uniform": p.baseline_uniform,
-            }
-            for p in report.topk_overlap
-        ],
+        "overlap": [dataclasses.asdict(p) for p in report.topk_overlap],
     }
     with open(f"{a.out_prefix}.summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -190,7 +190,7 @@ def read_dataset(path: str | Path) -> Dataset:
             raise DataError(f"{path}: bad schema header: {exc}") from exc
 
         n = schema.n
-        active_rows, value_rows, labels = [], [], []
+        active_rows, value_rows, labels, linenos = [], [], [], []
         for lineno, line in enumerate(fh, start=2):
             toks = line.split()
             if not toks:
@@ -225,9 +225,14 @@ def read_dataset(path: str | Path) -> Dataset:
             labels.append(label)
             active_rows.append(act)
             value_rows.append(val)
+            linenos.append(lineno)
 
     n_rows = len(active_rows)
     active = np.vstack(active_rows) if n_rows else np.zeros((0, schema.n), dtype=np.int32)
+    bad = (active < 0) | (active >= np.asarray(schema.cardinalities))
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        raise DataError(f"{path}:{linenos[row]}: feature index {active[row, j]} out of range for field {j}")
     values = np.vstack(value_rows) if n_rows else np.ones((0, schema.n), dtype=np.float64)
     return Dataset(schema, active, values, np.asarray(labels, dtype=np.int8), provenance=str(path))
 
@@ -321,11 +326,7 @@ def load_tabular(
         if numeric[c]:
             x = np.asarray([float(s) for s in col])
             lo, hi = float(x.min()), float(x.max())
-            span = hi - lo
-            if span > 0:
-                xn = (x - lo) / span
-            else:
-                xn = np.zeros_like(x)
+            xn = (x - lo) / (hi - lo) if hi > lo else np.zeros_like(x)
             bins = np.minimum((xn * numeric_bins).astype(np.int64), numeric_bins - 1)
             cardinalities.append(numeric_bins + 1)  # + unknown slot
             encoded.append(bins)

@@ -146,8 +146,36 @@ class ModelBundle:
     factor_spans: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Check the blocks against the layout, put them in layout order and
+        # pack the factor blocks into the stack.
         self.r_vec = tuple(int(r) for r in self.r_vec)
-        validate_bundle(self)
+        layout = block_layout(self.kind, self.schema, self.k, self.d, self.r_vec)
+        expected = dict(layout)
+        for name in self.blocks:
+            if name not in expected:
+                raise ConfigError(f"kind {self.kind!r} has no block {name!r}")
+        for name, shape in layout:
+            if name not in self.blocks:
+                raise ConfigError(f"missing block {name!r}")
+            if self.blocks[name].shape != shape:
+                raise ConfigError(f"block {name!r} has shape {self.blocks[name].shape}, expected {shape}")
+        blocks = {name: self.blocks[name] for name in expected}
+
+        columns, width = {}, 0
+        for name, shape in layout:
+            if ".factor." in name:
+                columns[name] = slice(width, width + shape[1])
+                width += shape[1]
+        stack = np.empty((self.schema.n, width))
+        for name, cols in columns.items():
+            stack[:, cols] = blocks[name]
+            blocks[name] = stack[:, cols]
+        spans, first = [], 0
+        for order, rank in zip(range(2, self.d + 1), self.r_vec):
+            spans.append((order, first, rank))
+            first += order * rank
+        self.blocks, self.factor_stack = blocks, stack
+        self.factor_columns, self.factor_spans = columns, tuple(spans)
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled bundle
@@ -172,38 +200,6 @@ class ModelBundle:
         s = np.zeros((n, n))
         s[np.triu_indices(n, 1)] = self.blocks["pair.upper"]
         return s + s.T
-
-
-def validate_bundle(bundle: ModelBundle) -> None:
-    """Check the blocks against the layout, put them in layout order and
-    pack the factor blocks into ``bundle.factor_stack``."""
-    layout = block_layout(bundle.kind, bundle.schema, bundle.k, bundle.d, bundle.r_vec)
-    expected = dict(layout)
-    for name in bundle.blocks:
-        if name not in expected:
-            raise ConfigError(f"kind {bundle.kind!r} has no block {name!r}")
-    for name, shape in layout:
-        if name not in bundle.blocks:
-            raise ConfigError(f"missing block {name!r}")
-        if bundle.blocks[name].shape != shape:
-            raise ConfigError(f"block {name!r} has shape {bundle.blocks[name].shape}, expected {shape}")
-    blocks = {name: bundle.blocks[name] for name in expected}
-
-    columns, width = {}, 0
-    for name, shape in layout:
-        if ".factor." in name:
-            columns[name] = slice(width, width + shape[1])
-            width += shape[1]
-    stack = np.empty((bundle.schema.n, width))
-    for name, cols in columns.items():
-        stack[:, cols] = blocks[name]
-        blocks[name] = stack[:, cols]
-    spans, first = [], 0
-    for order, rank in zip(range(2, bundle.d + 1), bundle.r_vec):
-        spans.append((order, first, rank))
-        first += order * rank
-    bundle.blocks, bundle.factor_stack = blocks, stack
-    bundle.factor_columns, bundle.factor_spans = columns, tuple(spans)
 
 
 def init(

@@ -1,5 +1,9 @@
 """Forward evaluation of every model kind.
 
+A kind is stated in two places: :func:`params.block_layout` for its blocks
+and its :class:`Kernel` in :data:`KERNELS` for its math. Every kind shares
+the linear term and the embedding gather.
+
 Two routes exist for each model: a fast factorized scorer whose cost is
 linear in the number of fields for the low-rank kinds, and a brute-force
 reference (:func:`score_naive_oracle`) that materializes the interaction
@@ -18,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -43,8 +46,7 @@ def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -
 def embed_view(bundle: ModelBundle, instance: Instance) -> np.ndarray:
     """The per-instance (k, n) embedding matrix: column j is the scaled
     embedding of the feature active in field j."""
-    gidx = instance.active.astype(np.int64) + bundle.schema.offsets
-    return (bundle.blocks["embeddings"][gidx] * instance.values[:, None]).T
+    return gather_embeddings(bundle, *_as_batch(bundle, instance))[0].T
 
 
 def _as_batch(bundle: ModelBundle, instance: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -52,23 +54,14 @@ def _as_batch(bundle: ModelBundle, instance: Instance) -> tuple[np.ndarray, np.n
     return gidx[None, :], np.asarray(instance.values, dtype=np.float64)[None, :]
 
 
-# ---------------------------------------------------------------------------
-# batch interaction terms
-# ---------------------------------------------------------------------------
-
-
 def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     blocks = bundle.blocks
     return blocks["linear.b"] + (blocks["linear.w"][gidx] * vals).sum(axis=1)
 
 
-def fwfm_pair_batch(A: np.ndarray, pair_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Field-weighted pair sum (half the bilinear form of ``pair_matrix``)
-    plus the intermediate product reused by the backward pass."""
-    b, n, k = A.shape
-    abar = A.transpose(0, 2, 1)  # (B, k, n)
-    sa = (abar.reshape(-1, n) @ pair_matrix).reshape(b, k, n)
-    return 0.5 * (abar * sa).sum(axis=(1, 2)), sa
+# ---------------------------------------------------------------------------
+# per-kind interaction math: the batch layers, then one kernel per kind
+# ---------------------------------------------------------------------------
 
 
 def order_tables(G: np.ndarray, span: tuple[int, int, int]) -> np.ndarray:
@@ -88,6 +81,19 @@ def cp_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
 def cp_order_batch(g: np.ndarray) -> np.ndarray:
     """One CP order's term from its :func:`order_tables` view."""
     return g.prod(axis=2).sum(axis=(1, 2))
+
+
+def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
+    """For the tables g[:, :, 0..l-1] of one CP order, write into
+    out[:, :, b] the elementwise product of all tables but g[:, :, b]."""
+    count = g.shape[2]
+    prefix = [np.ones_like(g[:, :, 0])]
+    for i in range(count - 1):
+        prefix.append(prefix[i] * g[:, :, i])
+    suffix = np.ones_like(g[:, :, 0])
+    for i in range(count - 1, -1, -1):
+        np.multiply(prefix[i], suffix, out=out[:, :, i])
+        suffix = suffix * g[:, :, i]
 
 
 def tucker_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -113,6 +119,47 @@ def tucker_order_batch(g: np.ndarray, core: np.ndarray) -> np.ndarray:
     return (x.reshape(batch, 1, k * rank) @ g[:, :, 0].reshape(batch, k * rank, 1)).reshape(batch)
 
 
+def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """For the mode tables g[:, :, 0..l-1] of one Tucker order, write into
+    out[:, :, b] the core contracted with every mode table but b's, and
+    return the gradient of the core.
+
+    Both are chains of matrix products over the B·k coordinate rows. For
+    mode b the core's axis b is moved last; the first other mode's tables
+    meet the core unfolded along its first axis in one GEMM, and each later
+    other mode contracts the leading axis of the result with one batched
+    (1, r) @ (r, r^m) product, leaving the (B·k, r) rest. The core gradient
+    is one GEMM: mode 0's tables, weighted by each row's upstream value,
+    against the Khatri-Rao product of modes 1..l-1 built by broadcasting.
+    """
+    batch, k, order, rank = g.shape
+    rows = g.reshape(batch * k, order, rank)
+    for b in range(order):
+        others = [m for m in range(order) if m != b]
+        x = rows[:, others[0]] @ np.moveaxis(core, b, -1).reshape(rank, -1)
+        for m in others[1:]:
+            x = rows[:, m, None, :] @ x.reshape(batch * k, rank, -1)
+        out[:, :, b] = x.reshape(batch, k, rank)
+    khatri_rao = rows[:, 1]
+    for m in range(2, order):
+        khatri_rao = (khatri_rao[:, :, None] * rows[:, m, None, :]).reshape(batch * k, -1)
+    weighted = (g[:, :, 0] * upstream[:, None, None]).reshape(batch * k, rank)
+    return (weighted.T @ khatri_rao).reshape(core.shape)
+
+
+def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, upstream: np.ndarray, grads) -> np.ndarray:
+    """Two GEMMs from ``rest``, d score / d G of the factor-stack tables (CP:
+    the product of the order's other tables; Tucker: the core contracted with
+    them): return d_a, and put every factor block's gradient in ``grads``."""
+    batch, n, k = A.shape
+    rest = rest.reshape(batch * k, -1)
+    d_a = (rest @ bundle.factor_stack.T).reshape(batch, k, n).transpose(0, 2, 1)
+    weighted = np.multiply(A.transpose(0, 2, 1), upstream[:, None, None], order="C").reshape(batch * k, n)
+    stack_grad = weighted.T @ rest
+    grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
+    return d_a
+
+
 def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
     """Dynamic-program table for sums of distinct-field products.
 
@@ -132,6 +179,167 @@ def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
     return dp
 
 
+class Kernel:
+    """One kind's interaction math; this base is lr's, which has none.
+
+    Kernels call the layers above by this module's names, so rebinding a
+    module attribute (as a tracer does) reaches them.
+    """
+
+    def terms(self, bundle, A):
+        """The per-order (B,) terms of the gathered embeddings ``A``, and the
+        state that :meth:`d_a` reuses."""
+        return (), None
+
+    def d_a(self, bundle, A, state, upstream, grads):
+        """d score / d A per row before ``upstream`` (None without embeddings);
+        the kind's own blocks' upstream-weighted gradients go in ``grads``."""
+        return None
+
+    def tensors(self, bundle):
+        """The dense per-order interaction tensors."""
+        return {}
+
+    def flops(self, n, k, d, r_vec):
+        """The forward count beyond the linear term and the gather."""
+        return 0
+
+
+class _FM(Kernel):
+    """fm: the state is the (B, k) field sum; the order-t tensor holds 1/t!
+    on every tuple of distinct fields, so each field subset counts once."""
+
+    def terms(self, bundle, A):
+        field_sum = A.sum(axis=1)
+        return (0.5 * ((field_sum**2).sum(axis=1) - (A * A).sum(axis=(1, 2))),), field_sum
+
+    def d_a(self, bundle, A, field_sum, upstream, grads):
+        return field_sum[:, None, :] - A
+
+    def tensors(self, bundle):
+        return {order: materialize_distinct(bundle.schema.n, order) for order in range(2, max(bundle.d, 2) + 1)}
+
+    def flops(self, n, k, d, r_vec):
+        # field sum (n-1)k, its squared norm 2k-1, the summed squared field
+        # norms 2nk-1, difference and halving 2
+        return (n - 1) * k + (2 * k - 1) + (2 * n * k - 1) + 2
+
+
+class _HOFM(_FM):
+    """hofm: fm's tensors up to order d; the state is the DP table."""
+
+    def terms(self, bundle, A):
+        dp = hofm_table_batch(A, bundle.d)
+        return (dp[-1, 2:].sum(axis=(0, 2)),), dp
+
+    def d_a(self, bundle, A, dp, upstream, grads):
+        batch, n, k = A.shape
+        d_a = np.zeros_like(A)
+        adj = np.zeros((bundle.d + 1, batch, k))
+        adj[2:] = 1.0
+        for j in range(n, 0, -1):
+            aj = A[:, j - 1, :]
+            for t in range(1, bundle.d + 1):
+                d_a[:, j - 1, :] += adj[t] * dp[j - 1, t - 1]
+            for t in range(1, bundle.d + 1):
+                adj[t - 1] += adj[t] * aj
+        return d_a
+
+    def flops(self, n, k, d, r_vec):
+        # the degree-d dynamic program 2nkd plus the (d-1)k final accumulation
+        return 2 * n * k * d + (d - 1) * k
+
+
+class _FwFM(Kernel):
+    """fwfm: half the bilinear form of the field-pair matrix S, so the order-2
+    tensor is S/2; the state is S applied to the (B, k, n) coordinate rows."""
+
+    def terms(self, bundle, A):
+        batch, n, k = A.shape
+        abar = A.transpose(0, 2, 1)
+        sa = (abar.reshape(-1, n) @ bundle.dense_s).reshape(batch, k, n)
+        return (0.5 * (abar * sa).sum(axis=(1, 2)),), sa
+
+    def d_a(self, bundle, A, sa, upstream, grads):
+        n = A.shape[1]
+        abar = A.transpose(0, 2, 1)
+        ds_full = 0.5 * ((abar * upstream[:, None, None]).reshape(-1, n).T @ abar.reshape(-1, n))
+        iu = np.triu_indices(n, 1)
+        grads["pair.upper"] = ds_full[iu] + ds_full.T[iu]
+        return sa.transpose(0, 2, 1).copy()
+
+    def tensors(self, bundle):
+        return {2: bundle.dense_s / 2.0}
+
+    def flops(self, n, k, d, r_vec):
+        # n(n-1)/2 field pairs, each a length-k dot product plus weighting
+        # and accumulation: 2k + 2 each
+        return n * (n - 1) // 2 * (2 * k + 2)
+
+
+class _CP(Kernel):
+    """tensorfm: the state is the factor-stack tables G."""
+
+    def terms(self, bundle, A):
+        G = cp_mode_products(A, bundle.factor_stack)
+        return [cp_order_batch(order_tables(G, span)) for span in bundle.factor_spans], G
+
+    def d_a(self, bundle, A, G, upstream, grads):
+        rest = np.empty_like(G)
+        for span in bundle.factor_spans:
+            _leave_one_out(order_tables(G, span), order_tables(rest, span))
+        return _factor_gradients(bundle, A, rest, upstream, grads)
+
+    def tensors(self, bundle):
+        blocks = bundle.blocks
+        return {order: materialize_tensor([blocks[name] for name in names]) for order, names in bundle.factor_sets}
+
+    def flops(self, n, k, d, r_vec):
+        # per order l of rank r, l*k*r length-n dot products plus the
+        # across-mode product-and-sum: 2nkrl + krl (fwfm-lowrank is d=2)
+        return sum(order * k * r * 2 * n + k * r * order for order, r in zip(range(2, d + 1), r_vec))
+
+
+class _Tucker(Kernel):
+    """tensorfm-tucker: the state is the factor-stack tables G."""
+
+    def terms(self, bundle, A):
+        G = tucker_mode_products(A, bundle.factor_stack)
+        return [
+            tucker_order_batch(order_tables(G, span), bundle.blocks[names[0]])
+            for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets)
+        ], G
+
+    def d_a(self, bundle, A, G, upstream, grads):
+        rest = np.empty_like(G)
+        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
+            core = names[0]
+            grads[core] = _tucker_rest(order_tables(G, span), bundle.blocks[core], upstream, order_tables(rest, span))
+        return _factor_gradients(bundle, A, rest, upstream, grads)
+
+    def tensors(self, bundle):
+        blocks = bundle.blocks
+        return {
+            order: materialize_tucker(blocks[core], [blocks[name] for name in names])
+            for order, (core, *names) in bundle.factor_sets
+        }
+
+    def flops(self, n, k, d, r_vec):
+        # per order l of rank r, the mode products 2nkrl plus the core
+        # contraction r^l (lk + 2)
+        return sum(2 * n * k * r * order + (r**order) * (order * k + 2) for order, r in zip(range(2, d + 1), r_vec))
+
+
+KERNELS = {
+    "lr": Kernel(),
+    "fm": _FM(),
+    "fwfm": _FwFM(),
+    "hofm": _HOFM(),
+    "tensorfm": _CP(),
+    "tensorfm-tucker": _Tucker(),
+}
+
+
 # ---------------------------------------------------------------------------
 # full forward pass with gradient cache
 # ---------------------------------------------------------------------------
@@ -145,36 +353,17 @@ class ForwardCache:
     vals: np.ndarray
     scores: np.ndarray | None = None
     A: np.ndarray | None = None
-    fm_sum: np.ndarray | None = None  # (B, k) sum of field embeddings
-    fwfm_sa: np.ndarray | None = None  # (B, k, n) pair_matrix applied to coordinate rows
-    mode_products: np.ndarray | None = None  # (B, k, stack columns) CP or Tucker factor-stack tables
-    hofm_dp: np.ndarray | None = None
+    state: object = None  # the kernel's backward state
 
 
-def _interaction_terms(bundle: ModelBundle, cache: ForwardCache) -> Iterator[np.ndarray]:
-    """Yield the kind's interaction terms, one (B,) array per order (one in
-    all for fm, fwfm and hofm), keeping backward intermediates in ``cache``."""
-    kind, blocks = bundle.kind, bundle.blocks
-    if kind == "lr":
-        return
-    A = cache.A = gather_embeddings(bundle, cache.gidx, cache.vals)
-    if kind == "fm":
-        cache.fm_sum = A.sum(axis=1)
-        yield 0.5 * ((cache.fm_sum**2).sum(axis=1) - (A * A).sum(axis=(1, 2)))
-    elif kind == "fwfm":
-        term, cache.fwfm_sa = fwfm_pair_batch(A, bundle.dense_s)
-        yield term
-    elif kind == "hofm":
-        cache.hofm_dp = hofm_table_batch(A, bundle.d)
-        yield cache.hofm_dp[-1, 2:].sum(axis=(0, 2))
-    elif kind == "tensorfm":
-        G = cache.mode_products = cp_mode_products(A, bundle.factor_stack)
-        for span in bundle.factor_spans:
-            yield cp_order_batch(order_tables(G, span))
-    else:  # tensorfm-tucker
-        G = cache.mode_products = tucker_mode_products(A, bundle.factor_stack)
-        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
-            yield tucker_order_batch(order_tables(G, span), blocks[names[0]])
+def _interaction_terms(bundle: ModelBundle, cache: ForwardCache):
+    """The kind's interaction terms, one (B,) array per order (one in all
+    for fm, fwfm and hofm, none for lr), keeping backward intermediates in
+    ``cache``."""
+    if "embeddings" in bundle.blocks:
+        cache.A = gather_embeddings(bundle, cache.gidx, cache.vals)
+    terms, cache.state = KERNELS[bundle.kind].terms(bundle, cache.A)
+    return terms
 
 
 def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> ForwardCache:
@@ -207,20 +396,17 @@ def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096)
 
 
 def score_linear(bundle: ModelBundle, instance: Instance) -> float:
-    gidx, vals = _as_batch(bundle, instance)
-    return float(linear_batch(bundle, gidx, vals)[0])
+    return float(linear_batch(bundle, *_as_batch(bundle, instance))[0])
 
 
 def interaction_term(bundle: ModelBundle, instance: Instance) -> float:
     """Sum of the kind's interaction terms for one instance (no linear block)."""
-    gidx, vals = _as_batch(bundle, instance)
-    return float(sum(_interaction_terms(bundle, ForwardCache(gidx=gidx, vals=vals)), np.zeros(1))[0])
+    return float(sum(_interaction_terms(bundle, ForwardCache(*_as_batch(bundle, instance))), np.zeros(1))[0])
 
 
 def score(bundle: ModelBundle, instance: Instance) -> float:
     """Full predictor for any kind: linear block plus interaction terms."""
-    gidx, vals = _as_batch(bundle, instance)
-    return float(forward_batch(bundle, gidx, vals).scores[0])
+    return float(forward_batch(bundle, *_as_batch(bundle, instance)).scores[0])
 
 
 def predict_proba(bundle: ModelBundle, instance: Instance) -> float:
@@ -245,26 +431,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def interaction_tensors(bundle: ModelBundle) -> dict[int, np.ndarray]:
-    """Dense per-order field interaction tensors implied by the bundle.
-
-    The literal ordered-tuple sum over the returned tensors reproduces the
-    model's interaction term. fm and hofm weight each tuple of distinct
-    fields 1/t! at order t, so each field subset counts once; fwfm's
-    order-2 tensor is half its symmetric pair matrix.
-    """
-    kind, blocks = bundle.kind, bundle.blocks
-    if kind in ("fm", "hofm"):
-        return {order: materialize_distinct(bundle.schema.n, order) for order in range(2, max(bundle.d, 2) + 1)}
-    if kind == "fwfm":
-        return {2: bundle.dense_s / 2.0}
-    if kind == "tensorfm":
-        return {order: materialize_tensor([blocks[name] for name in names]) for order, names in bundle.factor_sets}
-    if kind == "tensorfm-tucker":
-        return {
-            order: materialize_tucker(blocks[core], [blocks[name] for name in names])
-            for order, (core, *names) in bundle.factor_sets
-        }
-    return {}
+    """Dense per-order field interaction tensors implied by the bundle: the
+    literal ordered-tuple sum over them reproduces the model's interaction
+    term."""
+    return KERNELS[bundle.kind].tensors(bundle)
 
 
 def oracle_interaction_sum(a_matrix: np.ndarray, tensors: dict[int, np.ndarray]) -> float:
@@ -292,7 +462,7 @@ def score_naive_oracle(bundle: ModelBundle, instance: Instance, max_tuples: int 
     Raises :class:`ConfigError` when that sum would exceed ``max_tuples``
     ordered tuples (orders 2..max(d, 2) for every kind with interactions).
     """
-    if bundle.kind == "lr":
+    if "embeddings" not in bundle.blocks:
         return score_linear(bundle, instance)
     n = bundle.schema.n
     total_tuples = sum(n**o for o in range(2, max(bundle.d, 2) + 1))

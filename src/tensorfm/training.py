@@ -1,10 +1,11 @@
 """Binary cross-entropy training with closed-form gradients and AdaGrad.
 
-Gradients are computed analytically for every parameter block, reusing the
-per-mode dot-product tables cached by the forward pass, so no autodiff
-framework is involved. The mini-batch loop uses the per-batch *mean*
-gradient, a fixed accumulation order, and a seed-driven shuffle, which makes
-training bit-reproducible.
+This module owns the loss, the linear and embedding gradients, AdaGrad and
+the training loop. A kind is stated in two places, ``params.block_layout``
+for its blocks and ``scoring.KERNELS`` for its math, whose ``d_a`` gives
+the rest of the gradients, so no autodiff framework is involved. The loop
+uses the per-batch *mean* gradient, a fixed accumulation order, and a
+seed-driven shuffle, which makes training bit-reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
 from .metrics import auc, logloss, softplus
 from .params import ModelBundle, init
-from .scoring import ForwardCache, _as_batch, forward_batch, order_tables, score_dataset, sigmoid
+from .scoring import KERNELS, ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
 
 
 # Added to the root of each AdaGrad accumulator so an untouched coordinate
@@ -71,47 +72,6 @@ def bce_loss(probability, label) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
-    """For the tables g[:, :, 0..l-1] of one CP order, write into
-    out[:, :, b] the elementwise product of all tables but g[:, :, b]."""
-    count = g.shape[2]
-    prefix = [np.ones_like(g[:, :, 0])]
-    for i in range(count - 1):
-        prefix.append(prefix[i] * g[:, :, i])
-    suffix = np.ones_like(g[:, :, 0])
-    for i in range(count - 1, -1, -1):
-        np.multiply(prefix[i], suffix, out=out[:, :, i])
-        suffix = suffix * g[:, :, i]
-
-
-def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """For the mode tables g[:, :, 0..l-1] of one Tucker order, write into
-    out[:, :, b] the core contracted with every mode table but b's, and
-    return the gradient of the core.
-
-    Both are chains of matrix products over the B·k coordinate rows. For
-    mode b the core's axis b is moved last; the first other mode's tables
-    meet the core unfolded along its first axis in one GEMM, and each later
-    other mode contracts the leading axis of the result with one batched
-    (1, r) @ (r, r^m) product, leaving the (B·k, r) rest. The core gradient
-    is one GEMM: mode 0's tables, weighted by each row's upstream value,
-    against the Khatri-Rao product of modes 1..l-1 built by broadcasting.
-    """
-    batch, k, order, rank = g.shape
-    rows = g.reshape(batch * k, order, rank)
-    for b in range(order):
-        others = [m for m in range(order) if m != b]
-        x = rows[:, others[0]] @ np.moveaxis(core, b, -1).reshape(rank, -1)
-        for m in others[1:]:
-            x = rows[:, m, None, :] @ x.reshape(batch * k, rank, -1)
-        out[:, :, b] = x.reshape(batch, k, rank)
-    khatri_rao = rows[:, 1]
-    for m in range(2, order):
-        khatri_rao = (khatri_rao[:, :, None] * rows[:, m, None, :]).reshape(batch * k, -1)
-    weighted = (g[:, :, 0] * upstream[:, None, None]).reshape(batch * k, rank)
-    return (weighted.T @ khatri_rao).reshape(core.shape)
-
-
 def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> dict[str, np.ndarray]:
     """Accumulate sum_b upstream[b] * d score_b / d theta for every block.
 
@@ -124,75 +84,29 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
     upstream = np.asarray(upstream, dtype=np.float64)
     gidx, vals = cache.gidx, cache.vals
     m = bundle.schema.m
-    kind, blocks = bundle.kind, bundle.blocks
 
     grads = {
         "linear.b": np.array([upstream.sum()]),
         "linear.w": np.bincount(gidx.ravel(), weights=(upstream[:, None] * vals).ravel(), minlength=m),
     }
-    if kind == "lr":
+    d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
+    if d_a is None:  # no embeddings
         return grads
-
-    A = cache.A
-    batch, n, k = A.shape
-    abar = A.transpose(0, 2, 1)  # (B, k, n) coordinate rows
-    # d_a: d score / d A per instance, (B, n, k), upstream applied later
-
-    if kind == "fm":
-        d_a = cache.fm_sum[:, None, :] - A
-    elif kind == "fwfm":
-        d_a = cache.fwfm_sa.transpose(0, 2, 1).copy()
-        weighted = abar * upstream[:, None, None]
-        ds_full = 0.5 * (weighted.reshape(-1, n).T @ abar.reshape(-1, n))
-        iu = np.triu_indices(n, 1)
-        grads["pair.upper"] = ds_full[iu] + ds_full.T[iu]
-    elif kind == "hofm":
-        dp = cache.hofm_dp
-        degree = bundle.d
-        d_a = np.zeros_like(A)
-        adj = np.zeros((degree + 1, batch, k))
-        adj[2:] = 1.0
-        for j in range(n, 0, -1):
-            aj = A[:, j - 1, :]
-            for t in range(1, degree + 1):
-                d_a[:, j - 1, :] += adj[t] * dp[j - 1, t - 1]
-            for t in range(1, degree + 1):
-                adj[t - 1] += adj[t] * aj
-    else:  # tensorfm, tensorfm-tucker
-        # d score / d G, column for column of the factor-stack tables: for CP
-        # the product of the order's other tables, for Tucker the core
-        # contracted with them. Two GEMMs then give d_a and every factor
-        # gradient.
-        G = cache.mode_products
-        rest = np.empty_like(G)
-        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
-            g, out = order_tables(G, span), order_tables(rest, span)
-            if kind == "tensorfm":
-                _leave_one_out(g, out)
-            else:
-                grads[names[0]] = _tucker_rest(g, blocks[names[0]], upstream, out)
-        rest = rest.reshape(batch * k, -1)
-        d_a = (rest @ bundle.factor_stack.T).reshape(batch, k, n).transpose(0, 2, 1)
-        weighted = np.multiply(abar, upstream[:, None, None], order="C").reshape(batch * k, n)
-        stack_grad = weighted.T @ rest
-        del weighted
-        grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
 
     # Scatter d_a, scaled in place, into the embedding rows one coordinate
     # at a time: no (B, n, k) index array, and each bin sums in row order.
     d_a *= upstream[:, None, None] * vals[:, :, None]
     flat_gidx = gidx.ravel()
-    d_emb = np.empty((m, k))
-    for h in range(k):
+    d_emb = np.empty((m, d_a.shape[2]))
+    for h in range(d_emb.shape[1]):
         d_emb[:, h] = np.bincount(flat_gidx, weights=d_a[:, :, h].ravel(), minlength=m)
     grads["embeddings"] = d_emb
-    return {name: grads[name] for name in blocks}
+    return {name: grads[name] for name in bundle.blocks}
 
 
 def backward(bundle: ModelBundle, instance: Instance, upstream: float = 1.0) -> dict[str, np.ndarray]:
     """Gradient of the full score of one instance, scaled by ``upstream``."""
-    gidx, vals = _as_batch(bundle, instance)
-    cache = forward_batch(bundle, gidx, vals)
+    cache = forward_batch(bundle, *_as_batch(bundle, instance))
     return backward_from_cache(bundle, cache, np.asarray([upstream]))
 
 

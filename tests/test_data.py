@@ -109,6 +109,8 @@ class TestTextFormat:
         ("1 0:1 1:2:-inf", "non-finite"),
         ("300 0:1 1:2", "label"),
         ("1 0:99999999999 1:2", "bad token"),
+        ("1 0:1 1:-1", "feature index -1 out of range for field 1"),
+        ("1 0:3 1:0", "feature index 3 out of range for field 0"),
     ])
     def test_bad_line_names_path_and_line(self, tmp_path, line, reason):
         path = tmp_path / "bad.txt"
