@@ -117,7 +117,7 @@ def _sweep(text: str) -> list[int]:
         lo, hi, step = (int(t) for t in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected a lo:hi:step sweep, got {text!r}") from exc
-    if step < 1 or hi < lo:
+    if lo < 1 or step < 1 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad sweep {text!r}")
     return list(range(lo, hi + 1, step))
 
@@ -386,7 +386,7 @@ _MODEL_OPTIONS = (
     ("d", int, 2),
     ("rank", int, 1),
     ("epochs", int, 5),
-    ("batch_size", int, 1024),
+    ("batch_size", _positive_int, 1024),
     ("init_scale", float, 0.01),
     ("out", str, None),
 )
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     command(
         "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",
-        ("csv", str, None), ("fields", _str_list, None), ("label", str, None), ("bins", int, 5),
+        ("csv", str, None), ("fields", _str_list, None), ("label", str, None), ("bins", _positive_int, 5),
         ("delimiter", str, ","), ("min_count", int, 0), fractions, ("out_prefix", str, None),
     )
     command(
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "bench-latency", cmd_bench_latency, "measured per-instance scoring latency for chosen model kinds",
         ("data", str, None), ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"]), ("k", int, 8),
-        ("repeats", int, 5), ("batch_size", int, 4096), ("out", str, None),
+        ("repeats", int, 5), ("batch_size", _positive_int, 4096), ("out", str, None),
     )
     command(
         "interpret", cmd_interpret, "learned interaction strengths vs. mutual information reports",

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -48,6 +49,14 @@ class FieldSchema:
         off = np.zeros(self.n, dtype=np.int64)
         np.cumsum(self.cardinalities[:-1], out=off[1:])
         return off
+
+    @cached_property
+    def pair_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``np.triu_indices(n, 1)``: the field pairs of fwfm's ``pair.upper``."""
+        index = np.triu_indices(self.n, 1)
+        for arr in index:
+            arr.flags.writeable = False
+        return index
 
     @property
     def m(self) -> int:
@@ -332,10 +341,7 @@ def load_tabular(
             encoded.append(bins)
             encoders.append({"column": c, "kind": "numeric", "min": lo, "max": hi, "bins": numeric_bins})
         else:
-            counts: dict[str, int] = {}
-            for s in col:
-                counts[s] = counts.get(s, 0) + 1
-            vocab = sorted(v for v, cnt in counts.items() if cnt >= min_count)
+            vocab = sorted(v for v, cnt in Counter(col).items() if cnt >= min_count)
             index = {v: i for i, v in enumerate(vocab)}
             unk = len(vocab)
             cardinalities.append(len(vocab) + 1)

@@ -19,8 +19,8 @@ kind                  blocks beyond ``linear.b`` (1,) and ``linear.w`` (m,)
 ====================  =======================================================
 
 ``fwfm-lowrank`` is an alias, not a kind: a rank-r field-pair matrix is
-``tensorfm`` with d=2 and ranks (r,). :func:`init`, :func:`load_bundle` and
-the FLOPs count resolve it through :func:`canonical_args`.
+``tensorfm`` with d=2 and ranks (r,). :class:`ModelBundle` and the FLOPs
+count resolve it through :func:`canonical_args`.
 
 The factor blocks of a bundle are column views of one contiguous
 (n, sum_o o * r_o) array, ``ModelBundle.factor_stack``, in layout order, so
@@ -126,9 +126,10 @@ class ModelBundle:
     """A model: its layout arguments plus one array per block of
     :func:`block_layout`, keyed by block name in layout order.
 
-    Construction copies every ``*.factor.*`` block into ``factor_stack`` and
-    rebinds it to a column view of the stack, so an in-place edit of a factor
-    block (an optimizer step, a test's perturbation) is an edit of the stack.
+    Construction resolves the arguments with :func:`canonical_args` and
+    copies every ``*.factor.*`` block into ``factor_stack``, rebinding it to
+    a column view of the stack, so an in-place edit of a factor block (an
+    optimizer step, a test's perturbation) is an edit of the stack.
     ``factor_columns`` maps each factor block to its columns and
     ``factor_spans`` holds ``(order, first column, rank)`` per order; an
     order's ``order`` factor blocks are adjacent, mode 0 first. Replacing a
@@ -148,7 +149,7 @@ class ModelBundle:
     def __post_init__(self):
         # Check the blocks against the layout, put them in layout order and
         # pack the factor blocks into the stack.
-        self.r_vec = tuple(int(r) for r in self.r_vec)
+        self.kind, self.k, self.d, self.r_vec = canonical_args(self.kind, self.k, self.d, self.r_vec)
         layout = block_layout(self.kind, self.schema, self.k, self.d, self.r_vec)
         expected = dict(layout)
         for name in self.blocks:
@@ -196,9 +197,8 @@ class ModelBundle:
     @property
     def dense_s(self) -> np.ndarray:
         """Full symmetric zero-diagonal field-pair matrix (fwfm only)."""
-        n = self.schema.n
-        s = np.zeros((n, n))
-        s[np.triu_indices(n, 1)] = self.blocks["pair.upper"]
+        s = np.zeros((self.schema.n, self.schema.n))
+        s[self.schema.pair_index] = self.blocks["pair.upper"]
         return s + s.T
 
 
@@ -395,8 +395,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
         try:
             schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
             r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
-            kind, k, d, r_vec = canonical_args(header["kind"], int(header.get("k", 0)), int(header["d"]), r_vec)
-        except (KeyError, ValueError, ConfigError) as exc:
+            kind, k, d = header["kind"], int(header.get("k", 0)), int(header["d"])
+        except (KeyError, ValueError) as exc:
             raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
 
         blocks = _read_blocks(itertools.chain([] if line is None else [line], lines))

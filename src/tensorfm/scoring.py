@@ -161,21 +161,16 @@ def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, upst
 
 
 def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
-    """Dynamic-program table for sums of distinct-field products.
-
-    Returns ``dp`` of shape (n + 1, degree + 1, B, k) where ``dp[j, t]``
-    accumulates, per embedding coordinate, the sum over all strictly
-    increasing t-subsets of the first j fields of the product of their
-    entries. The degree-t interaction term is ``dp[n, t]`` summed over
-    coordinates.
-    """
+    """Dynamic-program (ANOVA-kernel) table ``dp`` of shape (n + 1, degree + 1,
+    B, k): ``dp[j, t]`` sums, per embedding coordinate, the products over the
+    t-subsets of the first j fields, so the degree-t term is ``dp[n, t]``
+    summed over coordinates. Each field is one exact array step over all
+    degrees: dp[j, t] = dp[j-1, t] + A[:, j-1] * dp[j-1, t-1]."""
     b, n, k = A.shape
     dp = np.zeros((n + 1, degree + 1, b, k))
     dp[:, 0] = 1.0
     for j in range(1, n + 1):
-        aj = A[:, j - 1, :]
-        for t in range(1, degree + 1):
-            dp[j, t] = dp[j - 1, t] + aj * dp[j - 1, t - 1]
+        dp[j, 1:] = dp[j - 1, 1:] + A[:, j - 1] * dp[j - 1, :-1]
     return dp
 
 
@@ -226,23 +221,19 @@ class _FM(Kernel):
 
 
 class _HOFM(_FM):
-    """hofm: fm's tensors up to order d; the state is the DP table."""
+    """hofm: fm's tensors up to order d; the state is the DP table, walked back one array step per field."""
 
     def terms(self, bundle, A):
         dp = hofm_table_batch(A, bundle.d)
         return (dp[-1, 2:].sum(axis=(0, 2)),), dp
 
     def d_a(self, bundle, A, dp, upstream, grads):
-        batch, n, k = A.shape
-        d_a = np.zeros_like(A)
-        adj = np.zeros((bundle.d + 1, batch, k))
+        d_a = np.empty_like(A)
+        adj = np.zeros_like(dp[0])  # d score / d dp[j], from j = n down
         adj[2:] = 1.0
-        for j in range(n, 0, -1):
-            aj = A[:, j - 1, :]
-            for t in range(1, bundle.d + 1):
-                d_a[:, j - 1, :] += adj[t] * dp[j - 1, t - 1]
-            for t in range(1, bundle.d + 1):
-                adj[t - 1] += adj[t] * aj
+        for j in range(A.shape[1], 0, -1):
+            d_a[:, j - 1] = (adj[1:] * dp[j - 1, :-1]).sum(axis=0)
+            adj[:-1] += adj[1:] * A[:, j - 1]
         return d_a
 
     def flops(self, n, k, d, r_vec):
@@ -264,8 +255,7 @@ class _FwFM(Kernel):
         n = A.shape[1]
         abar = A.transpose(0, 2, 1)
         ds_full = 0.5 * ((abar * upstream[:, None, None]).reshape(-1, n).T @ abar.reshape(-1, n))
-        iu = np.triu_indices(n, 1)
-        grads["pair.upper"] = ds_full[iu] + ds_full.T[iu]
+        grads["pair.upper"] = (ds_full + ds_full.T)[bundle.schema.pair_index]
         return sa.transpose(0, 2, 1).copy()
 
     def tensors(self, bundle):
@@ -383,6 +373,8 @@ def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> Fo
 def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096) -> np.ndarray:
     if dataset.schema.cardinalities != bundle.schema.cardinalities:
         raise ConfigError("dataset schema does not match the model schema")
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     out = np.empty(len(dataset))
     for lo in range(0, len(dataset), batch_size):
         hi = min(lo + batch_size, len(dataset))

@@ -236,12 +236,26 @@ class TestExitCodes:
         ("prep", ["--fractions", "0.5,0.3,0.3"]),
         ("prep", ["--fractions", "0.9,0.1,0"]),
         ("synth", ["--noise", "-1"]),
+        ("prep", ["--bins", "0"]),
     ])
     def test_bad_count_or_fractions_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:
             main([command, *bad, "--out-prefix", str(tmp_path / "x")])
         assert exc.value.code == 2
         assert bad[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, bad", [
+        ("train", ["--batch-size", "0"]),
+        ("grid", ["--batch-size", "0"]),
+        ("bench-latency", ["--batch-size", "0"]),
+        ("bench-flops", ["--sweep-n", "0:2:1"]),
+    ])
+    def test_size_below_one_is_usage_error(self, tmp_path, capsys, command, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *bad, "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert bad[0] in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_order_above_fields_is_usage_error(self, tmp_path, capsys):
         code = main(["synth", "--order", "4", "--fields", "3", "--out-prefix", str(tmp_path / "x")])

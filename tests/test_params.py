@@ -21,6 +21,7 @@ from tensorfm import (
     param_count,
     save_bundle,
     score,
+    score_naive_oracle,
     symmetrize,
 )
 import tensorfm.params as params_module
@@ -56,6 +57,19 @@ class TestLayout:
         assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (2,))
         for name in ten.blocks:
             assert (low.blocks[name] == ten.blocks[name]).all(), name
+
+    def test_direct_construction_keeps_only_the_arguments_a_kind_uses(self, tmp_path):
+        fm = init("fm", SCHEMA, k=2, init_scale=0.5, seed=1)
+        bundle = ModelBundle("fm", SCHEMA, fm.blocks, k=2, d=3, r_vec=(2,))
+        assert (bundle.kind, bundle.k, bundle.d, bundle.r_vec) == ("fm", 2, 1, ())
+        # the oracle sums pairs only, as the scorer does, and the file keeps d=1
+        inst = Instance(np.array([0, 1, 1, 4]), np.ones(4), 1)
+        assert score_naive_oracle(bundle, inst) == pytest.approx(score(bundle, inst), rel=1e-12)
+        save_bundle(bundle, tmp_path / "m.txt")
+        assert "d 1\n" in (tmp_path / "m.txt").read_text()
+        assert load_bundle(tmp_path / "m.txt").d == 1
+        lr = init("lr", SCHEMA, seed=1)
+        assert ModelBundle("lr", SCHEMA, lr.blocks, k=5, d=3).k == 0
 
     def test_validation_names_the_offending_block(self):
         bundle = init("tensorfm", SCHEMA, k=2, d=3, r_vec=2, seed=0)

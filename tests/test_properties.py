@@ -3,7 +3,8 @@ ranks per order. Each example builds one bundle of every kind it covers
 over the same schema. Oracle agreement, finite differences, batch
 gradients and seeded determinism cover every kind; copies cover the two
 tensor kinds, whose factor blocks view one stack; a d=5 Tucker check
-covers a longer contraction chain."""
+covers a longer contraction chain; a hofm check with d up to n and one
+dominant field guards the exactness of its recurrence."""
 
 import copy
 import pickle
@@ -51,7 +52,10 @@ def random_instance(schema, rng):
 @PROPERTY
 @given(models())
 def test_score_equals_oracle(model):
-    bundles, rng = model
+    check_oracle(*model)
+
+
+def check_oracle(bundles, rng):
     for _ in range(3):
         inst = random_instance(bundles[0].schema, rng)
         for bundle in bundles:
@@ -62,7 +66,10 @@ def test_score_equals_oracle(model):
 @PROPERTY
 @given(models())
 def test_backward_equals_central_differences(model):
-    bundles, rng = model
+    check_central_differences(*model)
+
+
+def check_central_differences(bundles, rng):
     inst = random_instance(bundles[0].schema, rng)
     upstream = rng.uniform(-2.0, 2.0)
     h = 1e-5
@@ -81,6 +88,21 @@ def test_backward_equals_central_differences(model):
                 arr[ix] = orig
                 numeric, analytic = upstream * (up - down) / (2 * h), grads[name][ix]
                 assert abs(numeric - analytic) <= 1e-5 * max(abs(numeric), abs(analytic), 1.0), (bundle.kind, name, ix)
+
+
+@settings(PROPERTY, max_examples=20)
+@given(models(("hofm",), n_range=(5, 6), d_range=(2, 6)), st.floats(30.0, 100.0))
+def test_hofm_is_exact_when_one_field_dominates(model, scale):
+    # hofm's recurrence only adds products, so it keeps every digit when one
+    # field's embeddings dwarf the others' and d reaches n; a sum of powers
+    # of the embeddings (Newton-Girard) would cancel and miss the oracle
+    (bundle,), rng = model
+    schema = bundle.schema
+    field = int(rng.integers(schema.n))
+    first = schema.offsets[field]
+    bundle.blocks["embeddings"][first : first + schema.cardinalities[field]] *= scale
+    check_oracle([bundle], rng)
+    check_central_differences([bundle], rng)
 
 
 @PROPERTY

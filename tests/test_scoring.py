@@ -9,6 +9,7 @@ import pytest
 
 from tensorfm import (
     ConfigError,
+    Dataset,
     Instance,
     build_schema,
     embed_view,
@@ -19,6 +20,7 @@ from tensorfm import (
     materialize_tucker,
     predict_proba,
     score,
+    score_dataset,
     score_linear,
     score_naive_oracle,
     symmetrize,
@@ -310,6 +312,15 @@ class TestOracleCap:
         with pytest.raises(ConfigError, match="4 tuples"):
             score_naive_oracle(bundle, inst, max_tuples=1)
         assert score_naive_oracle(bundle, inst, max_tuples=4) == pytest.approx(score(bundle, inst), rel=1e-12)
+
+
+class TestScoreDataset:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        schema = build_schema([2, 3])
+        dataset = Dataset(schema, np.zeros((4, 2), dtype=np.int64), np.ones((4, 2)))
+        with pytest.raises(ConfigError, match="batch size"):
+            score_dataset(init("fm", schema, k=2, seed=0), dataset, batch_size=batch_size)
 
 
 def random_bundle(rng):
