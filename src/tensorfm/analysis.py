@@ -2,11 +2,12 @@
 
 FLOPs counts are exact closed forms over the mathematical formulation of each
 scorer (one count per scalar multiply or add), so cost comparisons do not
-depend on vectorization details. A kind is stated in two places:
-``params.block_layout`` for its blocks and ``scoring.KERNELS`` for its math,
-whose ``flops`` gives the kind's own count. Latency measurement, by contrast,
-times the real batch scorers and is only meaningful for ordinal comparisons
-on one machine.
+depend on vectorization details. ``params.canonical_args`` states a kind's
+arguments, ``params.block_layout`` its blocks and ``scoring.KERNELS`` its
+math, whose ``flops`` gives the kind's own count; so the FLOPs count takes
+exactly the models :func:`params.init` can build. Latency measurement, by
+contrast, times the real batch scorers and is only meaningful for ordinal
+comparisons on one machine.
 
 The interpretability pipeline compares two per-field-combination rankings:
 the occurrence-weighted magnitude of the model's learned interaction terms,
@@ -54,9 +55,7 @@ def flops_estimate(
     term's ``2n + 1`` (n multiply-adds plus the bias add), the ``nk``
     scaling of the gathered embeddings by their multipliers, and the count
     of the kind's kernel, whose ``flops`` states its formula."""
-    kind, k, d, r_vec = canonical_args(kind, k, d, r_vec)
-    if kind not in KERNELS:
-        raise ConfigError(f"unknown model kind {kind!r}")
+    kind, k, d, r_vec = canonical_args(kind, n, k, d, r_vec)
     return FlopsModel(kind, n, k, d, r_vec, 2 * n + 1 + n * k + KERNELS[kind].flops(n, k, d, r_vec))
 
 

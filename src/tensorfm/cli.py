@@ -18,6 +18,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,8 +36,6 @@ from .errors import (
 
 _USAGE_ERRORS = (ConfigError,)
 _DATA_ERRORS = (DataError, SchemaError, ModelIOError, MetricError, FileNotFoundError)
-
-MODEL_FLAG_TO_KIND = {**{kind: kind for kind in params.KINDS}, "fwfm-lr": "fwfm-lowrank"}
 
 
 # ---------------------------------------------------------------------------
@@ -100,8 +99,22 @@ def _fractions(text: str) -> tuple[float, float, float]:
     return parts  # type: ignore[return-value]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(t) for t in text.split(",")]
+def _rate(text: str) -> float:
+    """A finite number >= 0: a learning rate, an L2 coefficient or an init scale."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
+def _rates(text: str) -> list[float]:
+    return [_rate(t) for t in text.split(",")]
+
+
+def _char(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"expected one character, got {text!r}")
+    return text
 
 
 def _int_list(text: str) -> list[int]:
@@ -188,15 +201,6 @@ def cmd_prep(a: argparse.Namespace) -> int:
     return 0
 
 
-def _kind(flag: str) -> str:
-    """The model kind a ``--model`` or ``--kinds`` name stands for; ``fwfm-lr``
-    stands for the ``fwfm-lowrank`` alias, which :func:`params.init` and
-    :func:`analysis.flops_estimate` resolve to ``tensorfm`` with d=2."""
-    if flag not in MODEL_FLAG_TO_KIND:
-        raise ConfigError(f"unknown model kind {flag!r}; choose from {sorted(MODEL_FLAG_TO_KIND)}")
-    return MODEL_FLAG_TO_KIND[flag]
-
-
 def _write_epoch_log(path: str, log: list[training.EpochLog]) -> None:
     _write_csv(
         path,
@@ -210,9 +214,7 @@ def cmd_train(a: argparse.Namespace) -> int:
     _require(a, "train", "model", "out")
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid) if a.valid else None
-    bundle = params.init(
-        _kind(a.model), train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed
-    )
+    bundle = params.init(a.model, train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed)
     config = training.TrainConfig(learning_rate=a.lr, l2=a.l2, epochs=a.epochs, batch_size=a.batch_size, seed=a.seed)
     bundle, log = training.train(bundle, train_set, valid_set, config)
     params.save_bundle(bundle, a.out)
@@ -240,7 +242,7 @@ def cmd_grid(a: argparse.Namespace) -> int:
     valid_set = data.read_dataset(a.valid)
     grid = [(lr, l2) for lr in a.grid_lr for l2 in a.grid_l2]
     best, results = training.grid_search(
-        _kind(a.model),
+        a.model,
         grid,
         train_set,
         valid_set,
@@ -265,11 +267,10 @@ def cmd_grid(a: argparse.Namespace) -> int:
 def cmd_bench_flops(a: argparse.Namespace) -> int:
     _require(a, "out")
     rows = []
-    for kind_flag in a.kinds:
-        kind = _kind(kind_flag)
+    for kind in a.kinds:
         for n in a.sweep_n:
             fm = analysis.flops_estimate(kind, n, k=a.k, d=min(a.d, n), r_vec=a.rank)
-            rows.append([kind_flag, n, a.k, fm.d, a.rank, fm.flops])
+            rows.append([kind, n, a.k, fm.d, a.rank, fm.flops])
     _write_csv(a.out, ["kind", "n", "k", "d", "r", "flops"], rows)
     print(f"wrote {len(rows)} rows to {a.out}")
     return 0
@@ -279,7 +280,7 @@ def cmd_bench_flops(a: argparse.Namespace) -> int:
 _BENCH_TOKEN_PARAMS = {
     "tensorfm": ("rank", "order"),
     "tensorfm-tucker": ("rank", "order"),
-    "fwfm-lowrank": ("rank",),
+    **{alias: ("rank",) for alias in params.ALIASES},
     "hofm": ("order",),
 }
 
@@ -287,11 +288,10 @@ _BENCH_TOKEN_PARAMS = {
 def _parse_bench_kind(token: str, schema: data.FieldSchema, k: int, seed: int) -> tuple[str, params.ModelBundle]:
     """Build a randomly initialized bundle from a token like ``tensorfm:4:3``
     (rank 4, order 3), ``fwfm-lr:2``, ``hofm:3``, or a bare kind name."""
-    flag, *values = token.split(":")
-    kind = _kind(flag)
+    kind, *values = token.split(":")
     names = _BENCH_TOKEN_PARAMS.get(kind, ())
     if len(values) != len(names) or not all(v.isdigit() for v in values):
-        raise ConfigError(f"{token!r}: expected {':'.join([flag, *(f'<{name}>' for name in names)])}")
+        raise ConfigError(f"{token!r}: expected {':'.join([kind, *(f'<{name}>' for name in names)])}")
     got = dict(zip(names, map(int, values)))
     bundle = params.init(kind, schema, k=k, d=got.get("order", 2), r_vec=got.get("rank"), init_scale=0.01, seed=seed)
     return token, bundle
@@ -356,7 +356,7 @@ _HELP = {
     "min_count": "fold categorical values rarer than this into the unknown slot",
     "train": "training dataset file",
     "valid": "validation dataset file",
-    "model": "model kind: " + "|".join(sorted(MODEL_FLAG_TO_KIND)),
+    "model": "model kind: " + "|".join(params.KINDS + params.ALIASES),
     "k": "embedding size",
     "d": "highest interaction order",
     "rank": "interaction rank (replicated across orders 2..d)",
@@ -387,7 +387,7 @@ _MODEL_OPTIONS = (
     ("rank", int, 1),
     ("epochs", int, 5),
     ("batch_size", _positive_int, 1024),
-    ("init_scale", float, 0.01),
+    ("init_scale", _rate, 0.01),
     ("out", str, None),
 )
 
@@ -417,11 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
     command(
         "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",
         ("csv", str, None), ("fields", _str_list, None), ("label", str, None), ("bins", _positive_int, 5),
-        ("delimiter", str, ","), ("min_count", int, 0), fractions, ("out_prefix", str, None),
+        ("delimiter", _char, ","), ("min_count", int, 0), fractions, ("out_prefix", str, None),
     )
     command(
         "train", cmd_train, "train one model and write the model file plus an epoch log",
-        *_MODEL_OPTIONS, ("lr", float, 0.05), ("l2", float, 0.0), ("log", str, None),
+        *_MODEL_OPTIONS, ("lr", _rate, 0.05), ("l2", _rate, 0.0), ("log", str, None),
     )
     command(
         "eval", cmd_eval, "score a dataset with a saved model; prints test_logloss,test_auc",
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     command(
         "grid", cmd_grid, "train over a (learning rate, l2) grid, keep the best by validation AUC",
-        *_MODEL_OPTIONS, ("grid_lr", _float_list, [0.01, 0.05, 0.1]), ("grid_l2", _float_list, [0.0, 1e-6, 1e-5, 1e-4]),
+        *_MODEL_OPTIONS, ("grid_lr", _rates, [0.01, 0.05, 0.1]), ("grid_l2", _rates, [0.0, 1e-6, 1e-5, 1e-4]),
         ("report", str, None),
     )
     command(

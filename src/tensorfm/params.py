@@ -18,9 +18,10 @@ kind                  blocks beyond ``linear.b`` (1,) and ``linear.w`` (m,)
                       ``tucker.<o>.factor.<b>`` (n, r_o) for every order
 ====================  =======================================================
 
-``fwfm-lowrank`` is an alias, not a kind: a rank-r field-pair matrix is
-``tensorfm`` with d=2 and ranks (r,). :class:`ModelBundle` and the FLOPs
-count resolve it through :func:`canonical_args`.
+``fwfm-lowrank`` (or ``fwfm-lr``) is an alias, not a kind: a rank-r
+field-pair matrix is ``tensorfm`` with d=2 and ranks (r,). Every caller
+resolves and checks a model's kind, k, d and ranks through
+:func:`canonical_args` alone.
 
 The factor blocks of a bundle are column views of one contiguous
 (n, sum_o o * r_o) array, ``ModelBundle.factor_stack``, in layout order, so
@@ -33,21 +34,19 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .data import FieldSchema, atomic_open, build_schema
-from .errors import ConfigError, ModelIOError
+from .errors import ConfigError, ModelIOError, NumericError
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
 HIGHER_ORDER_KINDS = ("hofm", "tensorfm", "tensorfm-tucker")
 TENSOR_KINDS = ("tensorfm", "tensorfm-tucker")
-
-# One einsum letter per tensor mode; it bounds the Tucker order.
-AXES = "ABCDEFGH"
+# Two spellings of one alias: a rank-r field-pair model is tensorfm with d=2.
+ALIASES = ("fwfm-lowrank", "fwfm-lr")
 
 FORMAT_VERSION = "v1"
 
@@ -60,64 +59,79 @@ MAX_DENSE_ENTRIES = 10_000_000
 
 
 def canonical_args(
-    kind: str, k: int, d: int, r_vec: tuple[int, ...] | int | None
+    kind: str, n: int, k: int, d: int, r_vec: tuple[int, ...] | int | None
 ) -> tuple[str, int, int, tuple[int, ...]]:
-    """Resolve the ``fwfm-lowrank`` alias to ``tensorfm`` with d=2 and its
-    first rank, replicate a scalar rank across orders 2..d, and reset the
-    arguments a kind does not use (k for ``lr``, d for the pair kinds, ranks
-    for all but the tensor kinds)."""
-    if kind == "fwfm-lowrank":
+    """Resolve and check the arguments of a model over ``n`` fields: an
+    alias becomes ``tensorfm`` with d=2 and its first rank, the arguments a
+    kind does not use are reset (k for ``lr``, d for the pair kinds, ranks
+    for all but the tensor kinds) and a scalar rank is replicated across
+    orders 2..d. Raises :class:`ConfigError` for a model that cannot exist."""
+    if kind in ALIASES:
         kind, d = "tensorfm", 2
         if r_vec is not None and not isinstance(r_vec, int):
             r_vec = tuple(r_vec)[:1]
+    if kind not in KINDS:
+        raise ConfigError(f"unknown model kind {kind!r}; choose from {KINDS + ALIASES}")
+    k = 0 if kind == "lr" else int(k)
+    d = int(d) if kind in HIGHER_ORDER_KINDS else 1
+    if kind in HIGHER_ORDER_KINDS and not 2 <= d <= n:
+        raise ConfigError(f"interaction order d={d} must lie in [2, n={n}]")
+    if kind != "lr" and k < 1:
+        raise ConfigError("embedding size k must be >= 1")
     if kind not in TENSOR_KINDS:
-        r_vec = ()
-    elif isinstance(r_vec, int):
-        r_vec = (r_vec,) * (d - 1)
-    elif r_vec is None:
+        return kind, k, d, ()
+    if r_vec is None:
         raise ConfigError(f"kind {kind!r} needs interaction ranks")
-    return (
-        kind,
-        0 if kind == "lr" else int(k),
-        int(d) if kind in HIGHER_ORDER_KINDS else 1,
-        tuple(int(r) for r in r_vec),
-    )
+    r_vec = (int(r_vec),) * (d - 1) if isinstance(r_vec, int) else tuple(int(r) for r in r_vec)
+    if len(r_vec) != d - 1:
+        raise ConfigError(f"need one rank per order 2..{d}, got {r_vec}")
+    if any(not 1 <= r <= n for r in r_vec):
+        raise ConfigError(f"ranks must lie in [1, n={n}], got {r_vec}")
+    return kind, k, d, r_vec
+
+
+class FactorSpan(NamedTuple):
+    """One order's factor set: its ``order`` factor blocks (mode 0 first)
+    fill ``order * rank`` adjacent columns of ``ModelBundle.factor_stack``
+    from ``first`` on; ``core`` names its Tucker core (None for CP)."""
+
+    order: int
+    first: int
+    rank: int
+    core: str | None
+    factors: tuple[str, ...]
+
+
+def _factor_spans(kind: str, d: int, r_vec: tuple[int, ...]) -> tuple[FactorSpan, ...]:
+    """The factor sets of resolved arguments (none but a tensor kind's)."""
+    prefix = "cp" if kind == "tensorfm" else "tucker"
+    spans, first = [], 0
+    for order, rank in zip(range(2, d + 1), r_vec):
+        core = f"tucker.{order}.core" if kind == "tensorfm-tucker" else None
+        spans.append(FactorSpan(order, first, rank, core, tuple(f"{prefix}.{order}.factor.{b}" for b in range(order))))
+        first += order * rank
+    return tuple(spans)
 
 
 def block_layout(
-    kind: str, schema: FieldSchema, k: int, d: int, r_vec: tuple[int, ...]
+    kind: str, schema: FieldSchema, k: int, d: int, r_vec: tuple[int, ...] | int | None
 ) -> list[tuple[str, tuple[int, ...]]]:
     """The ``(name, shape)`` of every parameter block of a model, in file
     order, which is also the order :func:`init` draws them from the RNG and
     the column order of the factor blocks in ``ModelBundle.factor_stack``.
-
-    Raises :class:`ConfigError` for a configuration no model can have.
+    The arguments go through :func:`canonical_args` first.
     """
-    n, m = schema.n, schema.m
-    if kind not in KINDS:
-        raise ConfigError(f"unknown model kind {kind!r}; choose from {KINDS}")
-    if kind in HIGHER_ORDER_KINDS and not 2 <= d <= n:
-        raise ConfigError(f"interaction order d={d} must lie in [2, n={n}]")
-    layout = [("linear.b", (1,)), ("linear.w", (m,))]
+    kind, k, d, r_vec = canonical_args(kind, schema.n, k, d, r_vec)
+    layout = [("linear.b", (1,)), ("linear.w", (schema.m,))]
     if kind == "lr":
         return layout
-    if k < 1:
-        raise ConfigError("embedding size k must be >= 1")
-    layout.append(("embeddings", (m, k)))
+    layout.append(("embeddings", (schema.m, k)))
     if kind == "fwfm":
-        layout.append(("pair.upper", (n * (n - 1) // 2,)))
-    if kind in TENSOR_KINDS:
-        if len(r_vec) != d - 1:
-            raise ConfigError(f"need one rank per order 2..{d}, got {r_vec}")
-        if any(not 1 <= r <= n for r in r_vec):
-            raise ConfigError(f"ranks must lie in [1, n={n}], got {r_vec}")
-        if kind == "tensorfm-tucker" and d > len(AXES):
-            raise ConfigError(f"Tucker order d={d} exceeds the supported maximum of {len(AXES)}")
-        prefix = "cp" if kind == "tensorfm" else "tucker"
-        for order, r in zip(range(2, d + 1), r_vec):
-            if kind == "tensorfm-tucker":
-                layout.append((f"tucker.{order}.core", (r,) * order))
-            layout += [(f"{prefix}.{order}.factor.{b}", (n, r)) for b in range(order)]
+        layout.append(("pair.upper", (schema.n * (schema.n - 1) // 2,)))
+    for span in _factor_spans(kind, d, r_vec):
+        if span.core:
+            layout.append((span.core, (span.rank,) * span.order))
+        layout += [(name, (schema.n, span.rank)) for name in span.factors]
     return layout
 
 
@@ -131,8 +145,7 @@ class ModelBundle:
     a column view of the stack, so an in-place edit of a factor block (an
     optimizer step, a test's perturbation) is an edit of the stack.
     ``factor_columns`` maps each factor block to its columns and
-    ``factor_spans`` holds ``(order, first column, rank)`` per order; an
-    order's ``order`` factor blocks are adjacent, mode 0 first. Replacing a
+    ``factor_spans`` holds one :class:`FactorSpan` per order. Replacing a
     dict entry instead of editing it in place unties it from the stack.
     """
 
@@ -144,12 +157,12 @@ class ModelBundle:
     r_vec: tuple[int, ...] = ()
     factor_stack: np.ndarray = field(init=False, repr=False, compare=False)
     factor_columns: dict[str, slice] = field(init=False, repr=False, compare=False)
-    factor_spans: tuple[tuple[int, int, int], ...] = field(init=False, repr=False, compare=False)
+    factor_spans: tuple[FactorSpan, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Check the blocks against the layout, put them in layout order and
         # pack the factor blocks into the stack.
-        self.kind, self.k, self.d, self.r_vec = canonical_args(self.kind, self.k, self.d, self.r_vec)
+        self.kind, self.k, self.d, self.r_vec = canonical_args(self.kind, self.schema.n, self.k, self.d, self.r_vec)
         layout = block_layout(self.kind, self.schema, self.k, self.d, self.r_vec)
         expected = dict(layout)
         for name in self.blocks:
@@ -162,37 +175,21 @@ class ModelBundle:
                 raise ConfigError(f"block {name!r} has shape {self.blocks[name].shape}, expected {shape}")
         blocks = {name: self.blocks[name] for name in expected}
 
-        columns, width = {}, 0
-        for name, shape in layout:
-            if ".factor." in name:
-                columns[name] = slice(width, width + shape[1])
-                width += shape[1]
-        stack = np.empty((self.schema.n, width))
-        for name, cols in columns.items():
-            stack[:, cols] = blocks[name]
-            blocks[name] = stack[:, cols]
-        spans, first = [], 0
-        for order, rank in zip(range(2, self.d + 1), self.r_vec):
-            spans.append((order, first, rank))
-            first += order * rank
+        spans = _factor_spans(self.kind, self.d, self.r_vec)
+        stack = np.empty((self.schema.n, sum(s.order * s.rank for s in spans)))
+        columns = {}
+        for s in spans:
+            for b, name in enumerate(s.factors):
+                columns[name] = cols = slice(s.first + b * s.rank, s.first + (b + 1) * s.rank)
+                stack[:, cols] = blocks[name]
+                blocks[name] = stack[:, cols]
         self.blocks, self.factor_stack = blocks, stack
-        self.factor_columns, self.factor_spans = columns, tuple(spans)
+        self.factor_columns, self.factor_spans = columns, spans
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled bundle
         # has its own stack with its factor blocks viewing it.
         return (ModelBundle, (self.kind, self.schema, self.blocks, self.k, self.d, self.r_vec))
-
-    @cached_property
-    def factor_sets(self) -> list[tuple[int, tuple[str, ...]]]:
-        """``(order, block names)`` of each CP or Tucker factor set, orders
-        ascending; a Tucker set names its core first. Computed once so the
-        scorers never format block names."""
-        sets: dict[int, list[str]] = {}
-        for name in self.blocks:
-            if name.startswith(("cp.", "tucker.")):
-                sets.setdefault(int(name.split(".")[1]), []).append(name)
-        return [(order, tuple(names)) for order, names in sets.items()]
 
     @property
     def dense_s(self) -> np.ndarray:
@@ -217,7 +214,8 @@ def init(
     Normal(0, ``init_scale``^2) in layout order. A scalar ``r_vec`` is
     replicated across orders 2..d.
     """
-    kind, k, d, r_vec = canonical_args(kind, k, d, r_vec)
+    if not 0 <= init_scale < math.inf:
+        raise ConfigError(f"init scale must be a finite number >= 0, got {init_scale}")
     rng = np.random.default_rng(seed)
     blocks = {
         name: np.zeros(shape) if name.startswith("linear.") else rng.normal(0.0, init_scale, size=shape)
@@ -244,20 +242,21 @@ def _check_dense_size(n: int, order: int) -> None:
 def materialize_tensor(factors: list[np.ndarray]) -> np.ndarray:
     """Expand CP factor matrices (each (n, rank)) into the dense tensor
     they encode: entry (i_1..i_l) = sum_j prod_b factors[b][i_b, j]."""
-    _check_dense_size(factors[0].shape[0], len(factors))
-    axes = AXES[: len(factors)]
-    subscripts = ",".join(f"{a}z" for a in axes) + "->" + axes
-    return np.einsum(subscripts, *factors)
+    order = len(factors)
+    _check_dense_size(factors[0].shape[0], order)
+    # einsum's sublist form: mode b is axis label b, the summed rank is label order
+    operands = itertools.chain(*((f, [b, order]) for b, f in enumerate(factors)))
+    return np.einsum(*operands, list(range(order)))
 
 
 def materialize_tucker(core: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     """Expand a Tucker core and its factor matrices (the b-th (n, core.shape[b]))
     into the dense tensor they encode."""
-    _check_dense_size(factors[0].shape[0], len(factors))
-    axes = AXES[: len(factors)]
-    core_axes = axes.lower()
-    subscripts = core_axes + "," + ",".join(f"{a}{c}" for a, c in zip(axes, core_axes)) + "->" + axes
-    return np.einsum(subscripts, core, *factors)
+    order = len(factors)
+    _check_dense_size(factors[0].shape[0], order)
+    # einsum's sublist form: mode b is axis label b, the core's axis b is label order + b
+    operands = itertools.chain(*((f, [b, order + b]) for b, f in enumerate(factors)))
+    return np.einsum(core, list(range(order, 2 * order)), *operands, list(range(order)))
 
 
 def materialize_distinct(n: int, order: int) -> np.ndarray:
@@ -313,7 +312,11 @@ def _write_block(fh, name: str, arr: np.ndarray) -> None:
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
     """Write the model file; the previous file at ``path`` is replaced only
-    once the new one is complete."""
+    once the new one is complete. A non-finite block, which the reader
+    would reject, is a :class:`NumericError` and leaves that file as it is."""
+    for name, arr in bundle.blocks.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"block {name!r} holds a non-finite value; not writing {path}")
     with atomic_open(path) as fh:
         fh.write(f"tensorfm-model {FORMAT_VERSION}\n")
         fh.write(f"kind {bundle.kind}\n")

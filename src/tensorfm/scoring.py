@@ -1,8 +1,9 @@
 """Forward evaluation of every model kind.
 
-A kind is stated in two places: :func:`params.block_layout` for its blocks
-and its :class:`Kernel` in :data:`KERNELS` for its math. Every kind shares
-the linear term and the embedding gather.
+:func:`params.canonical_args` states a kind's arguments,
+:func:`params.block_layout` its blocks and its :class:`Kernel` in
+:data:`KERNELS` its math. Every kind shares the linear term and the
+embedding gather.
 
 Two routes exist for each model: a fast factorized scorer whose cost is
 linear in the number of fields for the low-rank kinds, and a brute-force
@@ -27,7 +28,7 @@ import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError
-from .params import ModelBundle, materialize_distinct, materialize_tensor, materialize_tucker
+from .params import FactorSpan, ModelBundle, materialize_distinct, materialize_tensor, materialize_tucker
 
 
 # ---------------------------------------------------------------------------
@@ -64,11 +65,11 @@ def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.
 # ---------------------------------------------------------------------------
 
 
-def order_tables(G: np.ndarray, span: tuple[int, int, int]) -> np.ndarray:
+def order_tables(G: np.ndarray, span: FactorSpan) -> np.ndarray:
     """The (B, k, order, rank) view of the factor-stack products ``G`` that
     holds one order's tables; ``[:, :, b]`` is mode b's."""
-    order, first, rank = span
-    return G[:, :, first : first + order * rank].reshape(G.shape[0], G.shape[1], order, rank)
+    cols = slice(span.first, span.first + span.order * span.rank)
+    return G[:, :, cols].reshape(G.shape[0], G.shape[1], span.order, span.rank)
 
 
 def cp_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -281,8 +282,7 @@ class _CP(Kernel):
         return _factor_gradients(bundle, A, rest, upstream, grads)
 
     def tensors(self, bundle):
-        blocks = bundle.blocks
-        return {order: materialize_tensor([blocks[name] for name in names]) for order, names in bundle.factor_sets}
+        return {s.order: materialize_tensor([bundle.blocks[name] for name in s.factors]) for s in bundle.factor_spans}
 
     def flops(self, n, k, d, r_vec):
         # per order l of rank r, l*k*r length-n dot products plus the
@@ -295,23 +295,18 @@ class _Tucker(Kernel):
 
     def terms(self, bundle, A):
         G = tucker_mode_products(A, bundle.factor_stack)
-        return [
-            tucker_order_batch(order_tables(G, span), bundle.blocks[names[0]])
-            for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets)
-        ], G
+        return [tucker_order_batch(order_tables(G, s), bundle.blocks[s.core]) for s in bundle.factor_spans], G
 
     def d_a(self, bundle, A, G, upstream, grads):
         rest = np.empty_like(G)
-        for span, (_, names) in zip(bundle.factor_spans, bundle.factor_sets):
-            core = names[0]
-            grads[core] = _tucker_rest(order_tables(G, span), bundle.blocks[core], upstream, order_tables(rest, span))
+        for s in bundle.factor_spans:
+            grads[s.core] = _tucker_rest(order_tables(G, s), bundle.blocks[s.core], upstream, order_tables(rest, s))
         return _factor_gradients(bundle, A, rest, upstream, grads)
 
     def tensors(self, bundle):
         blocks = bundle.blocks
         return {
-            order: materialize_tucker(blocks[core], [blocks[name] for name in names])
-            for order, (core, *names) in bundle.factor_sets
+            s.order: materialize_tucker(blocks[s.core], [blocks[f] for f in s.factors]) for s in bundle.factor_spans
         }
 
     def flops(self, n, k, d, r_vec):

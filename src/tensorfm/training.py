@@ -1,15 +1,17 @@
 """Binary cross-entropy training with closed-form gradients and AdaGrad.
 
 This module owns the loss, the linear and embedding gradients, AdaGrad and
-the training loop. A kind is stated in two places, ``params.block_layout``
-for its blocks and ``scoring.KERNELS`` for its math, whose ``d_a`` gives
-the rest of the gradients, so no autodiff framework is involved. The loop
-uses the per-batch *mean* gradient, a fixed accumulation order, and a
-seed-driven shuffle, which makes training bit-reproducible.
+the training loop. ``params.canonical_args`` states a kind's arguments,
+``params.block_layout`` its blocks and ``scoring.KERNELS`` its math, whose
+``d_a`` gives the rest of the gradients, so no autodiff framework is
+involved. The loop uses the per-batch *mean* gradient, a fixed
+accumulation order, and a seed-driven shuffle, which makes training
+bit-reproducible.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -39,10 +41,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigError("learning rate cannot be negative")
-        if self.l2 < 0:
-            raise ConfigError("regularization coefficient cannot be negative")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ConfigError(f"learning rate must be a finite number >= 0, got {self.learning_rate}")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"regularization coefficient must be a finite number >= 0, got {self.l2}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
 

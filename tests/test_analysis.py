@@ -43,7 +43,7 @@ class TestFlopsEstimate:
         assert f(40) - 2 * f(20) == f(160) - 2 * f(80)
 
     def test_all_kinds_positive_and_monotone_in_n(self):
-        for kind in ("lr", "fm", "fwfm", "fwfm-lowrank", "hofm", "tensorfm", "tensorfm-tucker"):
+        for kind in ("lr", "fm", "fwfm", "fwfm-lowrank", "fwfm-lr", "hofm", "tensorfm", "tensorfm-tucker"):
             prev = 0
             for n in (5, 10, 20, 50):
                 cur = flops_estimate(kind, n, k=4, d=3, r_vec=2).flops
@@ -53,6 +53,17 @@ class TestFlopsEstimate:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             flops_estimate("mlp", 10)
+
+    @pytest.mark.parametrize("kind, n, kw", [
+        ("hofm", 1, dict(d=1)),  # order below 2
+        ("tensorfm", 2, dict(d=2, r_vec=3)),  # rank above n
+        ("fm", 5, dict(k=0)),  # no embedding coordinates
+    ])
+    def test_counts_only_models_init_can_build(self, kind, n, kw):
+        schema = build_schema([2] * n)
+        for build in (lambda: flops_estimate(kind, n, **kw), lambda: init(kind, schema, **kw)):
+            with pytest.raises(ConfigError):
+                build()
 
 
 class TestTimeInference:

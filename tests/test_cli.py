@@ -137,6 +137,22 @@ class TestBenchCommands:
             out[token] = [line.split(",")[1:] for line in path.read_text().splitlines()[1:]]
         assert out["fwfm-lr"] == out["tensorfm"]  # the alias always has d=2
 
+    def test_both_alias_spellings_train_the_same_model(self, synth_files, tmp_path):
+        models = []
+        for alias in ("fwfm-lowrank", "fwfm-lr"):
+            model = tmp_path / f"{alias}.txt"
+            assert main(["train", "--train", f"{synth_files}.train.txt", "--model", alias,
+                         "--rank", "2", "--epochs", "1", "--out", str(model)]) == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("bad", [["--kinds", "hofm", "--sweep-n", "1:3:1"], ["--kinds", "fm", "--k", "-3"]])
+    def test_flops_of_a_model_that_cannot_exist_is_usage_error(self, tmp_path, capsys, bad):
+        out = tmp_path / "flops.csv"
+        assert main(["bench-flops", *bad, "--out", str(out)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_latency_command(self, tmp_path, capsys):
         prefix = str(tmp_path / "lat")
         main(["synth", "--fields", "3", "--card", "4", "--order", "2", "--samples", "500",
@@ -237,6 +253,7 @@ class TestExitCodes:
         ("prep", ["--fractions", "0.9,0.1,0"]),
         ("synth", ["--noise", "-1"]),
         ("prep", ["--bins", "0"]),
+        ("prep", ["--delimiter", ""]),
     ])
     def test_bad_count_or_fractions_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:
@@ -249,6 +266,14 @@ class TestExitCodes:
         ("grid", ["--batch-size", "0"]),
         ("bench-latency", ["--batch-size", "0"]),
         ("bench-flops", ["--sweep-n", "0:2:1"]),
+        ("train", ["--lr", "nan"]),
+        ("train", ["--lr", "inf"]),
+        ("train", ["--l2", "nan"]),
+        ("train", ["--init-scale", "-1"]),
+        ("train", ["--init-scale", "nan"]),
+        ("grid", ["--grid-lr", "0.1,nan"]),
+        ("grid", ["--grid-l2", "0,-1"]),
+        ("grid", ["--init-scale", "inf"]),
     ])
     def test_size_below_one_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:

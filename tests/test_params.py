@@ -1,6 +1,7 @@
 """Parameter blocks, initialization, materialization, and serialization."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from tensorfm import (
     Instance,
     ModelBundle,
     ModelIOError,
+    NumericError,
     block_layout,
     build_schema,
     fwfm_lowrank_from_dense,
@@ -26,6 +28,7 @@ from tensorfm import (
 )
 import tensorfm.params as params_module
 from tensorfm.params import MAX_DENSE_ENTRIES
+from tensorfm.scoring import interaction_tensors
 
 SCHEMA = build_schema([3, 4, 2, 5])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -52,11 +55,12 @@ class TestLayout:
         assert (bundle.blocks["pair.upper"] != 0).all()
 
     def test_fwfm_lowrank_is_tensorfm_of_order_two(self):
-        low = init("fwfm-lowrank", SCHEMA, k=3, d=4, r_vec=2, seed=5)
         ten = init("tensorfm", SCHEMA, k=3, d=2, r_vec=2, seed=5)
-        assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (2,))
-        for name in ten.blocks:
-            assert (low.blocks[name] == ten.blocks[name]).all(), name
+        for alias in ("fwfm-lowrank", "fwfm-lr"):
+            low = init(alias, SCHEMA, k=3, d=4, r_vec=2, seed=5)
+            assert (low.kind, low.d, low.r_vec) == ("tensorfm", 2, (2,))
+            for name in ten.blocks:
+                assert (low.blocks[name] == ten.blocks[name]).all(), name
 
     def test_direct_construction_keeps_only_the_arguments_a_kind_uses(self, tmp_path):
         fm = init("fm", SCHEMA, k=2, init_scale=0.5, seed=1)
@@ -82,11 +86,27 @@ class TestLayout:
         with pytest.raises(ConfigError, match="pair.upper"):
             ModelBundle("tensorfm", SCHEMA, dict(bundle.blocks, **{"pair.upper": np.zeros(6)}), k=2, d=3, r_vec=(2, 2))
 
-    def test_tucker_order_beyond_einsum_axes_rejected(self):
+    def test_tucker_of_order_nine_scores_like_cp(self):
+        # rank 1: each order's core is one scalar, which the CP model carries
+        # in its mode-0 factor; only the dense tensors are capped
         schema = build_schema([2] * 9)
-        with pytest.raises(ConfigError, match="Tucker order"):
-            init("tensorfm-tucker", schema, k=2, d=9, r_vec=1, seed=0)
-        init("tensorfm-tucker", schema, k=2, d=8, r_vec=1, seed=0)
+        tucker = init("tensorfm-tucker", schema, k=2, d=9, r_vec=1, init_scale=0.7, seed=3)
+        blocks = {name.replace("tucker.", "cp."): arr for name, arr in tucker.blocks.items() if ".core" not in name}
+        for order in range(2, 10):
+            core = tucker.blocks[f"tucker.{order}.core"].item()
+            blocks[f"cp.{order}.factor.0"] = blocks[f"cp.{order}.factor.0"] * core
+        cp = ModelBundle("tensorfm", schema, blocks, k=2, d=9, r_vec=1)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            inst = Instance(rng.integers(0, 2, size=9), rng.uniform(0.5, 1.5, size=9), 1)
+            assert score(tucker, inst) == pytest.approx(score(cp, inst), rel=1e-12, abs=1e-12)
+        with pytest.raises(ConfigError, match="dense tensor"):
+            interaction_tensors(tucker)
+
+    @pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+    def test_init_scale_must_be_finite_and_non_negative(self, scale):
+        with pytest.raises(ConfigError, match="init scale"):
+            init("fm", SCHEMA, k=2, init_scale=scale)
 
 
 class TestInit:
@@ -134,13 +154,17 @@ class TestInit:
     def test_scalar_rank_replicated(self):
         bundle = init("tensorfm", SCHEMA, k=2, d=4, r_vec=2, seed=0)
         assert bundle.r_vec == (2, 2, 2)
-        assert [order for order, _ in bundle.factor_sets] == [2, 3, 4]
+        assert [span.order for span in bundle.factor_spans] == [2, 3, 4]
 
     @pytest.mark.parametrize("kind", ["tensorfm", "tensorfm-tucker"])
     def test_factor_blocks_are_columns_of_one_stack(self, kind):
         bundle = init(kind, SCHEMA, k=2, d=4, r_vec=(3, 1, 2), seed=5)
         assert bundle.factor_stack.shape == (SCHEMA.n, 2 * 3 + 3 * 1 + 4 * 2)
-        assert bundle.factor_spans == ((2, 0, 3), (3, 6, 1), (4, 9, 2))
+        assert [span[:3] for span in bundle.factor_spans] == [(2, 0, 3), (3, 6, 1), (4, 9, 2)]
+        prefix = "cp" if kind == "tensorfm" else "tucker"
+        for span in bundle.factor_spans:
+            assert span.factors == tuple(f"{prefix}.{span.order}.factor.{b}" for b in range(span.order))
+            assert span.core == (None if kind == "tensorfm" else f"tucker.{span.order}.core")
         names = [name for name in bundle.blocks if ".factor." in name]
         assert list(bundle.factor_columns) == names
         np.testing.assert_array_equal(np.hstack([bundle.blocks[name] for name in names]), bundle.factor_stack)
@@ -411,5 +435,17 @@ class TestAtomicSave:
         monkeypatch.setattr(params_module, "_write_block", failing_write_block)
         with pytest.raises(OSError, match="disk full"):
             save_bundle(init("fm", SCHEMA, k=3, seed=1), path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+    def test_non_finite_block_is_not_written(self, tmp_path):
+        # the reader rejects such a file, so the writer must not produce it
+        path = tmp_path / "m.txt"
+        save_bundle(init("fm", SCHEMA, k=3, seed=0), path)
+        before = path.read_bytes()
+        bundle = init("fm", SCHEMA, k=3, seed=1)
+        bundle.blocks["linear.b"][0] = np.nan
+        with pytest.raises(NumericError, match="linear.b"):
+            save_bundle(bundle, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]

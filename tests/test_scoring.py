@@ -200,8 +200,8 @@ class TestScoreTensorFmCp:
     def test_zero_factors_reduce_to_linear(self):
         schema = build_schema([3, 4, 2])
         bundle = init("tensorfm", schema, k=3, d=3, r_vec=2, init_scale=0.4, seed=6)
-        for _, names in bundle.factor_sets:
-            for name in names:
+        for span in bundle.factor_spans:
+            for name in span.factors:
                 bundle.blocks[name][:] = 0.0
         bundle.blocks["linear.w"][:] = np.random.default_rng(7).normal(size=schema.m)
         bundle.blocks["linear.b"][:] = 1.25

@@ -257,6 +257,12 @@ class TestTrain:
         with pytest.raises(DataError):
             train(bundle, empty, None, TrainConfig())
 
+    @pytest.mark.parametrize("setting", [dict(learning_rate=math.nan), dict(learning_rate=math.inf),
+                                         dict(l2=math.nan), dict(l2=-1e-3)])
+    def test_non_finite_or_negative_setting_rejected(self, setting):
+        with pytest.raises(ConfigError):
+            TrainConfig(**setting)
+
     def test_schema_mismatch_rejected(self):
         ds = two_instance_dataset()
         bundle = init("lr", build_schema([3, 3]), seed=0)
