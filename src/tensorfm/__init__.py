@@ -6,16 +6,7 @@ weighted variants, and their generalization whose per-order field-interaction
 tensors are constrained to low rank — together with synthetic interaction
 datasets, evaluation metrics, inference-cost accounting, and an
 interpretability pipeline.
-
-Set ``TENSORFM_THREADS`` to cap the BLAS thread pools before this package
-first imports numpy.
 """
-
-import os as _os
-
-if "TENSORFM_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["TENSORFM_THREADS"])
 
 from .analysis import (
     FlopsModel,
@@ -48,7 +39,7 @@ from .errors import (
     SchemaError,
     TensorFMError,
 )
-from .metrics import EvalReport, auc, evaluate, logloss
+from .metrics import EvalReport, auc, bce_from_score, evaluate, logloss
 from .params import (
     ModelBundle,
     block_layout,
@@ -80,7 +71,6 @@ from .training import (
     adagrad_step,
     backward,
     backward_from_cache,
-    bce_from_score,
     bce_loss,
     grid_search,
     train,

@@ -276,12 +276,12 @@ def cmd_bench_flops(a: argparse.Namespace) -> int:
     return 0
 
 
-# The ``:``-separated parameters a bench-latency token takes after its kind.
+# The ``:``-separated parameters a bench-latency token takes after its kind:
+# a rank for the tensor kinds and the aliases, an order for the higher-order kinds.
 _BENCH_TOKEN_PARAMS = {
-    "tensorfm": ("rank", "order"),
-    "tensorfm-tucker": ("rank", "order"),
-    **{alias: ("rank",) for alias in params.ALIASES},
-    "hofm": ("order",),
+    kind: ("rank",) * (kind in params.TENSOR_KINDS + params.ALIASES)
+    + ("order",) * (kind in params.HIGHER_ORDER_KINDS)
+    for kind in params.HIGHER_ORDER_KINDS + params.ALIASES
 }
 
 

@@ -174,15 +174,9 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     with atomic_open(path) as fh:
         fh.write("#schema " + ",".join(str(c) for c in dataset.schema.cardinalities) + "\n")
-        for i in range(len(dataset)):
-            parts = [str(int(dataset.labels[i]))]
-            for j in range(dataset.schema.n):
-                v = float(dataset.values[i, j])
-                tok = f"{j}:{dataset.active[i, j]}"
-                if v != 1.0:
-                    tok += f":{v!r}"
-                parts.append(tok)
-            fh.write(" ".join(parts) + "\n")
+        for label, active, values in zip(dataset.labels, dataset.active, dataset.values):
+            pairs = enumerate(zip(active.tolist(), values.tolist()))
+            fh.write(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs) + "\n")
 
 
 def read_dataset(path: str | Path) -> Dataset:

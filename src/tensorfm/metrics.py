@@ -60,13 +60,20 @@ def softplus(x) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
+def bce_from_score(score, label) -> np.ndarray:
+    """Binary cross-entropy evaluated from the raw score (the logit), which
+    stays finite for any score magnitude."""
+    s = np.asarray(score, dtype=np.float64)
+    y = np.asarray(label, dtype=np.float64)
+    return softplus(s) - s * y
+
+
 def logloss(scores, labels) -> float:
     """Mean binary cross-entropy of raw scores (logits) against labels."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    if s.size == 0:
+    loss = bce_from_score(scores, labels)
+    if loss.size == 0:
         raise MetricError("log-loss is undefined on an empty input")
-    return float((softplus(s) - s * y).mean())
+    return float(loss.mean())
 
 
 def evaluate(scores, labels) -> EvalReport:

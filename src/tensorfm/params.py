@@ -32,15 +32,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .data import FieldSchema, atomic_open, build_schema
-from .errors import ConfigError, ModelIOError, NumericError
+from .errors import ConfigError, ModelIOError, NumericError, SchemaError
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
 HIGHER_ORDER_KINDS = ("hofm", "tensorfm", "tensorfm-tucker")
@@ -49,9 +48,6 @@ TENSOR_KINDS = ("tensorfm", "tensorfm-tucker")
 ALIASES = ("fwfm-lowrank", "fwfm-lr")
 
 FORMAT_VERSION = "v1"
-
-# Most model-file rows parsed at once: bounds the line list the reader holds.
-READ_ROWS = 4096
 
 # Largest dense interaction tensor the oracle and interpretability code
 # materialize: 80 MB of float64.
@@ -299,15 +295,20 @@ def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> Mod
 
 
 # ---------------------------------------------------------------------------
-# model file format: plain text, one header line per scalar key, then shape-
-# tagged blocks of row-major floats at full round-trip precision.
+# model file format: plain text, one header line per scalar key, then every
+# block of block_layout in layout order as `block <name> <AxB>` and its rows of
+# row-major floats at full round-trip precision, then `end`.
 # ---------------------------------------------------------------------------
+
+# What the reader sees for a blank line, which np.loadtxt would skip rather
+# than reject, and after the last line of the file.
+_BLANK, _EOF = "<blank>", "<end-of-file>"
 
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
-    fh.write(f"block {name} {'x'.join(str(s) for s in arr.shape)}\n")
-    for row in arr.reshape(-1, arr.shape[-1]) if arr.ndim >= 2 else arr.reshape(1, -1):
-        fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+    fh.write(f"block {name} {'x'.join(map(str, arr.shape))}\n")
+    rows = arr.reshape(math.prod(arr.shape[:-1]), -1)  # a vector is one row
+    fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
@@ -329,60 +330,16 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
         fh.write("end\n")
 
 
-def _parse_rows(lines: list[str], width: int) -> np.ndarray:
-    """The float rows of ``lines`` as one (rows, width) array. A blank line
-    gives no row, so it shows as a row count below ``len(lines)``."""
-    if width == 0:  # zero-width rows (fwfm on one field) are blank lines
-        return np.empty((sum(not line.strip() for line in lines), 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # all lines blank: no rows
-        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-
-
-def _read_blocks(lines: Iterator[str]) -> dict[str, np.ndarray]:
-    """Parse the blocks that follow the header into each block's array, at
-    most :data:`READ_ROWS` rows per parse, so no line list or float list of
-    a whole block is held."""
-    blocks: dict[str, np.ndarray] = {}
-    for line in lines:
-        if line == "end":
-            return blocks
-        if not line.startswith("block "):
-            raise ModelIOError(f"expected a block header, got {line!r}")
-        try:
-            _, name, shape_s = line.split()
-            shape = tuple(int(s) for s in shape_s.split("x"))
-            arr = np.empty(shape)
-        except ValueError as exc:
-            raise ModelIOError(f"malformed block header {line!r}") from exc
-        rows = arr.reshape(math.prod(shape[:-1]), shape[-1]) if len(shape) >= 2 else arr.reshape(1, -1)
-        for lo in range(0, len(rows), READ_ROWS):
-            part = rows[lo : lo + READ_ROWS]
-            chunk = list(itertools.islice(lines, len(part)))
-            if len(chunk) < len(part):
-                raise ModelIOError(f"file truncated inside block {name!r}")
-            try:
-                values = _parse_rows(chunk, part.shape[1])
-            except ValueError as exc:
-                raise ModelIOError(f"block {name!r} rows {lo}..{lo + len(part) - 1}: not a number: {exc}") from exc
-            if values.shape != part.shape:
-                raise ModelIOError(f"block {name!r} does not match its declared shape {shape}")
-            part[...] = values
-        if not np.isfinite(arr).all():
-            raise ModelIOError(f"block {name!r} holds a non-finite value")
-        blocks[name] = arr
-    raise ModelIOError("file truncated: missing 'end' marker")
-
-
 def load_bundle(path: str | Path) -> ModelBundle:
-    """Read a model file; a ``kind fwfm-lowrank`` file loads as ``tensorfm``
+    """Read a model file: its header gives the :func:`block_layout` that the
+    blocks must follow; a ``kind fwfm-lowrank`` file loads as ``tensorfm``
     with d=2."""
     path = Path(path)
     if not path.exists():
         raise ModelIOError(f"model file not found: {path}")
     with path.open(encoding="utf-8") as fh:
-        lines = (line.rstrip("\n") for line in fh)
-        first = next(lines, "")
+        lines = itertools.chain((line.strip() or _BLANK for line in fh), [_EOF])
+        first = next(lines)
         if not first.startswith("tensorfm-model "):
             raise ModelIOError(f"{path}: not a model file")
         version = first.split(maxsplit=1)[1]
@@ -390,20 +347,39 @@ def load_bundle(path: str | Path) -> ModelBundle:
             raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
 
         header: dict[str, str] = {}
-        line = next(lines, None)
-        while line is not None and not line.startswith("block "):
+        for line in lines:
+            if line.startswith("block "):
+                break
             key, _, value = line.partition(" ")
             header[key] = value
-            line = next(lines, None)
         try:
             schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
             r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
             kind, k, d = header["kind"], int(header.get("k", 0)), int(header["d"])
-        except (KeyError, ValueError) as exc:
+            layout = block_layout(kind, schema, k, d, r_vec)
+        except (KeyError, ValueError, SchemaError, ConfigError) as exc:
             raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
 
-        blocks = _read_blocks(itertools.chain([] if line is None else [line], lines))
-    try:
-        return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
-    except ConfigError as exc:
-        raise ModelIOError(f"{path}: {exc}") from exc
+        blocks: dict[str, np.ndarray] = {}
+        for name, shape in layout:
+            expected = f"block {name} {'x'.join(map(str, shape))}"
+            if line != expected:
+                raise ModelIOError(f"{path}: expected {expected!r}, got {line!r}")
+            rows, width = math.prod(shape[:-1]), shape[-1]
+            try:
+                if width:
+                    values = np.loadtxt(lines, comments=None, ndmin=2, max_rows=rows)
+                else:  # fwfm on one field: its empty pair.upper is one blank line
+                    values = np.empty((rows if next(lines) == _BLANK else 0, 0))
+            except ValueError as exc:
+                problem = "the file ends inside it" if next(lines, None) is None else exc
+                raise ModelIOError(f"{path}: block {name!r}: {problem}") from exc
+            if values.shape != (rows, width):
+                raise ModelIOError(f"{path}: block {name!r} does not match its declared shape {shape}")
+            if not np.isfinite(values).all():
+                raise ModelIOError(f"{path}: block {name!r} holds a non-finite value")
+            blocks[name] = values.reshape(shape)
+            line = next(lines)
+        if line != "end":
+            raise ModelIOError(f"{path}: expected 'end' after block {name!r}, got {line!r}")
+    return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)

@@ -1,10 +1,10 @@
 """Binary cross-entropy training with closed-form gradients and AdaGrad.
 
-This module owns the loss, the linear and embedding gradients, AdaGrad and
-the training loop. ``params.canonical_args`` states a kind's arguments,
-``params.block_layout`` its blocks and ``scoring.KERNELS`` its math, whose
-``d_a`` gives the rest of the gradients, so no autodiff framework is
-involved. The loop uses the per-batch *mean* gradient, a fixed
+This module owns the linear and embedding gradients, AdaGrad and the
+training loop; ``metrics.bce_from_score`` is the loss it minimizes.
+``params.canonical_args`` states a kind's arguments, ``params.block_layout``
+its blocks and ``scoring.KERNELS`` its math, whose ``d_a`` gives the rest of
+the gradients, so no autodiff framework is involved. The loop uses the per-batch *mean* gradient, a fixed
 accumulation order, and a seed-driven shuffle, which makes training
 bit-reproducible.
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
-from .metrics import auc, logloss, softplus
+from .metrics import auc, bce_from_score, logloss
 from .params import ModelBundle, init
 from .scoring import KERNELS, ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
 
@@ -52,14 +52,6 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # loss
 # ---------------------------------------------------------------------------
-
-
-def bce_from_score(score, label) -> np.ndarray:
-    """Binary cross-entropy evaluated from the raw score (the logit), which
-    stays finite for any score magnitude."""
-    s = np.asarray(score, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    return softplus(s) - s * y
 
 
 def bce_loss(probability, label) -> np.ndarray:

@@ -133,20 +133,15 @@ class TestTextFormat:
         write_dataset(ds, path)
         before = path.read_bytes()
 
-        class LabelsFailingAtRow2:
-            def __getitem__(self, i):
-                if i == 2:
-                    raise OSError("disk full")
-                return ds.labels[i]
+        def labels_failing_at_row_2():
+            yield from ds.labels[:2]
+            raise OSError("disk full")
 
         class PartlyWritable:
             schema = ds.schema
             active = ds.active
             values = ds.values
-            labels = LabelsFailingAtRow2()
-
-            def __len__(self):
-                return len(ds)
+            labels = labels_failing_at_row_2()
 
         with pytest.raises(OSError, match="disk full"):
             write_dataset(PartlyWritable(), path)

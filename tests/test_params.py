@@ -253,6 +253,7 @@ class TestFwfmFactorization:
         np.testing.assert_allclose(u @ v.T, bundle.dense_s / 2.0, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning may escape the reader
 class TestSaveLoad:
     def _bundles(self):
         yield init("lr", SCHEMA, seed=0)
@@ -351,6 +352,7 @@ class TestV1Fixtures:
         assert (tmp_path / "m.txt").read_text() == original.replace("kind fwfm-lowrank", "kind tensorfm")
 
 
+@pytest.mark.filterwarnings("error")  # no numpy warning may escape the reader
 class TestCorruptModelFile:
     def _saved(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -370,36 +372,26 @@ class TestCorruptModelFile:
         with pytest.raises(ModelIOError, match="embeddings"):
             load_bundle(path)
 
-    @pytest.mark.parametrize("edit", ["short_row", "long_row", "blank_line", "truncated"])
+    @pytest.mark.parametrize("edit", [
+        "short_row", "long_row", "every_row_long", "blank_line", "truncated",
+        "bad_token_in_last_row", "truncated_before_last_row",
+    ])  # fmt: skip
     def test_bad_row_names_the_block(self, tmp_path, edit):
         path = self._saved(tmp_path)
         lines = path.read_text().splitlines()
         row = lines.index(f"block embeddings {SCHEMA.m}x3") + 2
+        last = row + SCHEMA.m - 2
         if edit == "short_row":
             lines[row] = " ".join(lines[row].split()[:-1])
         elif edit == "long_row":
             lines[row] += " 1.0"
+        elif edit == "every_row_long":  # a block of 4 columns where the layout has 3
+            lines[row - 1 : last + 1] = [line + " 1.0" for line in lines[row - 1 : last + 1]]
         elif edit == "blank_line":
             lines.insert(row, "")
-        else:
+        elif edit == "truncated":
             lines = lines[: row + 1]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ModelIOError, match="embeddings"):
-            load_bundle(path)
-
-    @pytest.mark.parametrize("edit", [None, "bad_token", "truncated"])
-    def test_blocks_read_in_several_slices(self, tmp_path, monkeypatch, edit):
-        monkeypatch.setattr(params_module, "READ_ROWS", 3)
-        path = tmp_path / "m.txt"
-        bundle = init("tensorfm", SCHEMA, k=3, d=3, r_vec=2, init_scale=0.5, seed=4)
-        save_bundle(bundle, path)
-        lines = path.read_text().splitlines()
-        last = lines.index(f"block embeddings {SCHEMA.m}x3") + SCHEMA.m  # in the block's last slice
-        if edit is None:
-            back = load_bundle(path)
-            assert all(np.array_equal(back.blocks[name], bundle.blocks[name]) for name in bundle.blocks)
-            return
-        if edit == "bad_token":
+        elif edit == "bad_token_in_last_row":
             lines[last] = "0x1p3 " + lines[last].split(maxsplit=1)[1]
         else:
             lines = lines[:last]
@@ -407,11 +399,41 @@ class TestCorruptModelFile:
         with pytest.raises(ModelIOError, match="embeddings"):
             load_bundle(path)
 
+    # each edit and what the error must name
+    LAYOUT_EDITS = {
+        "missing_block": "block cp.2.factor.1 ",
+        "unknown_block": "block extra 1",
+        "swapped_blocks": "block cp.2.factor.0 ",
+        "missing_end": "'end'",
+    }
+
+    @pytest.mark.parametrize("edit", list(LAYOUT_EDITS))
+    def test_blocks_must_follow_the_layout(self, tmp_path, edit):
+        path = tmp_path / "m.txt"
+        save_bundle(init("tensorfm", SCHEMA, k=3, d=3, r_vec=2, init_scale=0.5, seed=4), path)
+        lines = path.read_text().splitlines()
+        a = lines.index(f"block cp.2.factor.0 {SCHEMA.n}x2")
+        b, c = a + SCHEMA.n + 1, a + 2 * (SCHEMA.n + 1)  # the headers of the next two blocks
+        if edit == "missing_block":
+            lines = lines[:b] + lines[c:]
+        elif edit == "unknown_block":
+            lines[-1:] = ["block extra 1", "0.5", "end"]
+        elif edit == "swapped_blocks":  # equal shapes, so only the names tell
+            lines = lines[:a] + lines[b:c] + lines[a:b] + lines[c:]
+        else:
+            lines = lines[:-1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelIOError, match=self.LAYOUT_EDITS[edit]):
+            load_bundle(path)
+
     def test_zero_width_block_round_trips(self, tmp_path):
         path = tmp_path / "m.txt"
         bundle = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=0)
         save_bundle(bundle, path)
         assert load_bundle(path).blocks["pair.upper"].shape == (0,)
+        path.write_text(path.read_text().replace("block pair.upper 0\n\n", "block pair.upper 0\n0.5\n"))
+        with pytest.raises(ModelIOError, match="pair.upper"):
+            load_bundle(path)
 
     def test_unknown_kind_is_a_model_file_error(self, tmp_path):
         path = self._saved(tmp_path)
