@@ -8,8 +8,9 @@ evaluation (``eval``), inference-cost benchmarks (``bench-flops``,
 Every option can also come from a ``key=value`` config file passed with
 ``--config``; the file's values become the sub-command's defaults, so
 explicit command-line flags win. Exit codes: 0 success, 2 usage error
-(including a malformed flag or config value), 3 data error, 4 numeric
-failure.
+(including a malformed flag or config value), 3 data error (including an
+unreadable or unwritable path), 4 numeric failure; each error class
+states its own code.
 """
 
 from __future__ import annotations
@@ -20,40 +21,32 @@ import dataclasses
 import json
 import math
 import sys
-from pathlib import Path
+from collections.abc import Iterable
 
 import numpy as np
 
 from . import analysis, data, metrics, params, scoring, training
-from .errors import (
-    ConfigError,
-    DataError,
-    MetricError,
-    ModelIOError,
-    NumericError,
-    SchemaError,
-)
-
-_USAGE_ERRORS = (ConfigError,)
-_DATA_ERRORS = (DataError, SchemaError, ModelIOError, MetricError, FileNotFoundError)
-
+from .errors import ConfigError, DataError, TensorFMError
 
 # ---------------------------------------------------------------------------
-# option plumbing: argparse parses every value, from the command line or,
-# as a sub-command default, from the config file.
+# option types: argparse parses every value, from the command line or, as a
+# sub-command default, from the config file.
 # ---------------------------------------------------------------------------
 
 
-def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, object]:
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_config_file(path: str, options: tuple) -> dict[str, object]:
     """The options a ``key=value`` file sets, each value parsed by the type
-    function of its flag on ``parser``; an unknown key or a malformed value
-    is a :class:`ConfigError` naming the file, the line and the key."""
-    types = {action.dest: action.type for action in parser._actions if action.type is not None}
+    function of its entry in ``options``; an unknown key or a malformed
+    value is a :class:`ConfigError` naming the file, the line and the key."""
+    types = {key: parse for key, parse, _, _ in options}
     cfg = {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    with data.open_text(path, DataError, "config file") as fh:
+        lines = fh.read().splitlines()
+    for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -71,8 +64,7 @@ def _read_config_file(path: str, parser: argparse.ArgumentParser) -> dict[str, o
             reason = f"invalid {parse.__name__} value: {value!r}"
             if isinstance(exc, argparse.ArgumentTypeError):
                 reason = str(exc)
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{path}:{lineno}: {key}={value}: argument {flag}: {reason}") from exc
+            raise ConfigError(f"{path}:{lineno}: {key}={value}: argument {_flag(key)}: {reason}") from exc
     return cfg
 
 
@@ -135,14 +127,8 @@ def _sweep(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _require(args: argparse.Namespace, *keys: str) -> None:
-    missing = [k for k in keys if getattr(args, k) is None]
-    if missing:
-        raise ConfigError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
-
-
-def _write_csv(path: str, header: list[str], rows: list[list], nondet_note: str | None = None) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(path: str, header: list[str], rows: Iterable[list], nondet_note: str | None = None) -> None:
+    with data.atomic_open(path) as fh:
         if nondet_note:
             fh.write(f"# nondeterministic columns: {nondet_note}\n")
         writer = csv.writer(fh)
@@ -155,8 +141,17 @@ def _write_csv(path: str, header: list[str], rows: list[list], nondet_note: str 
 # ---------------------------------------------------------------------------
 
 
+def _write_parts(a: argparse.Namespace, dataset: data.Dataset, parts: tuple, note: str = "") -> int:
+    """Write the train, valid and test parts of ``dataset`` as
+    ``<out-prefix>.<part>.txt`` and print the schema and the part sizes."""
+    for part, tag in zip(parts, ("train", "valid", "test")):
+        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
+    print(f"schema: {dataset.schema.n} fields, {dataset.schema.m} features{note}")
+    print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
+    return 0
+
+
 def cmd_synth(a: argparse.Namespace) -> int:
-    _require(a, "out_prefix")
     if a.order > a.fields:
         raise ConfigError(f"argument --order: interaction order {a.order} exceeds --fields {a.fields}")
     spec = data.SyntheticSpec(
@@ -168,22 +163,14 @@ def cmd_synth(a: argparse.Namespace) -> int:
         seed=a.seed,
     )
     dataset = data.generate_synthetic(spec)
-    if len(dataset) >= 3:
-        parts = data.split(dataset, a.fractions, seed=a.seed)
-    else:
+    if len(dataset) < 3:
         # too small to partition: everything goes to train
         empty = dataset.subset(np.zeros(0, dtype=np.int64))
-        parts = (dataset, empty, empty)
-    for part, tag in zip(parts, ("train", "valid", "test")):
-        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
-    schema = dataset.schema
-    print(f"schema: {schema.n} fields, {schema.m} features")
-    print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
-    return 0
+        return _write_parts(a, dataset, (dataset, empty, empty))
+    return _write_parts(a, dataset, data.split(dataset, a.fractions, seed=a.seed))
 
 
 def cmd_prep(a: argparse.Namespace) -> int:
-    _require(a, "csv", "fields", "label", "out_prefix")
     dataset = data.load_tabular(
         a.csv,
         field_columns=a.fields,
@@ -193,25 +180,10 @@ def cmd_prep(a: argparse.Namespace) -> int:
         min_count=a.min_count,
     )
     parts = data.split(dataset, a.fractions, seed=a.seed)
-    for part, tag in zip(parts, ("train", "valid", "test")):
-        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
-    schema = dataset.schema
-    print(f"schema: {schema.n} fields, {schema.m} features, skipped {dataset.skipped_rows} rows")
-    print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
-    return 0
-
-
-def _write_epoch_log(path: str, log: list[training.EpochLog]) -> None:
-    _write_csv(
-        path,
-        ["epoch", "train_loss", "valid_logloss", "valid_auc", "wall_seconds"],
-        [[e.epoch, repr(e.train_loss), repr(e.valid_logloss), repr(e.valid_auc), f"{e.wall_seconds:.3f}"] for e in log],
-        nondet_note="wall_seconds",
-    )
+    return _write_parts(a, dataset, parts, note=f", skipped {dataset.skipped_rows} rows")
 
 
 def cmd_train(a: argparse.Namespace) -> int:
-    _require(a, "train", "model", "out")
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid) if a.valid else None
     bundle = params.init(a.model, train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed)
@@ -219,14 +191,18 @@ def cmd_train(a: argparse.Namespace) -> int:
     bundle, log = training.train(bundle, train_set, valid_set, config)
     params.save_bundle(bundle, a.out)
     if a.log:
-        _write_epoch_log(a.log, log)
+        _write_csv(
+            a.log,
+            ["epoch", "train_loss", "valid_logloss", "valid_auc", "wall_seconds"],
+            [[e.epoch, repr(e.train_loss), repr(e.valid_logloss), repr(e.valid_auc), f"{e.wall_seconds:.3f}"] for e in log],
+            nondet_note="wall_seconds",
+        )
     last = log[-1]
     print(f"epoch {last.epoch}: train_loss={last.train_loss:.6f} valid_auc={last.valid_auc:.6f}")
     return 0
 
 
 def cmd_eval(a: argparse.Namespace) -> int:
-    _require(a, "model", "data")
     bundle = params.load_bundle(a.model)
     dataset = data.read_dataset(a.data)
     scores = scoring.score_dataset(bundle, dataset)
@@ -237,7 +213,6 @@ def cmd_eval(a: argparse.Namespace) -> int:
 
 
 def cmd_grid(a: argparse.Namespace) -> int:
-    _require(a, "train", "valid", "model", "out")
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid)
     grid = [(lr, l2) for lr in a.grid_lr for l2 in a.grid_l2]
@@ -265,7 +240,6 @@ def cmd_grid(a: argparse.Namespace) -> int:
 
 
 def cmd_bench_flops(a: argparse.Namespace) -> int:
-    _require(a, "out")
     rows = []
     for kind in a.kinds:
         for n in a.sweep_n:
@@ -298,7 +272,6 @@ def _parse_bench_kind(token: str, schema: data.FieldSchema, k: int, seed: int) -
 
 
 def cmd_bench_latency(a: argparse.Namespace) -> int:
-    _require(a, "data", "out")
     dataset = data.read_dataset(a.data)
     rows = []
     for token in a.kinds:
@@ -312,7 +285,6 @@ def cmd_bench_latency(a: argparse.Namespace) -> int:
 
 
 def cmd_interpret(a: argparse.Namespace) -> int:
-    _require(a, "model", "data", "out_prefix")
     bundle = params.load_bundle(a.model)
     train_set = data.read_dataset(a.data)
     report = analysis.interaction_report(bundle, train_set, a.order, a.topk)
@@ -328,7 +300,7 @@ def cmd_interpret(a: argparse.Namespace) -> int:
         "pearson": report.pearson,
         "overlap": [dataclasses.asdict(p) for p in report.topk_overlap],
     }
-    with open(f"{a.out_prefix}.summary.json", "w", encoding="utf-8") as fh:
+    with data.atomic_open(f"{a.out_prefix}.summary.json") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"pearson={report.pearson:.4f} over {len(report.tuples)} field tuples")
@@ -336,60 +308,95 @@ def cmd_interpret(a: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# options: one (name, type function, default, help) entry per option of each
+# sub-command; a REQUIRED default marks an option the command cannot run
+# without, which the command line or the config file must supply.
 # ---------------------------------------------------------------------------
 
-_HELP = {
-    "config": "key=value file supplying defaults for any flag",
-    "seed": "seed for every random choice the command makes",
-    "fields": "synth: number of signal fields / prep: comma-separated field column names",
-    "card": "values per synthetic field",
-    "order": "interaction order (synth ground truth, interpret report)",
-    "noise": "number of label-independent noise fields to append",
-    "samples": "number of synthetic instances",
-    "fractions": "train,valid,test fractions (must sum to 1)",
-    "out_prefix": "path prefix for the emitted files",
-    "csv": "input delimited file with a header row",
-    "label": "label column name",
-    "bins": "equal-width bins for numeric columns",
-    "delimiter": "field delimiter of the input file",
-    "min_count": "fold categorical values rarer than this into the unknown slot",
-    "train": "training dataset file",
-    "valid": "validation dataset file",
-    "model": "model kind: " + "|".join(params.KINDS + params.ALIASES),
-    "k": "embedding size",
-    "d": "highest interaction order",
-    "rank": "interaction rank (replicated across orders 2..d)",
-    "lr": "AdaGrad learning rate",
-    "l2": "L2 coefficient applied to every block but the bias",
-    "epochs": "training epochs",
-    "batch_size": "mini-batch size",
-    "init_scale": "stddev of the parameter initialization",
-    "out": "output file (model or CSV, per command)",
-    "log": "per-epoch CSV log path",
-    "grid_lr": "comma-separated learning rates to try",
-    "grid_l2": "comma-separated L2 coefficients to try",
-    "report": "grid report CSV path",
-    "kinds": "comma-separated kinds; bench-latency takes kind[:rank[:order]] tokens",
-    "sweep_n": "field-count sweep as lo:hi:step",
-    "repeats": "timing repeats (median reported)",
-    "data": "dataset file to score",
-    "topk": "comma-separated k values for the ranking-overlap curve",
-}
+REQUIRED = object()
 
-# The (name, type, default) of the model and data options train and grid share.
-_MODEL_OPTIONS = (
-    ("train", str, None),
-    ("valid", str, None),
-    ("model", str, None),
-    ("k", int, 8),
-    ("d", int, 2),
-    ("rank", int, 1),
-    ("epochs", int, 5),
-    ("batch_size", _positive_int, 1024),
-    ("init_scale", _rate, 0.01),
-    ("out", str, None),
+_COMMON = (
+    ("config", str, None, "key=value file supplying defaults for any flag"),
+    ("seed", int, 0, "seed for every random choice the command makes"),
 )
+_FRACTIONS = ("fractions", _fractions, (0.70, 0.15, 0.15), "train,valid,test fractions (must sum to 1)")
+_OUT_PREFIX = ("out_prefix", str, REQUIRED, "path prefix for the emitted files")
+# The model options train and grid share.
+_MODEL = (
+    ("model", str, REQUIRED, "model kind: " + "|".join(params.KINDS + params.ALIASES)),
+    ("k", int, 8, "embedding size"),
+    ("d", int, 2, "highest interaction order"),
+    ("rank", int, 1, "interaction rank (replicated across orders 2..d)"),
+    ("epochs", int, 5, "training epochs"),
+    ("batch_size", _positive_int, 1024, "mini-batch size"),
+    ("init_scale", _rate, 0.01, "stddev of the parameter initialization"),
+    ("out", str, REQUIRED, "output model file"),
+)
+
+COMMANDS = {
+    "synth": (cmd_synth, "generate and split a synthetic pure-interaction dataset", (
+        ("fields", _positive_int, 3, "number of signal fields"),
+        ("card", _positive_int, 20, "values per synthetic field"),
+        ("order", _positive_int, 3, "order of the interaction that sets the label"),
+        ("noise", _non_negative_int, 0, "number of label-independent noise fields to append"),
+        ("samples", _positive_int, 100_000, "number of synthetic instances"),
+        _FRACTIONS,
+        _OUT_PREFIX,
+    )),
+    "prep": (cmd_prep, "ingest a headered CSV into train/valid/test dataset files", (
+        ("csv", str, REQUIRED, "input delimited file with a header row"),
+        ("fields", _str_list, REQUIRED, "comma-separated field column names"),
+        ("label", str, REQUIRED, "label column name"),
+        ("bins", _positive_int, 5, "equal-width bins for numeric columns"),
+        ("delimiter", _char, ",", "field delimiter of the input file"),
+        ("min_count", int, 0, "fold categorical values rarer than this into the unknown slot"),
+        _FRACTIONS,
+        _OUT_PREFIX,
+    )),
+    "train": (cmd_train, "train one model and write the model file plus an epoch log", (
+        ("train", str, REQUIRED, "training dataset file"),
+        ("valid", str, None, "validation dataset file"),
+        *_MODEL,
+        ("lr", _rate, 0.05, "AdaGrad learning rate"),
+        ("l2", _rate, 0.0, "L2 coefficient applied to every block but the bias"),
+        ("log", str, None, "per-epoch CSV log path"),
+    )),
+    "eval": (cmd_eval, "score a dataset with a saved model; prints test_logloss,test_auc", (
+        ("model", str, REQUIRED, "model file"),
+        ("data", str, REQUIRED, "dataset file to score"),
+    )),
+    "grid": (cmd_grid, "train over a (learning rate, l2) grid, keep the best by validation AUC", (
+        ("train", str, REQUIRED, "training dataset file"),
+        ("valid", str, REQUIRED, "validation dataset file, which ranks the grid"),
+        *_MODEL,
+        ("grid_lr", _rates, [0.01, 0.05, 0.1], "comma-separated learning rates to try"),
+        ("grid_l2", _rates, [0.0, 1e-6, 1e-5, 1e-4], "comma-separated L2 coefficients to try"),
+        ("report", str, None, "grid report CSV path"),
+    )),
+    "bench-flops": (cmd_bench_flops, "exact forward-pass operation counts over a field-count sweep", (
+        ("kinds", _str_list, ["lr", "fm", "fwfm", "hofm", "tensorfm"], "comma-separated model kinds"),
+        ("sweep_n", _sweep, [10, 20, 40, 80, 160], "field-count sweep as lo:hi:step"),
+        ("k", int, 8, "embedding size"),
+        ("d", int, 3, "highest interaction order (capped at the field count)"),
+        ("rank", int, 3, "interaction rank (replicated across orders 2..d)"),
+        ("out", str, REQUIRED, "output CSV file"),
+    )),
+    "bench-latency": (cmd_bench_latency, "measured per-instance scoring latency for chosen model kinds", (
+        ("data", str, REQUIRED, "dataset file to score"),
+        ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"], "comma-separated kind[:rank[:order]] tokens"),
+        ("k", int, 8, "embedding size"),
+        ("repeats", int, 5, "timing repeats (median reported)"),
+        ("batch_size", _positive_int, 4096, "scoring batch size"),
+        ("out", str, REQUIRED, "output CSV file"),
+    )),
+    "interpret": (cmd_interpret, "learned interaction strengths vs. mutual information reports", (
+        ("model", str, REQUIRED, "model file"),
+        ("data", str, REQUIRED, "dataset file the mutual information is measured on"),
+        ("order", int, 3, "interaction order of the field tuples reported"),
+        ("topk", _int_list, [3, 10, 36], "comma-separated k values for the ranking-overlap curve"),
+        _OUT_PREFIX,
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,55 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, evaluate, and analyze low-rank field-interaction models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help_text, *options):
-        """Add sub-command ``name`` with ``--config``, ``--seed`` and
-        ``options``, each a (name, type function, built-in default)."""
-        p = sub.add_parser(name, help=help_text, description=help_text)
-        for key, parse, default in (("config", str, None), ("seed", int, 0), *options):
-            default_text = "" if default is None else " (default: %(default)s)"
-            p.add_argument("--" + key.replace("_", "-"), type=parse, default=default, help=_HELP[key] + default_text)
-        p.set_defaults(handler=handler, parser=p)
-
-    fractions = ("fractions", _fractions, (0.70, 0.15, 0.15))
-    command(
-        "synth", cmd_synth, "generate and split a synthetic pure-interaction dataset",
-        ("fields", _positive_int, 3), ("card", _positive_int, 20), ("order", _positive_int, 3),
-        ("noise", _non_negative_int, 0), ("samples", _positive_int, 100_000), fractions, ("out_prefix", str, None),
-    )
-    command(
-        "prep", cmd_prep, "ingest a headered CSV into train/valid/test dataset files",
-        ("csv", str, None), ("fields", _str_list, None), ("label", str, None), ("bins", _positive_int, 5),
-        ("delimiter", _char, ","), ("min_count", int, 0), fractions, ("out_prefix", str, None),
-    )
-    command(
-        "train", cmd_train, "train one model and write the model file plus an epoch log",
-        *_MODEL_OPTIONS, ("lr", _rate, 0.05), ("l2", _rate, 0.0), ("log", str, None),
-    )
-    command(
-        "eval", cmd_eval, "score a dataset with a saved model; prints test_logloss,test_auc",
-        ("model", str, None), ("data", str, None),
-    )
-    command(
-        "grid", cmd_grid, "train over a (learning rate, l2) grid, keep the best by validation AUC",
-        *_MODEL_OPTIONS, ("grid_lr", _rates, [0.01, 0.05, 0.1]), ("grid_l2", _rates, [0.0, 1e-6, 1e-5, 1e-4]),
-        ("report", str, None),
-    )
-    command(
-        "bench-flops", cmd_bench_flops, "exact forward-pass operation counts over a field-count sweep",
-        ("kinds", _str_list, ["lr", "fm", "fwfm", "hofm", "tensorfm"]), ("sweep_n", _sweep, [10, 20, 40, 80, 160]),
-        ("k", int, 8), ("d", int, 3), ("rank", int, 3), ("out", str, None),
-    )
-    command(
-        "bench-latency", cmd_bench_latency, "measured per-instance scoring latency for chosen model kinds",
-        ("data", str, None), ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"]), ("k", int, 8),
-        ("repeats", int, 5), ("batch_size", _positive_int, 4096), ("out", str, None),
-    )
-    command(
-        "interpret", cmd_interpret, "learned interaction strengths vs. mutual information reports",
-        ("model", str, None), ("data", str, None), ("order", int, 3), ("topk", _int_list, [3, 10, 36]),
-        ("out_prefix", str, None),
-    )
+    for name, (handler, about, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=about, description=about)
+        options = _COMMON + options
+        for key, parse, default, text in options:
+            if default is REQUIRED:
+                default, text = None, text + " (required)"
+            elif default is not None:
+                text += " (default: %(default)s)"
+            p.add_argument(_flag(key), type=parse, default=default, help=text)
+        p.set_defaults(handler=handler, parser=p, options=options)
     return parser
 
 
@@ -458,18 +426,16 @@ def main(argv: list[str] | None = None) -> int:
             # The file's values become the sub-command's defaults and the
             # arguments are parsed again: a flag on the command line still
             # wins, and each file value goes through its flag's type.
-            args.parser.set_defaults(**_read_config_file(args.config, args.parser))
+            args.parser.set_defaults(**_read_config_file(args.config, args.options))
             args = parser.parse_args(argv)
+        missing = [_flag(key) for key, _, default, _ in args.options if default is REQUIRED and getattr(args, key) is None]
+        if missing:
+            raise ConfigError(f"missing required option(s): {', '.join(missing)}")
         return args.handler(args)
-    except _USAGE_ERRORS as exc:
+    except (TensorFMError, OSError) as exc:
+        # an unreadable or unwritable path is a data error
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

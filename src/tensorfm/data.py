@@ -20,7 +20,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, TensorFMError
 
 
 @dataclass(frozen=True)
@@ -150,14 +150,29 @@ class Dataset:
 
 
 @contextlib.contextmanager
+def open_text(path: str | Path, error: type[TensorFMError], what: str) -> Iterator[IO[str]]:
+    """Open ``path`` to read UTF-8 text, line endings left as they are. A
+    missing file, or bytes read in the block that are not UTF-8, raise
+    ``error`` naming the path."""
+    if not Path(path).exists():
+        raise error(f"{what} not found: {path}")
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+@contextlib.contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
-    """Write text to a temporary file beside ``path`` and move it over
-    ``path`` when the block completes. If the block raises, the temporary
-    file is removed and whatever was at ``path`` stays as it was."""
+    """Write UTF-8 text, line endings as given, to a temporary file beside
+    ``path`` and move it over ``path`` when the block completes. If the
+    block raises, the temporary file is removed and whatever was at
+    ``path`` stays as it was."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -181,9 +196,7 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def read_dataset(path: str | Path) -> Dataset:
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, DataError, "dataset file") as fh:
         header = fh.readline().strip()
         if not header.startswith("#schema "):
             raise DataError(f"{path}: missing '#schema' header line")
@@ -292,9 +305,7 @@ def load_tabular(
     skipped rows is exposed as ``dataset.skipped_rows``.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, DataError, "input file") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file")

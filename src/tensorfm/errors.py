@@ -2,7 +2,11 @@
 
 
 class TensorFMError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package. ``exit_code`` is
+    the command line's exit status for the error: 3, a data error, unless
+    a subclass states another."""
+
+    exit_code = 3
 
 
 class SchemaError(TensorFMError):
@@ -14,7 +18,9 @@ class DataError(TensorFMError):
 
 
 class ConfigError(TensorFMError):
-    """Inconsistent model or training configuration."""
+    """Inconsistent model or training configuration: a usage error."""
+
+    exit_code = 2
 
 
 class ModelIOError(TensorFMError):
@@ -23,6 +29,8 @@ class ModelIOError(TensorFMError):
 
 class NumericError(TensorFMError):
     """Non-finite values encountered during training or scoring."""
+
+    exit_code = 4
 
 
 class MetricError(TensorFMError):

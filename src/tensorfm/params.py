@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import FieldSchema, atomic_open, build_schema
+from .data import FieldSchema, atomic_open, build_schema, open_text
 from .errors import ConfigError, ModelIOError, NumericError, SchemaError
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
@@ -334,10 +334,7 @@ def load_bundle(path: str | Path) -> ModelBundle:
     """Read a model file: its header gives the :func:`block_layout` that the
     blocks must follow; a ``kind fwfm-lowrank`` file loads as ``tensorfm``
     with d=2."""
-    path = Path(path)
-    if not path.exists():
-        raise ModelIOError(f"model file not found: {path}")
-    with path.open(encoding="utf-8") as fh:
+    with open_text(path, ModelIOError, "model file") as fh:
         lines = itertools.chain((line.strip() or _BLANK for line in fh), [_EOF])
         first = next(lines)
         if not first.startswith("tensorfm-model "):
@@ -346,20 +343,22 @@ def load_bundle(path: str | Path) -> ModelBundle:
         if version != FORMAT_VERSION:
             raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
 
-        header: dict[str, str] = {}
-        for line in lines:
-            if line.startswith("block "):
-                break
-            key, _, value = line.partition(" ")
-            header[key] = value
+        header = []  # the values of the header lines save_bundle writes, in its order
+        for key in ("kind", "cardinalities", "k", "d", "r_vec"):
+            line = next(lines)
+            if not line.startswith(key + " "):
+                raise ModelIOError(f"{path}: expected the header line {key!r}, got {line!r}")
+            header.append(line[len(key) + 1 :])
+        kind, cardinalities, k, d, ranks = header
         try:
-            schema = build_schema([int(c) for c in header["cardinalities"].split(",")])
-            r_vec = tuple(int(r) for r in header["r_vec"].split(",")) if header["r_vec"] != "-" else ()
-            kind, k, d = header["kind"], int(header.get("k", 0)), int(header["d"])
+            schema = build_schema([int(c) for c in cardinalities.split(",")])
+            r_vec = tuple(int(r) for r in ranks.split(",")) if ranks != "-" else ()
+            k, d = int(k), int(d)
             layout = block_layout(kind, schema, k, d, r_vec)
-        except (KeyError, ValueError, SchemaError, ConfigError) as exc:
-            raise ModelIOError(f"{path}: bad or missing header field: {exc}") from exc
+        except (ValueError, SchemaError, ConfigError) as exc:
+            raise ModelIOError(f"{path}: bad header field: {exc}") from exc
 
+        line = next(lines)
         blocks: dict[str, np.ndarray] = {}
         for name, shape in layout:
             expected = f"block {name} {'x'.join(map(str, shape))}"
@@ -371,6 +370,8 @@ def load_bundle(path: str | Path) -> ModelBundle:
                     values = np.loadtxt(lines, comments=None, ndmin=2, max_rows=rows)
                 else:  # fwfm on one field: its empty pair.upper is one blank line
                     values = np.empty((rows if next(lines) == _BLANK else 0, 0))
+            except UnicodeDecodeError:
+                raise  # open_text reports it
             except ValueError as exc:
                 problem = "the file ends inside it" if next(lines, None) is None else exc
                 raise ModelIOError(f"{path}: block {name!r}: {problem}") from exc

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,27 @@ import pytest
 
 import tensorfm
 from tensorfm import auc, logloss, read_dataset, score_dataset
+from tensorfm import cli
 from tensorfm.cli import main
 from tensorfm.params import load_bundle
+
+# The flags each sub-command cannot run without, in the order its help lists them.
+REQUIRED_FLAGS = {
+    "synth": ["--out-prefix"],
+    "prep": ["--csv", "--fields", "--label", "--out-prefix"],
+    "train": ["--train", "--model", "--out"],
+    "eval": ["--model", "--data"],
+    "grid": ["--train", "--valid", "--model", "--out"],
+    "bench-flops": ["--out"],
+    "bench-latency": ["--data", "--out"],
+    "interpret": ["--model", "--data", "--out-prefix"],
+}
+
+
+def run_cli(args, cwd):
+    """Run the command line in a fresh interpreter, as a user would."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tensorfm.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "tensorfm.cli", *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
 @pytest.fixture()
@@ -237,11 +257,7 @@ class TestExitCodes:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k=x\n")
         bad = ["--k", "x"] if where == "command line" else ["--config", str(cfg)]
-        env = {**os.environ, "PYTHONPATH": str(Path(tensorfm.__file__).parents[1])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "tensorfm.cli", "train", "--train", "t.txt", "--model", "fm", "--out", "m.txt", *bad],
-            capture_output=True, text=True, env=env, cwd=tmp_path,
-        )
+        proc = run_cli(["train", "--train", "t.txt", "--model", "fm", "--out", "m.txt", *bad], cwd=tmp_path)
         assert proc.returncode == 2
         assert "--k" in proc.stderr and "'x'" in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -340,3 +356,87 @@ class TestExitCodes:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "--seed" in out and "--config" in out
+
+
+class TestRequiredOptions:
+    @pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
+    def test_missing_required_flags_are_named(self, capsys, command):
+        assert main([command]) == 2
+        assert capsys.readouterr().err == f"error: missing required option(s): {', '.join(REQUIRED_FLAGS[command])}\n"
+
+    def test_config_file_supplies_a_required_option(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"out_prefix={tmp_path / 'c'}\nfields=2\ncard=3\norder=2\nsamples=40\n")
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert len(read_dataset(tmp_path / "c.train.txt")) == 28
+
+    @pytest.mark.parametrize("command", list(REQUIRED_FLAGS))
+    def test_help_describes_every_option_and_marks_the_required(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        entries = re.split(r"\n\s+(?=--)", capsys.readouterr().out)[1:]  # one per option
+        assert len(entries) == len(cli.COMMANDS[command][2]) + 2  # with --config and --seed
+        for entry in entries:
+            flag, _metavar, *text = entry.split()
+            assert text, flag
+        required = [entry.split()[0] for entry in entries if "(required)" in entry]
+        assert required == REQUIRED_FLAGS[command]
+
+
+class TestUnusablePaths:
+    """A path that names a directory, or a file that is not UTF-8 text, is a
+    data error (exit 3) that names the path, whichever option gave it."""
+
+    CASES = {
+        "eval --model <dir>": ["eval", "--model", "{dir}", "--data", "{tmp}/d.txt"],
+        "train --train <dir>": ["train", "--train", "{dir}", "--model", "fm", "--out", "{tmp}/m.txt"],
+        "train --out <dir>": ["train", "--train", "{train}", "--model", "fm", "--epochs", "1", "--out", "{dir}"],
+        "--config <dir>": ["eval", "--config", "{dir}"],
+        "model not UTF-8": ["eval", "--model", "{bad}", "--data", "{train}"],
+        "dataset not UTF-8": ["train", "--train", "{bad}", "--model", "fm", "--out", "{tmp}/m.txt"],
+        "config not UTF-8": ["eval", "--config", "{bad}"],
+        "prep --csv not UTF-8": ["prep", "--csv", "{bad}", "--fields", "a", "--label", "y", "--out-prefix", "{tmp}/p"],
+    }
+
+    def _argv(self, tmp_path, case):
+        directory, bad, train = tmp_path / "dir", tmp_path / "bad.txt", tmp_path / "train.txt"
+        directory.mkdir()
+        (directory / "kept.txt").write_text("kept\n")
+        bad.write_bytes("caf\u00e9 1\n".encode("latin-1"))
+        train.write_text("#schema 2,2\n1 0:1 1:0\n0 0:0 1:1\n")
+        path = directory if "{dir}" in self.CASES[case] else bad
+        return [arg.format(dir=directory, bad=bad, train=train, tmp=tmp_path) for arg in self.CASES[case]], path
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_3_naming_the_path(self, tmp_path, capsys, case):
+        argv, path = self._argv(tmp_path, case)
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert [p.name for p in (tmp_path / "dir").iterdir()] == ["kept.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dir", "train.txt"]
+
+    @pytest.mark.parametrize("case", ["eval --model <dir>", "dataset not UTF-8"])
+    def test_no_traceback(self, tmp_path, case):
+        argv, path = self._argv(tmp_path, case)
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+def test_failed_csv_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), ["a", "b"], [[1, 2]])
+    before = path.read_bytes()
+    assert before == b"a,b\r\n1,2\r\n"
+
+    def rows_failing_at_row_2():
+        yield [3, 4]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_csv(str(path), ["a", "b"], rows_failing_at_row_2())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -118,6 +118,12 @@ class TestTextFormat:
         with pytest.raises(DataError, match=f"bad.txt:4: .*{reason}"):
             read_dataset(path)
 
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"#schema 3,3\n1 0:1 1:2\n1 0:1 1:\xe92\n")
+        with pytest.raises(DataError, match="bad.txt: not UTF-8 text"):
+            read_dataset(path)
+
     def test_fields_in_any_order_with_blank_lines(self, tmp_path):
         path = tmp_path / "ds.txt"
         path.write_text("#schema 3,3\n\n0 1:2 0:1:2.5\n  \n1 0:0 1:1\n")
@@ -213,6 +219,12 @@ class TestLoadTabular:
         ds = load_tabular(path, field_columns=["x"], label_column="y")
         assert len(ds) == 2
         assert ds.skipped_rows == 1
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("f,y\ncaf\u00e9,1\nthe,0\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+            load_tabular(path, field_columns=["f"], label_column="y")
 
     def test_min_count_folds_rare_values(self, tmp_path):
         path = tmp_path / "rare.csv"

@@ -426,6 +426,46 @@ class TestCorruptModelFile:
         with pytest.raises(ModelIOError, match=self.LAYOUT_EDITS[edit]):
             load_bundle(path)
 
+    # each header edit and the header key the error must name
+    HEADER_EDITS = {
+        "d_kind_and_foo_after_d": "r_vec",  # this hofm file once loaded as fm
+        "missing_k": "k",
+        "repeated_kind": "cardinalities",
+        "unknown_key": "k",
+        "d_before_k": "k",
+    }
+
+    @pytest.mark.parametrize("edit", list(HEADER_EDITS))
+    def test_header_lines_must_follow_the_writer(self, tmp_path, edit):
+        path = tmp_path / "m.txt"
+        save_bundle(init("hofm", SCHEMA, k=3, d=2, init_scale=0.5, seed=0), path)
+        lines = path.read_text().splitlines()
+        assert lines[1:6] == ["kind hofm", "cardinalities 3,4,2,5", "k 3", "d 2", "r_vec -"]
+        if edit == "d_kind_and_foo_after_d":
+            lines[5:5] = ["d 2", "kind fm", "foo bar"]
+        elif edit == "missing_k":
+            del lines[3]
+        elif edit == "repeated_kind":
+            lines.insert(2, "kind hofm")
+        elif edit == "unknown_key":
+            lines.insert(3, "foo bar")
+        else:
+            lines[3], lines[4] = lines[4], lines[3]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ModelIOError, match=f"expected the header line '{self.HEADER_EDITS[edit]}'"):
+            load_bundle(path)
+
+    @pytest.mark.parametrize("where", ["header", "block"])
+    def test_non_utf8_file_names_the_path(self, tmp_path, where):
+        path = tmp_path / "m.txt"
+        # a block of 120 kB, so its bad byte is decoded inside np.loadtxt
+        save_bundle(init("fm", build_schema([2000]), k=3, init_scale=0.5, seed=0), path)
+        text = path.read_bytes()
+        cut = text.index(b"kind") if where == "header" else len(text) // 2
+        path.write_bytes(text[:cut] + b"\xe9" + text[cut:])
+        with pytest.raises(ModelIOError, match="m.txt: not UTF-8 text"):
+            load_bundle(path)
+
     def test_zero_width_block_round_trips(self, tmp_path):
         path = tmp_path / "m.txt"
         bundle = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=0)
