@@ -71,7 +71,6 @@ from .training import (
     adagrad_step,
     backward,
     backward_from_cache,
-    bce_loss,
     grid_search,
     train,
 )

@@ -68,16 +68,15 @@ def _read_config_file(path: str, options: tuple) -> dict[str, object]:
     return cfg
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """Type function of an integer option whose smallest valid value is ``low``."""
 
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return int(text)
 
-def _non_negative_int(text: str) -> int:
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return int(text)
+    return parse
 
 
 def _fractions(text: str) -> tuple[float, float, float]:
@@ -216,17 +215,9 @@ def cmd_grid(a: argparse.Namespace) -> int:
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid)
     grid = [(lr, l2) for lr in a.grid_lr for l2 in a.grid_l2]
-    best, results = training.grid_search(
-        a.model,
-        grid,
-        train_set,
-        valid_set,
-        training.TrainConfig(epochs=a.epochs, batch_size=a.batch_size, seed=a.seed),
-        k=a.k,
-        d=a.d,
-        r_vec=a.rank,
-        init_scale=a.init_scale,
-    )
+    bundle = params.init(a.model, train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed)
+    config = training.TrainConfig(epochs=a.epochs, batch_size=a.batch_size, seed=a.seed)
+    best, results = training.grid_search(bundle, grid, train_set, valid_set, config)
     params.save_bundle(best, a.out)
     if a.report:
         _write_csv(
@@ -315,10 +306,9 @@ def cmd_interpret(a: argparse.Namespace) -> int:
 
 REQUIRED = object()
 
-_COMMON = (
-    ("config", str, None, "key=value file supplying defaults for any flag"),
-    ("seed", int, 0, "seed for every random choice the command makes"),
-)
+_CONFIG = ("config", str, None, "key=value file supplying defaults for any flag")
+# Only the commands that draw random numbers take a seed.
+_SEED = ("seed", int, 0, "seed for every random choice the command makes")
 _FRACTIONS = ("fractions", _fractions, (0.70, 0.15, 0.15), "train,valid,test fractions (must sum to 1)")
 _OUT_PREFIX = ("out_prefix", str, REQUIRED, "path prefix for the emitted files")
 # The model options train and grid share.
@@ -328,32 +318,35 @@ _MODEL = (
     ("d", int, 2, "highest interaction order"),
     ("rank", int, 1, "interaction rank (replicated across orders 2..d)"),
     ("epochs", int, 5, "training epochs"),
-    ("batch_size", _positive_int, 1024, "mini-batch size"),
+    ("batch_size", _int_at_least(1), 1024, "mini-batch size"),
     ("init_scale", _rate, 0.01, "stddev of the parameter initialization"),
     ("out", str, REQUIRED, "output model file"),
 )
 
 COMMANDS = {
     "synth": (cmd_synth, "generate and split a synthetic pure-interaction dataset", (
-        ("fields", _positive_int, 3, "number of signal fields"),
-        ("card", _positive_int, 20, "values per synthetic field"),
-        ("order", _positive_int, 3, "order of the interaction that sets the label"),
-        ("noise", _non_negative_int, 0, "number of label-independent noise fields to append"),
-        ("samples", _positive_int, 100_000, "number of synthetic instances"),
+        _SEED,
+        ("fields", _int_at_least(1), 3, "number of signal fields"),
+        ("card", _int_at_least(1), 20, "values per synthetic field"),
+        ("order", _int_at_least(1), 3, "order of the interaction that sets the label"),
+        ("noise", _int_at_least(0), 0, "number of label-independent noise fields to append"),
+        ("samples", _int_at_least(1), 100_000, "number of synthetic instances"),
         _FRACTIONS,
         _OUT_PREFIX,
     )),
     "prep": (cmd_prep, "ingest a headered CSV into train/valid/test dataset files", (
+        _SEED,
         ("csv", str, REQUIRED, "input delimited file with a header row"),
         ("fields", _str_list, REQUIRED, "comma-separated field column names"),
         ("label", str, REQUIRED, "label column name"),
-        ("bins", _positive_int, 5, "equal-width bins for numeric columns"),
+        ("bins", _int_at_least(1), 5, "equal-width bins for numeric columns"),
         ("delimiter", _char, ",", "field delimiter of the input file"),
         ("min_count", int, 0, "fold categorical values rarer than this into the unknown slot"),
         _FRACTIONS,
         _OUT_PREFIX,
     )),
     "train": (cmd_train, "train one model and write the model file plus an epoch log", (
+        _SEED,
         ("train", str, REQUIRED, "training dataset file"),
         ("valid", str, None, "validation dataset file"),
         *_MODEL,
@@ -366,6 +359,7 @@ COMMANDS = {
         ("data", str, REQUIRED, "dataset file to score"),
     )),
     "grid": (cmd_grid, "train over a (learning rate, l2) grid, keep the best by validation AUC", (
+        _SEED,
         ("train", str, REQUIRED, "training dataset file"),
         ("valid", str, REQUIRED, "validation dataset file, which ranks the grid"),
         *_MODEL,
@@ -382,11 +376,12 @@ COMMANDS = {
         ("out", str, REQUIRED, "output CSV file"),
     )),
     "bench-latency": (cmd_bench_latency, "measured per-instance scoring latency for chosen model kinds", (
+        _SEED,
         ("data", str, REQUIRED, "dataset file to score"),
         ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"], "comma-separated kind[:rank[:order]] tokens"),
         ("k", int, 8, "embedding size"),
-        ("repeats", int, 5, "timing repeats (median reported)"),
-        ("batch_size", _positive_int, 4096, "scoring batch size"),
+        ("repeats", _int_at_least(3), 5, "timing repeats, at least 3 (median reported)"),
+        ("batch_size", _int_at_least(1), 4096, "scoring batch size"),
         ("out", str, REQUIRED, "output CSV file"),
     )),
     "interpret": (cmd_interpret, "learned interaction strengths vs. mutual information reports", (
@@ -407,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, about, options) in COMMANDS.items():
         p = sub.add_parser(name, help=about, description=about)
-        options = _COMMON + options
+        options = (_CONFIG, *options)
         for key, parse, default, text in options:
             if default is REQUIRED:
                 default, text = None, text + " (required)"

@@ -168,15 +168,18 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Write UTF-8 text, line endings as given, to a temporary file beside
     ``path`` and move it over ``path`` when the block completes. If the
     block raises, the temporary file is removed and whatever was at
-    ``path`` stays as it was."""
+    ``path`` stays as it was; a failed system call is reported as an
+    ``OSError`` naming ``path``, not the temporary file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

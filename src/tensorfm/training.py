@@ -1,16 +1,18 @@
 """Binary cross-entropy training with closed-form gradients and AdaGrad.
 
-This module owns the linear and embedding gradients, AdaGrad and the
-training loop; ``metrics.bce_from_score`` is the loss it minimizes.
-``params.canonical_args`` states a kind's arguments, ``params.block_layout``
-its blocks and ``scoring.KERNELS`` its math, whose ``d_a`` gives the rest of
-the gradients, so no autodiff framework is involved. The loop uses the per-batch *mean* gradient, a fixed
-accumulation order, and a seed-driven shuffle, which makes training
-bit-reproducible.
+This module owns the linear and embedding gradients, AdaGrad, the training
+loop and model selection over a (learning rate, L2) grid. It has one loss,
+``metrics.bce_from_score``, and builds no model: the caller passes a bundle
+made by ``params.init`` or ``params.load_bundle``. ``params.block_layout``
+states a kind's blocks and ``scoring.KERNELS`` its math, whose ``d_a`` gives
+the rest of the gradients, so no autodiff framework is involved. The loop
+uses the per-batch *mean* gradient, a fixed accumulation order, and a
+seed-driven shuffle, which makes training bit-reproducible.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, replace
@@ -20,7 +22,7 @@ import numpy as np
 from .data import Dataset, Instance
 from .errors import ConfigError, DataError, MetricError, NumericError
 from .metrics import auc, bce_from_score, logloss
-from .params import ModelBundle, init
+from .params import ModelBundle
 from .scoring import KERNELS, ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
 
 
@@ -47,18 +49,6 @@ class TrainConfig:
             raise ConfigError(f"regularization coefficient must be a finite number >= 0, got {self.l2}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch size must be >= 1")
-
-
-# ---------------------------------------------------------------------------
-# loss
-# ---------------------------------------------------------------------------
-
-
-def bce_loss(probability, label) -> np.ndarray:
-    """Binary cross-entropy from a probability in (0, 1)."""
-    p = np.asarray(probability, dtype=np.float64)
-    y = np.asarray(label, dtype=np.float64)
-    return -(y * np.log(p) + (1.0 - y) * np.log1p(-p))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +170,7 @@ def train(
     for epoch in range(1, config.epochs + 1):
         t0 = time.perf_counter()
         perm = rng.permutation(n_rows)
-        loss_sum, loss_count = 0.0, 0
+        loss_sum = 0.0
         for lo in range(0, n_rows, config.batch_size):
             rows = perm[lo : lo + config.batch_size]
             gidx, vals, y = gidx_all[rows], vals_all[rows], y_all[rows]
@@ -192,7 +182,6 @@ def train(
                     f"last completed epoch: {epoch - 1}"
                 )
             loss_sum += batch_loss * len(rows)
-            loss_count += len(rows)
             upstream = (sigmoid(cache.scores) - y) / len(rows)
             grads = backward_from_cache(bundle, cache, upstream)
             adagrad_step(bundle, grads, state, config)
@@ -208,7 +197,7 @@ def train(
         log.append(
             EpochLog(
                 epoch=epoch,
-                train_loss=loss_sum / loss_count,
+                train_loss=loss_sum / n_rows,
                 valid_logloss=valid_ll,
                 valid_auc=valid_auc,
                 wall_seconds=time.perf_counter() - t0,
@@ -231,45 +220,46 @@ class GridResult:
     status: str  # "ok" or "failed"
 
 
+def _rank(result: GridResult) -> tuple[int, float, float]:
+    """Sort key of a grid point: higher validation AUC, then lower
+    validation log-loss, failed points last; a stable sort or a strict
+    ``<`` keeps grid order among ties."""
+    if result.status != "ok":
+        return (1, 0.0, 0.0)
+    return (0, -result.valid_auc, result.valid_logloss)
+
+
 def grid_search(
-    kind: str,
+    bundle: ModelBundle,
     grid: list[tuple[float, float]],
     train_set: Dataset,
     valid_set: Dataset,
     config: TrainConfig,
-    k: int = 8,
-    d: int = 2,
-    r_vec: tuple[int, ...] | int | None = None,
-    init_scale: float = 0.01,
 ) -> tuple[ModelBundle, list[GridResult]]:
-    """Train one model per (learning rate, l2) grid point and keep the best.
+    """Train a copy of ``bundle`` per (learning rate, l2) grid point and keep
+    the best.
 
-    Selection is by validation AUC, ties broken by lower validation log-loss
-    and then by grid order. Runs that diverge are recorded as failed and
-    never selected.
+    Each point is ranked by the last epoch's validation AUC and log-loss
+    (see :func:`_rank`); the report lists the points best first. Runs that
+    diverge are recorded as failed and never selected. ``bundle`` itself is
+    left unchanged.
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
+    # the ranking needs a validation AUC: raise its MetricError before any point trains
+    auc(np.zeros(len(valid_set)), valid_set.labels)
     results: list[GridResult] = []
-    best: tuple[float, float, int] | None = None
-    best_bundle: ModelBundle | None = None
-    for order_idx, (lr, l2) in enumerate(grid):
-        cfg = replace(config, learning_rate=lr, l2=l2)
-        bundle = init(kind, train_set.schema, k=k, d=d, r_vec=r_vec, init_scale=init_scale, seed=config.seed)
+    best: tuple[ModelBundle, GridResult] | None = None
+    for lr, l2 in grid:
         try:
-            bundle, _ = train(bundle, train_set, valid_set, cfg)
-            scores = score_dataset(bundle, valid_set)
-            valid_auc = auc(scores, valid_set.labels)
-            valid_ll = logloss(scores, valid_set.labels)
+            trained, log = train(copy.deepcopy(bundle), train_set, valid_set, replace(config, learning_rate=lr, l2=l2))
         except NumericError:
             results.append(GridResult(lr, l2, float("nan"), float("nan"), "failed"))
             continue
-        results.append(GridResult(lr, l2, valid_auc, valid_ll, "ok"))
-        key = (-valid_auc, valid_ll, order_idx)
-        if best is None or key < best:
-            best = key
-            best_bundle = bundle
-    if best_bundle is None:
+        results.append(GridResult(lr, l2, log[-1].valid_auc, log[-1].valid_logloss, "ok"))
+        if best is None or _rank(results[-1]) < _rank(best[1]):
+            best = (trained, results[-1])
+    if best is None:
         raise NumericError("every grid point diverged")
-    results.sort(key=lambda r: (-(r.valid_auc if np.isfinite(r.valid_auc) else -np.inf), r.valid_logloss))
-    return best_bundle, results
+    results.sort(key=_rank)
+    return best[0], results

@@ -26,6 +26,7 @@ REQUIRED_FLAGS = {
     "bench-latency": ["--data", "--out"],
     "interpret": ["--model", "--data", "--out-prefix"],
 }
+SEEDED = ("synth", "prep", "train", "grid", "bench-latency")
 
 
 def run_cli(args, cwd):
@@ -128,6 +129,18 @@ class TestGridCommand:
         lines = report.read_text().splitlines()
         assert lines[0] == "learning_rate,l2,valid_auc,valid_logloss,status"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("keep", ["1", ""], ids=["one-class", "empty"])
+    def test_undefined_validation_auc_is_data_error(self, synth_files, tmp_path, capsys, monkeypatch, keep):
+        header, *rows = Path(f"{synth_files}.valid.txt").read_text().splitlines()
+        valid = tmp_path / "v.txt"
+        valid.write_text("\n".join([header, *(r for r in rows if keep and r.startswith(keep + " "))]) + "\n")
+        monkeypatch.setattr("tensorfm.training.train", lambda *args: pytest.fail("a grid point trained"))
+        rc = main(["grid", "--train", f"{synth_files}.train.txt", "--valid", str(valid),
+                   "--model", "fm", "--out", str(tmp_path / "best.txt")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error: AUC is undefined")
+        assert not (tmp_path / "best.txt").exists()
 
 
 class TestBenchCommands:
@@ -290,6 +303,7 @@ class TestExitCodes:
         ("grid", ["--grid-lr", "0.1,nan"]),
         ("grid", ["--grid-l2", "0,-1"]),
         ("grid", ["--init-scale", "inf"]),
+        ("bench-latency", ["--repeats", "0"]),
     ])
     def test_size_below_one_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:
@@ -355,7 +369,9 @@ class TestExitCodes:
                 main([command, "--help"])
             assert exc.value.code == 0
             out = capsys.readouterr().out
-            assert "--seed" in out and "--config" in out
+            assert "--config" in out
+            # only the commands that draw random numbers take a seed
+            assert ("--seed" in out) == (command in SEEDED)
 
 
 class TestRequiredOptions:
@@ -376,7 +392,7 @@ class TestRequiredOptions:
             main([command, "--help"])
         assert exc.value.code == 0
         entries = re.split(r"\n\s+(?=--)", capsys.readouterr().out)[1:]  # one per option
-        assert len(entries) == len(cli.COMMANDS[command][2]) + 2  # with --config and --seed
+        assert len(entries) == len(cli.COMMANDS[command][2]) + 1  # with --config
         for entry in entries:
             flag, _metavar, *text = entry.split()
             assert text, flag
@@ -392,6 +408,8 @@ class TestUnusablePaths:
         "eval --model <dir>": ["eval", "--model", "{dir}", "--data", "{tmp}/d.txt"],
         "train --train <dir>": ["train", "--train", "{dir}", "--model", "fm", "--out", "{tmp}/m.txt"],
         "train --out <dir>": ["train", "--train", "{train}", "--model", "fm", "--epochs", "1", "--out", "{dir}"],
+        "train --out <missing dir>/m.txt": ["train", "--train", "{train}", "--model", "fm", "--epochs", "1",
+                                            "--out", "{missing}"],
         "--config <dir>": ["eval", "--config", "{dir}"],
         "model not UTF-8": ["eval", "--model", "{bad}", "--data", "{train}"],
         "dataset not UTF-8": ["train", "--train", "{bad}", "--model", "fm", "--out", "{tmp}/m.txt"],
@@ -400,13 +418,14 @@ class TestUnusablePaths:
     }
 
     def _argv(self, tmp_path, case):
-        directory, bad, train = tmp_path / "dir", tmp_path / "bad.txt", tmp_path / "train.txt"
-        directory.mkdir()
-        (directory / "kept.txt").write_text("kept\n")
-        bad.write_bytes("caf\u00e9 1\n".encode("latin-1"))
+        paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing" / "m.txt"}
+        train = tmp_path / "train.txt"
+        paths["dir"].mkdir()
+        (paths["dir"] / "kept.txt").write_text("kept\n")
+        paths["bad"].write_bytes("caf\u00e9 1\n".encode("latin-1"))
         train.write_text("#schema 2,2\n1 0:1 1:0\n0 0:0 1:1\n")
-        path = directory if "{dir}" in self.CASES[case] else bad
-        return [arg.format(dir=directory, bad=bad, train=train, tmp=tmp_path) for arg in self.CASES[case]], path
+        path = next(p for key, p in paths.items() if f"{{{key}}}" in self.CASES[case])
+        return [arg.format(train=train, tmp=tmp_path, **paths) for arg in self.CASES[case]], path
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_exits_3_naming_the_path(self, tmp_path, capsys, case):
@@ -414,6 +433,7 @@ class TestUnusablePaths:
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+        assert ".tmp" not in err  # the path given, not the temporary file beside it
         assert [p.name for p in (tmp_path / "dir").iterdir()] == ["kept.txt"]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dir", "train.txt"]
 

@@ -11,6 +11,7 @@ from tensorfm import (
     DataError,
     Dataset,
     Instance,
+    MetricError,
     NumericError,
     SyntheticSpec,
     TrainConfig,
@@ -19,7 +20,6 @@ from tensorfm import (
     auc,
     backward,
     bce_from_score,
-    bce_loss,
     build_schema,
     generate_synthetic,
     grid_search,
@@ -33,11 +33,17 @@ from tensorfm import (
 
 class TestBceLoss:
     def test_half_probability_is_ln_two(self):
-        assert abs(bce_loss(0.5, 1) - math.log(2)) < 1e-15
-        assert abs(bce_loss(0.5, 0) - math.log(2)) < 1e-15
+        # score 0 is probability 0.5 for either label
+        assert abs(bce_from_score(0.0, 1) - math.log(2)) < 1e-15
+        assert abs(bce_from_score(0.0, 0) - math.log(2)) < 1e-15
 
     def test_logit_form_matches_probability_form_at_zero(self):
-        assert abs(bce_from_score(0.0, 1) - bce_loss(0.5, 1)) < 1e-15
+        # the closed form -[y log p + (1 - y) log(1 - p)] with p = sigmoid(s)
+        for s in (0.0, 1.5, -3.0):
+            p = 1.0 / (1.0 + math.exp(-s))
+            for y in (0, 1):
+                closed = -(y * math.log(p) + (1 - y) * math.log1p(-p))
+                assert abs(bce_from_score(s, y) - closed) < 1e-15
 
     def test_softplus_value(self):
         assert abs(bce_from_score(2.0, 1) - math.log(1 + math.exp(-2))) < 1e-15
@@ -288,35 +294,59 @@ class TestTrain:
 
 
 class TestGridSearch:
-    def _data(self):
-        spec = SyntheticSpec(n_signal=2, cardinality=5, order=2, n_samples=3000, seed=6)
+    def _data(self, n_noise=0):
+        spec = SyntheticSpec(n_signal=2, cardinality=5, order=2, n_noise=n_noise, n_samples=3000, seed=6)
         ds = generate_synthetic(spec)
         return split(ds, (0.7, 0.15, 0.15), seed=6)[:2]
 
-    def test_single_point_matches_plain_train(self):
-        tr, va = self._data()
+    @pytest.mark.parametrize("kind,kw", ALL_KINDS)
+    def test_single_point_matches_plain_train(self, kind, kw):
+        tr, va = self._data(n_noise=1)  # three fields, for d=3
         cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=3)
-        best, results = grid_search("fm", [(0.1, 0.0)], tr, va, cfg, k=3)
-        direct = init("fm", tr.schema, k=3, seed=3)
-        direct, _ = train(direct, tr, va, cfg)
-        assert (best.blocks["embeddings"] == direct.blocks["embeddings"]).all()
+        best, results = grid_search(init(kind, tr.schema, k=3, seed=3, **kw), [(0.1, 0.0)], tr, va, cfg)
+        direct, log = train(init(kind, tr.schema, k=3, seed=3, **kw), tr, va, cfg)
+        assert list(best.blocks) == list(direct.blocks)
+        for name in direct.blocks:
+            np.testing.assert_array_equal(best.blocks[name], direct.blocks[name], err_msg=name)
         assert len(results) == 1 and results[0].status == "ok"
+        assert (results[0].valid_auc, results[0].valid_logloss) == (log[-1].valid_auc, log[-1].valid_logloss)
+
+    def test_given_bundle_is_left_unchanged(self):
+        tr, va = self._data()
+        bundle = init("tensorfm", tr.schema, k=3, d=2, r_vec=2, seed=3)
+        before = copy.deepcopy(bundle)
+        with np.errstate(over="ignore", invalid="ignore"):
+            best, _ = grid_search(bundle, [(1e160, 0.0), (0.1, 0.0)], tr, va, TrainConfig(epochs=1, seed=3))
+        assert best is not bundle
+        for name, arr in bundle.blocks.items():
+            np.testing.assert_array_equal(arr, before.blocks[name], err_msg=name)
+
+    @pytest.mark.parametrize("labels", [[1], []], ids=["one-class", "empty"])
+    def test_undefined_validation_auc_raises_before_training(self, monkeypatch, labels):
+        tr, va = self._data()
+        va = va.subset(np.flatnonzero(np.isin(va.labels, labels)))
+        calls = []
+        monkeypatch.setattr("tensorfm.training.train", lambda *args: calls.append(args))
+        with pytest.raises(MetricError):
+            grid_search(init("fm", tr.schema, k=3), [(0.1, 0.0)], tr, va, TrainConfig())
+        assert calls == []
 
     def test_divergent_point_excluded(self):
         tr, va = self._data()
         cfg = TrainConfig(epochs=2, seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
-            best, results = grid_search("fm", [(1e160, 0.0), (0.1, 0.0)], tr, va, cfg, k=3)
+            best, results = grid_search(init("fm", tr.schema, k=3, seed=3), [(1e160, 0.0), (0.1, 0.0)], tr, va, cfg)
         by_status = {r.status for r in results}
         assert by_status == {"ok", "failed"}
         ok = [r for r in results if r.status == "ok"]
         assert len(ok) == 1 and ok[0].learning_rate == 0.1
+        assert results[-1].status == "failed"
 
     def test_report_sorted_by_validation_auc(self):
         tr, va = self._data()
         cfg = TrainConfig(epochs=2, seed=3)
         grid = [(lr, l2) for lr in (0.01, 0.05, 0.1) for l2 in (0.0, 1e-5, 1e-4)]
-        best, results = grid_search("fm", grid, tr, va, cfg, k=3)
+        best, results = grid_search(init("fm", tr.schema, k=3, seed=3), grid, tr, va, cfg)
         assert len(results) == 9
         aucs = [r.valid_auc for r in results]
         assert aucs == sorted(aucs, reverse=True)
@@ -325,4 +355,4 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         tr, va = self._data()
         with pytest.raises(ConfigError):
-            grid_search("fm", [], tr, va, TrainConfig())
+            grid_search(init("fm", tr.schema, k=3), [], tr, va, TrainConfig())
