@@ -197,7 +197,23 @@ def write_dataset(dataset: Dataset, path: str | Path) -> None:
             fh.write(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs) + "\n")
 
 
+# Lines of a dataset body parsed at once: bounds the parser's scratch arrays.
+CHUNK_LINES = 512
+
+# Class of each byte in canonical text: 0 not allowed, 1 a delimiter (space,
+# ':' or newline), 2 anything else a label, index or float repr is made of.
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b" :\n", dtype=np.uint8)] = 1
+_BYTE_CLASS[np.frombuffer(b"0123456789.+-e", dtype=np.uint8)] = 2
+
+# Longest label, field or index piece the array parse reads: 10**9 - 1 fits in int32.
+_MAX_DIGITS = 9
+
+
 def read_dataset(path: str | Path) -> Dataset:
+    """Read a dataset file: the body in chunks of :data:`CHUNK_LINES` lines,
+    each parsed as arrays when it is in the writer's canonical form and line
+    by line otherwise. Every message names the file and line at fault."""
     path = Path(path)
     with open_text(path, DataError, "dataset file") as fh:
         header = fh.readline().strip()
@@ -209,51 +225,153 @@ def read_dataset(path: str | Path) -> Dataset:
             raise DataError(f"{path}: bad schema header: {exc}") from exc
 
         n = schema.n
-        active_rows, value_rows, labels, linenos = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
-            toks = line.split()
-            if not toks:
-                continue
-            if len(toks) != n + 1:
-                raise DataError(f"{path}:{lineno}: expected {n} field tokens")
-            act = np.empty(n, dtype=np.int32)
-            val = np.ones(n, dtype=np.float64)
-            fields = set()
-            try:
-                label = int(toks[0])
-                for tok in toks[1:]:
-                    pieces = tok.split(":")
-                    if len(pieces) not in (2, 3):
-                        raise DataError(f"{path}:{lineno}: malformed token {tok!r}")
-                    j = int(pieces[0])
-                    if not 0 <= j < n:
-                        raise DataError(f"{path}:{lineno}: field index {j} out of range")
-                    fields.add(j)
-                    act[j] = int(pieces[1])
-                    if len(pieces) == 3:
-                        value = float(pieces[2])
-                        if not math.isfinite(value):
-                            raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
-                        val[j] = value
-            except (ValueError, OverflowError) as exc:
-                raise DataError(f"{path}:{lineno}: bad token: {exc}") from exc
-            if label not in (0, 1):
-                raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
-            if len(fields) != n:
-                raise DataError(f"{path}:{lineno}: every field must appear exactly once")
-            labels.append(label)
-            active_rows.append(act)
-            value_rows.append(val)
-            linenos.append(lineno)
+        chunks, lines, first = [], [], 2
+        try:
+            for line in fh:
+                lines.append(line)
+                if len(lines) == CHUNK_LINES:
+                    chunks.append(_parse_chunk(path, n, lines, first))
+                    first += len(lines)
+                    lines = []
+        except UnicodeDecodeError:
+            _parse_lines(path, n, lines, first)  # a fault in the lines read so far comes first
+            raise
+        chunks.append(_parse_chunk(path, n, lines, first))  # the rest, perhaps no line
 
-    n_rows = len(active_rows)
-    active = np.vstack(active_rows) if n_rows else np.zeros((0, schema.n), dtype=np.int32)
+    active, values, labels, linenos = (np.concatenate(arrays) for arrays in zip(*chunks))
     bad = (active < 0) | (active >= np.asarray(schema.cardinalities))
     if bad.any():
         row, j = np.argwhere(bad)[0]
         raise DataError(f"{path}:{linenos[row]}: feature index {active[row, j]} out of range for field {j}")
-    values = np.vstack(value_rows) if n_rows else np.ones((0, schema.n), dtype=np.float64)
-    return Dataset(schema, active, values, np.asarray(labels, dtype=np.int8), provenance=str(path))
+    return Dataset(schema, active, values, labels, provenance=str(path))
+
+
+def _parse_chunk(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray, ...]:
+    """``(active, values, labels, linenos)`` of the instances in ``lines``,
+    the first of which is line ``first`` of the file."""
+    parsed = _parse_canonical("".join(lines), n)
+    if parsed is None:
+        return _parse_lines(path, n, lines, first)
+    return (*parsed, np.arange(first, first + len(parsed[2])))
+
+
+def _parse_canonical(text: str, n: int) -> tuple[np.ndarray, ...] | None:
+    """Parse ``text`` as arrays if it is in the form :func:`write_dataset`
+    writes: ASCII, one instance per line, fields in order 0..n-1, single
+    spaces, label, field and index pieces of at most 9 digits, labels 0 or 1
+    and finite values. Return ``(active, values, labels)``, equal to what
+    :func:`_parse_lines` returns for the same lines, or ``None`` if ``text``
+    holds anything else, faults included."""
+    if not text.isascii() or len(text) >= 2**31 - 1:  # positions are int32
+        return None
+    if not text.endswith("\n"):
+        text += "\n"  # a last line without its newline
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    cls = _BYTE_CLASS.take(buf)
+    if not cls.all():
+        return None
+    # Pieces are the runs between delimiters; each ends at its delimiter.
+    ends = np.flatnonzero(cls == 1).astype(np.int32)
+    starts = np.empty_like(ends)
+    starts[0] = 0
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    if not lengths.all():  # blank line, doubled or edge space, '::'
+        return None
+    delim = buf[ends]
+    # A word (label or token) ends at a space or newline: n + 1 to a line.
+    last = np.flatnonzero(delim != ord(":"))
+    rows, extra = divmod(len(last), n + 1)
+    if extra:
+        return None
+    word_delim = delim[last].reshape(rows, n + 1)
+    if not ((word_delim[:, :-1] == ord(" ")).all() and (word_delim[:, -1] == ord("\n")).all()):
+        return None
+    count = np.diff(last, prepend=-1).reshape(rows, n + 1)  # pieces per word
+    if not ((count[:, 0] == 1).all() and ((count[:, 1:] == 2) | (count[:, 1:] == 3)).all()):
+        return None
+    head = (last - count.ravel() + 1).reshape(rows, n + 1)  # each word's first piece
+
+    # Label, field and index pieces as columns [label | fields | indices],
+    # read one digit position at a time from the piece's end.
+    digit_pieces = np.concatenate([head, head[:, 1:] + 1], axis=1)
+    digit_ends, digit_lengths = ends[digit_pieces], lengths[digit_pieces]
+    if digit_lengths.max() > _MAX_DIGITS:
+        return None
+    number = np.zeros(digit_pieces.shape, dtype=np.int32)
+    for place in range(int(digit_lengths.max())):
+        digit = buf.take(digit_ends - 1 - place, mode="clip") - ord("0")  # a non-digit wraps above 9
+        digit *= digit_lengths > place
+        if (digit > 9).any():
+            return None
+        number += digit * np.int32(10**place)
+    labels, fields, active = number[:, 0], number[:, 1 : n + 1], number[:, n + 1 :]
+    if (labels > 1).any() or (fields != np.arange(n)).any():
+        return None
+
+    # Values: the third piece of a token, parsed by float() as line by line.
+    has_value = np.flatnonzero(count[:, 1:].ravel() == 3)
+    value_pieces = head[:, 1:].ravel()[has_value] + 2
+    try:
+        parsed = [float(text[a:b]) for a, b in zip(starts[value_pieces].tolist(), ends[value_pieces].tolist())]
+    except ValueError:
+        return None
+    values = np.ones(rows * n, dtype=np.float64)
+    values[has_value] = parsed
+    if not np.isfinite(values).all():
+        return None
+    return np.ascontiguousarray(active), values.reshape(rows, n), labels.astype(np.int8)
+
+
+def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray, ...]:
+    """The line-by-line parser: ``(active, values, labels, linenos)`` of the
+    instances in ``lines``, the first of which is line ``first`` of the
+    file. It takes every form the reader accepts (fields in any order,
+    blank lines, any whitespace and line end, any spelling ``int`` and
+    ``float`` take) and raises each ``path:line`` message but the range
+    check's."""
+    active_rows, value_rows, labels, linenos = [], [], [], []
+    for lineno, line in enumerate(lines, start=first):
+        toks = line.split()
+        if not toks:
+            continue
+        if len(toks) != n + 1:
+            raise DataError(f"{path}:{lineno}: expected {n} field tokens")
+        act = np.empty(n, dtype=np.int32)
+        val = np.ones(n, dtype=np.float64)
+        fields = set()
+        try:
+            label = int(toks[0])
+            for tok in toks[1:]:
+                pieces = tok.split(":")
+                if len(pieces) not in (2, 3):
+                    raise DataError(f"{path}:{lineno}: malformed token {tok!r}")
+                j = int(pieces[0])
+                if not 0 <= j < n:
+                    raise DataError(f"{path}:{lineno}: field index {j} out of range")
+                fields.add(j)
+                act[j] = int(pieces[1])
+                if len(pieces) == 3:
+                    value = float(pieces[2])
+                    if not math.isfinite(value):
+                        raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
+                    val[j] = value
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{path}:{lineno}: bad token: {exc}") from exc
+        if label not in (0, 1):
+            raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label}")
+        if len(fields) != n:
+            raise DataError(f"{path}:{lineno}: every field must appear exactly once")
+        labels.append(label)
+        active_rows.append(act)
+        value_rows.append(val)
+        linenos.append(lineno)
+    return (
+        np.array(active_rows, dtype=np.int32).reshape(-1, n),
+        np.array(value_rows, dtype=np.float64).reshape(-1, n),
+        np.array(labels, dtype=np.int8),
+        np.array(linenos, dtype=np.int64),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -42,18 +42,6 @@ def auc(scores, labels) -> float:
     return float((rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-def auc_pair_oracle(scores, labels) -> float:
-    """Quadratic-time pair-counting reference for :func:`auc`."""
-    s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels)
-    pos = s[y == 1]
-    neg = s[y == 0]
-    if len(pos) == 0 or len(neg) == 0:
-        raise MetricError("AUC is undefined without both a positive and a negative instance")
-    wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
-    return float(wins / (len(pos) * len(neg)))
-
-
 def softplus(x) -> np.ndarray:
     """log(1 + exp(x)), computed without overflow for any finite x."""
     x = np.asarray(x, dtype=np.float64)

@@ -140,6 +140,12 @@ class EpochLog:
     wall_seconds: float
 
 
+def _diverged(what: str, epoch: int) -> NumericError:
+    return NumericError(f"{what} became non-finite in epoch {epoch}; last completed epoch: {epoch - 1}")
+
+
+# A diverging run overflows quietly; the loss, block and validation checks raise.
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     bundle: ModelBundle,
     train_set: Dataset,
@@ -150,7 +156,9 @@ def train(
 
     The bundle is updated in place and returned together with one log row per
     epoch (mean train BCE, validation log-loss and AUC, wall time). There is
-    no early stopping; the final-epoch parameters are the result.
+    no early stopping; the final-epoch parameters are the result. A run
+    that diverges raises :class:`NumericError` naming the epoch, and the
+    block if a parameter block is no longer finite at the end of an epoch.
     """
     if len(train_set) == 0:
         raise DataError("cannot train on an empty dataset")
@@ -177,18 +185,20 @@ def train(
             cache = forward_batch(bundle, gidx, vals)
             batch_loss = float(bce_from_score(cache.scores, y).mean())
             if not np.isfinite(batch_loss):
-                raise NumericError(
-                    f"training loss became non-finite in epoch {epoch}; "
-                    f"last completed epoch: {epoch - 1}"
-                )
+                raise _diverged("training loss", epoch)
             loss_sum += batch_loss * len(rows)
             upstream = (sigmoid(cache.scores) - y) / len(rows)
             grads = backward_from_cache(bundle, cache, upstream)
             adagrad_step(bundle, grads, state, config)
+        for name, theta in bundle.blocks.items():
+            if not np.isfinite(theta).all():
+                raise _diverged(f"parameter block {name!r}", epoch)
 
         valid_ll, valid_auc = float("nan"), float("nan")
         if valid_set is not None and len(valid_set):
             scores = score_dataset(bundle, valid_set)
+            if not np.isfinite(scores).all():
+                raise _diverged("validation score", epoch)
             valid_ll = logloss(scores, valid_set.labels)
             try:
                 valid_auc = auc(scores, valid_set.labels)

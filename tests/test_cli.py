@@ -130,6 +130,16 @@ class TestGridCommand:
         assert lines[0] == "learning_rate,l2,valid_auc,valid_logloss,status"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("command, lr, code", [("grid", ["--grid-lr", "0.05,1e160,0.1"], 0),
+                                                   ("train", ["--lr", "1e160"], 4)])
+    def test_diverging_learning_rate_writes_no_numpy_warning(self, synth_files, tmp_path, command, lr, code):
+        argv = [command, "--train", f"{synth_files}.train.txt", "--valid", f"{synth_files}.valid.txt",
+                "--model", "fm", *lr, "--out", str(tmp_path / "m.txt")]
+        proc = run_cli(argv, cwd=tmp_path)
+        assert proc.returncode == code
+        assert "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == ("" if code == 0 else "error: training loss became non-finite in epoch 1; last completed epoch: 0\n")
+
     @pytest.mark.parametrize("keep", ["1", ""], ids=["one-class", "empty"])
     def test_undefined_validation_auc_is_data_error(self, synth_files, tmp_path, capsys, monkeypatch, keep):
         header, *rows = Path(f"{synth_files}.valid.txt").read_text().splitlines()

@@ -15,6 +15,7 @@ from tensorfm import (
     split,
     write_dataset,
 )
+from tensorfm import data
 
 
 class TestBuildSchema:
@@ -153,6 +154,78 @@ class TestTextFormat:
             write_dataset(PartlyWritable(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+
+class TestChunkedRead:
+    """Files longer than one chunk of ``CHUNK_LINES`` lines, with indices of
+    one to three digits and some explicit values."""
+
+    # Index into the file's lines of a line in the second chunk: file line AT + 1.
+    AT = data.CHUNK_LINES + 5
+
+    def _write(self, tmp_path):
+        rng = np.random.default_rng(0)
+        rows = data.CHUNK_LINES + 100
+        schema = build_schema([3, 150])
+        active = np.stack([rng.integers(0, c, size=rows) for c in schema.cardinalities], axis=1)
+        values = np.where(rng.random((rows, 2)) < 0.5, 1.0, rng.uniform(-2, 2, size=(rows, 2)))
+        ds = Dataset(schema, active, values, rng.integers(0, 2, size=rows))
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        return ds, path, path.read_text().splitlines(keepends=True)
+
+    def test_canonical_text_is_read_as_arrays(self, tmp_path, monkeypatch):
+        ds, path, _ = self._write(tmp_path)
+        monkeypatch.setattr(data, "_parse_lines", lambda *args: pytest.fail("canonical text parsed line by line"))
+        back = read_dataset(path)
+        for got, want in ((back.active, ds.active), (back.values, ds.values), (back.labels, ds.labels)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("line, reason", [
+        ("1 0:x 1:2", "bad token"),
+        ("1:1 0:1 1:2", "bad token"),
+        ("1 0:1 1:4294967297", "bad token"),  # beyond int32, ten digits
+        ("1 0:1 1:2:1e999", "non-finite"),
+        ("2 0:1 1:2", "label"),
+        ("1 1:2 0:1 0:1", "expected 2 field tokens"),
+        ("1 0:1\n1:2", "expected 2 field tokens"),  # the words of one line, over two
+        ("1 0:3 1:2", "feature index 3 out of range for field 0"),
+    ])
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, line, reason):
+        _, path, lines = self._write(tmp_path)
+        lines[self.AT] = line + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"ds.txt:{self.AT + 1}: .*{reason}"):
+            read_dataset(path)
+
+    def test_range_fault_is_reported_after_every_other_fault(self, tmp_path):
+        _, path, lines = self._write(tmp_path)
+        lines[5] = "1 0:3 1:2\n"
+        lines[self.AT] = "1 0:x 1:2\n"
+        path.write_text("".join(lines))
+        with pytest.raises(DataError, match=f"ds.txt:{self.AT + 1}: bad token"):
+            read_dataset(path)
+
+    def test_fault_before_undecodable_bytes_is_reported_first(self, tmp_path):
+        _, path, lines = self._write(tmp_path)
+        lines[2] = "1 0:x 1:2\n"
+        # the last line of the first chunk, past the first 8 KiB the text layer decodes
+        head = "".join(lines[: data.CHUNK_LINES]).encode()
+        assert len(head) > 8192
+        path.write_bytes(head + b"1 0:1 1:\xe92\n" + "".join(lines[data.CHUNK_LINES + 1 :]).encode())
+        with pytest.raises(DataError, match="ds.txt:3: bad token"):
+            read_dataset(path)
+
+    def test_fields_out_of_order_in_a_later_chunk(self, tmp_path):
+        ds, path, lines = self._write(tmp_path)
+        label, *tokens = lines[self.AT].split()
+        lines[self.AT] = " ".join([label, *reversed(tokens)]) + "\n"
+        path.write_text("".join(lines))
+        back = read_dataset(path)
+        line_by_line = data._parse_lines(path, 2, lines[1:], 2)[:3]
+        for got, want in zip((back.active, back.values, back.labels), line_by_line):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(back.active, ds.active)
 
 
 class TestLoadTabular:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from tensorfm import MetricError, auc, bce_from_score, evaluate, logloss
-from tensorfm.metrics import auc_pair_oracle
+
+from oracles import auc_pair_oracle
 
 
 class TestAuc:

@@ -6,12 +6,14 @@ tensor kinds, whose factor blocks view one stack; a d=5 Tucker check
 covers a longer contraction chain; a hofm check with d up to n and one
 dominant field guards the exactness of its recurrence. Model files of every
 kind and alias spelling, and dataset files with awkward values, round-trip
-exactly."""
+exactly; a dataset file with one character changed reads as the
+line-by-line parser reads it."""
 
 import copy
 import pickle
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, settings
@@ -216,3 +218,48 @@ def test_dataset_files_round_trip_exactly(data):
         assert back.values.tobytes() == dataset.values.tobytes()
         tfm.write_dataset(back, second)
         assert second.read_bytes() == first.read_bytes()
+
+
+# Characters a one-character mutation of a dataset file draws from: digits,
+# the delimiters, other whitespace and line ends, the characters of a float,
+# and non-ASCII text, including a digit int() reads.
+MUTATION_CHARS = "0123456789: \n\r\t-+._exé١"
+
+
+def read_outcome(path):
+    """What ``read_dataset`` does with ``path``: its arrays as bytes with
+    their dtypes, or its error message."""
+    try:
+        ds = tfm.read_dataset(path)
+    except tfm.DataError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (ds.active, ds.values, ds.labels)]
+
+
+@settings(PROPERTY, max_examples=500)
+@given(st.data())
+def test_one_mutation_reads_as_line_by_line(data):
+    cards = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+    n_rows = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
+    schema = tfm.build_schema(cards)
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in cards], axis=1)
+    values = rng.choice([1.0, 1.0, -0.0, 5e-324, 1e16, 1.0000000000000002, 0.5], size=active.shape)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.txt"
+        tfm.write_dataset(tfm.Dataset(schema, active, values, rng.integers(0, 2, size=n_rows)), path)
+        text = path.read_bytes().decode()
+        body = len(text.split("\n", 1)[0]) + 1
+        at = data.draw(st.integers(body, len(text)))
+        op = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+        char = data.draw(st.sampled_from(MUTATION_CHARS))
+        if op == "insert":
+            text = text[:at] + char + text[at:]
+        else:
+            text = text[:at] + (char if op == "replace" else "") + text[at + 1 :]
+        path.write_bytes(text.encode("utf-8"))
+        with patch.object(tfm.data, "CHUNK_LINES", data.draw(st.integers(1, 4))):
+            got = read_outcome(path)
+            with patch.object(tfm.data, "_parse_canonical", lambda text, n: None):
+                want = read_outcome(path)
+    assert got == want
