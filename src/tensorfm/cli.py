@@ -26,7 +26,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import analysis, data, metrics, params, scoring, training
-from .errors import ConfigError, DataError, TensorFMError
+from .errors import ConfigError, DataError, NumericError, TensorFMError
 
 # ---------------------------------------------------------------------------
 # option types: argparse parses every value, from the command line or, as a
@@ -204,7 +204,11 @@ def cmd_train(a: argparse.Namespace) -> int:
 def cmd_eval(a: argparse.Namespace) -> int:
     bundle = params.load_bundle(a.model)
     dataset = data.read_dataset(a.data)
-    scores = scoring.score_dataset(bundle, dataset)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows; the check below reports it
+        scores = scoring.score_dataset(bundle, dataset)
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise NumericError(f"{a.model}: non-finite score for row {bad[0]} of {a.data}; the model is not usable")
     report = metrics.evaluate(scores, dataset.labels)
     print("test_logloss,test_auc")
     print(f"{report.logloss:.6f},{report.auc * 100.0:.4f}")

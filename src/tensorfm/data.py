@@ -12,6 +12,7 @@ import contextlib
 import csv
 import math
 import os
+import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -209,6 +210,12 @@ _BYTE_CLASS[np.frombuffer(b"0123456789.+-e", dtype=np.uint8)] = 2
 # Longest label, field or index piece the array parse reads: 10**9 - 1 fits in int32.
 _MAX_DIGITS = 9
 
+# The spellings the reader takes: a label, field or index is ASCII digits
+# with an optional sign; a value is a float as repr writes it, with an
+# optional leading '+' (inf and nan are then rejected as non-finite).
+_INT = re.compile(r"[+-]?[0-9]+")
+_FLOAT = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?|inf|nan)")
+
 
 def read_dataset(path: str | Path) -> Dataset:
     """Read a dataset file: the body in chunks of :data:`CHUNK_LINES` lines,
@@ -310,6 +317,11 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray, ...] | None:
         return None
 
     # Values: the third piece of a token, parsed by float() as line by line.
+    # Of the spellings float() reads from these bytes, only those with a
+    # point lacking a digit on either side ('.5', '5.') are not _FLOAT's.
+    dots = np.flatnonzero(buf == ord("."))
+    if (buf[np.concatenate([dots - 1, dots + 1])] - ord("0") > 9).any():  # a non-digit wraps above 9
+        return None
     has_value = np.flatnonzero(count[:, 1:].ravel() == 3)
     value_pieces = head[:, 1:].ravel()[has_value] + 2
     try:
@@ -327,8 +339,8 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
     """The line-by-line parser: ``(active, values, labels, linenos)`` of the
     instances in ``lines``, the first of which is line ``first`` of the
     file. It takes every form the reader accepts (fields in any order,
-    blank lines, any whitespace and line end, any spelling ``int`` and
-    ``float`` take) and raises each ``path:line`` message but the range
+    blank lines, any whitespace and line end, the spellings of :data:`_INT`
+    and :data:`_FLOAT`) and raises each ``path:line`` message but the range
     check's."""
     active_rows, value_rows, labels, linenos = [], [], [], []
     for lineno, line in enumerate(lines, start=first):
@@ -341,17 +353,19 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
         val = np.ones(n, dtype=np.float64)
         fields = set()
         try:
-            label = int(toks[0])
+            label = _int(toks[0])
             for tok in toks[1:]:
                 pieces = tok.split(":")
                 if len(pieces) not in (2, 3):
                     raise DataError(f"{path}:{lineno}: malformed token {tok!r}")
-                j = int(pieces[0])
+                j = _int(pieces[0])
                 if not 0 <= j < n:
                     raise DataError(f"{path}:{lineno}: field index {j} out of range")
                 fields.add(j)
-                act[j] = int(pieces[1])
+                act[j] = _int(pieces[1])
                 if len(pieces) == 3:
+                    if not _FLOAT.fullmatch(pieces[2]):
+                        raise ValueError(f"invalid value {pieces[2]!r}")
                     value = float(pieces[2])
                     if not math.isfinite(value):
                         raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
@@ -372,6 +386,12 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
         np.array(labels, dtype=np.int8),
         np.array(linenos, dtype=np.int64),
     )
+
+
+def _int(piece: str) -> int:
+    if not _INT.fullmatch(piece):
+        raise ValueError(f"invalid integer {piece!r}")
+    return int(piece)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,13 @@ resolves and checks a model's kind, k, d and ranks through
 :func:`canonical_args` alone.
 
 The factor blocks of a bundle are column views of one contiguous
-(n, sum_o o * r_o) array, ``ModelBundle.factor_stack``, in layout order, so
-the scorers contract every factor of a batch with one matrix product.
+(n, sum_o o * r_o) array, ``ModelBundle.factor_stack``, one span of
+o * r_o columns per order in layout order, so the scorers contract every
+factor of a batch with one matrix product. A CP order's span is rank-major:
+mode b of rank column c is column ``first + c * o + b``, so the modes of one
+rank column are adjacent and every CP order's product over modes is one
+segmented product. A Tucker order's span is mode-major: its factor blocks
+side by side, mode 0 first. Neither layout shows in the model file.
 """
 
 from __future__ import annotations
@@ -87,15 +92,24 @@ def canonical_args(
 
 
 class FactorSpan(NamedTuple):
-    """One order's factor set: its ``order`` factor blocks (mode 0 first)
-    fill ``order * rank`` adjacent columns of ``ModelBundle.factor_stack``
-    from ``first`` on; ``core`` names its Tucker core (None for CP)."""
+    """One order's factor set: its ``order`` factor blocks fill
+    ``order * rank`` adjacent columns of ``ModelBundle.factor_stack`` from
+    ``first`` on, as :meth:`mode_columns` gives them; ``core`` names its
+    Tucker core (None for CP)."""
 
     order: int
     first: int
     rank: int
     core: str | None
     factors: tuple[str, ...]
+
+    def mode_columns(self, b: int) -> slice:
+        """The stack columns of mode b's factor block: every ``order``-th
+        column from ``first + b`` for CP (rank-major), the b-th run of
+        ``rank`` columns for Tucker (mode-major)."""
+        if self.core is None:
+            return slice(self.first + b, self.first + self.order * self.rank, self.order)
+        return slice(self.first + b * self.rank, self.first + (b + 1) * self.rank)
 
 
 def _factor_spans(kind: str, d: int, r_vec: tuple[int, ...]) -> tuple[FactorSpan, ...]:
@@ -141,8 +155,12 @@ class ModelBundle:
     a column view of the stack, so an in-place edit of a factor block (an
     optimizer step, a test's perturbation) is an edit of the stack.
     ``factor_columns`` maps each factor block to its columns and
-    ``factor_spans`` holds one :class:`FactorSpan` per order. Replacing a
-    dict entry instead of editing it in place unties it from the stack.
+    ``factor_spans`` holds one :class:`FactorSpan` per order. For CP,
+    ``cp_segments`` holds the first stack column of each rank column's
+    modes and ``cp_firsts`` the first of those rank columns of each order,
+    the offsets of the segmented reductions that score every order at once.
+    Replacing a dict entry instead of editing it in place unties it from
+    the stack.
     """
 
     kind: str
@@ -154,6 +172,8 @@ class ModelBundle:
     factor_stack: np.ndarray = field(init=False, repr=False, compare=False)
     factor_columns: dict[str, slice] = field(init=False, repr=False, compare=False)
     factor_spans: tuple[FactorSpan, ...] = field(init=False, repr=False, compare=False)
+    cp_segments: np.ndarray = field(init=False, repr=False, compare=False)
+    cp_firsts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Check the blocks against the layout, put them in layout order and
@@ -176,11 +196,15 @@ class ModelBundle:
         columns = {}
         for s in spans:
             for b, name in enumerate(s.factors):
-                columns[name] = cols = slice(s.first + b * s.rank, s.first + (b + 1) * s.rank)
+                columns[name] = cols = s.mode_columns(b)
                 stack[:, cols] = blocks[name]
                 blocks[name] = stack[:, cols]
         self.blocks, self.factor_stack = blocks, stack
         self.factor_columns, self.factor_spans = columns, spans
+        cp_spans = [s for s in spans if s.core is None]
+        ranks = np.array([s.rank for s in cp_spans], dtype=np.intp)
+        self.cp_segments = np.array([s.first + c * s.order for s in cp_spans for c in range(s.rank)], dtype=np.intp)
+        self.cp_firsts = np.cumsum(ranks) - ranks
 
     def __reduce__(self):
         # Rebuild through the constructor, so a copy or an unpickled bundle

@@ -39,7 +39,7 @@ from .params import FactorSpan, ModelBundle, materialize_distinct, materialize_t
 def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """(B, n, k) array whose row [b, j] is the embedding of the active feature
     of field j, scaled by the instance multiplier."""
-    A = bundle.blocks["embeddings"][gidx]
+    A = bundle.blocks["embeddings"].take(gidx, axis=0)
     A *= vals[..., None]  # in place: no second (B, n, k) array
     return A
 
@@ -67,9 +67,13 @@ def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.
 
 def order_tables(G: np.ndarray, span: FactorSpan) -> np.ndarray:
     """The (B, k, order, rank) view of the factor-stack products ``G`` that
-    holds one order's tables; ``[:, :, b]`` is mode b's."""
-    cols = slice(span.first, span.first + span.order * span.rank)
-    return G[:, :, cols].reshape(G.shape[0], G.shape[1], span.order, span.rank)
+    holds one order's tables; ``[:, :, b]`` is mode b's. A CP span is
+    rank-major, so its view is a transposed one."""
+    batch, k = G.shape[:2]
+    g = G[:, :, span.first : span.first + span.order * span.rank]
+    if span.core is None:
+        return g.reshape(batch, k, span.rank, span.order).swapaxes(2, 3)
+    return g.reshape(batch, k, span.order, span.rank)
 
 
 def cp_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -79,9 +83,12 @@ def cp_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
     return A.transpose(0, 2, 1) @ stack
 
 
-def cp_order_batch(g: np.ndarray) -> np.ndarray:
-    """One CP order's term from its :func:`order_tables` view."""
-    return g.prod(axis=2).sum(axis=(1, 2))
+def cp_order_batch(G: np.ndarray, segments: np.ndarray, firsts: np.ndarray) -> np.ndarray:
+    """Every CP order's term, (B, orders), from the factor-stack products
+    ``G`` of a rank-major stack: the product over each rank column's modes
+    (its columns start at ``segments``), summed over the k coordinates, then
+    over each order's rank columns (they start at ``firsts``)."""
+    return np.add.reduceat(np.multiply.reduceat(G, segments, axis=2).sum(axis=1), firsts, axis=1)
 
 
 def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
@@ -183,7 +190,8 @@ class Kernel:
     """
 
     def terms(self, bundle, A):
-        """The per-order (B,) terms of the gathered embeddings ``A``, and the
+        """The per-order (B,) terms of the gathered embeddings ``A`` (an
+        iterable of them: a CP kernel gives the rows of one array), and the
         state that :meth:`d_a` reuses."""
         return (), None
 
@@ -273,7 +281,7 @@ class _CP(Kernel):
 
     def terms(self, bundle, A):
         G = cp_mode_products(A, bundle.factor_stack)
-        return [cp_order_batch(order_tables(G, span)) for span in bundle.factor_spans], G
+        return cp_order_batch(G, bundle.cp_segments, bundle.cp_firsts).T, G
 
     def d_a(self, bundle, A, G, upstream, grads):
         rest = np.empty_like(G)

@@ -140,6 +140,19 @@ class TestGridCommand:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr == ("" if code == 0 else "error: training loss became non-finite in epoch 1; last completed epoch: 0\n")
 
+    def test_eval_of_a_diverged_model_is_numeric_error(self, synth_files, tmp_path, capsys):
+        # One batch, no validation set: training ends before the overflow shows.
+        model = tmp_path / "m.txt"
+        assert main(["train", "--train", f"{synth_files}.train.txt", "--model", "fm", "--lr", "1e160",
+                     "--batch-size", "5000", "--epochs", "1", "--out", str(model)]) == 0
+        capsys.readouterr()
+        # the suite turns a numpy RuntimeWarning into an exception
+        rc = main(["eval", "--model", str(model), "--data", f"{synth_files}.test.txt"])
+        assert rc == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {model}: non-finite score for row 0 of {synth_files}.test.txt")
+
     @pytest.mark.parametrize("keep", ["1", ""], ids=["one-class", "empty"])
     def test_undefined_validation_auc_is_data_error(self, synth_files, tmp_path, capsys, monkeypatch, keep):
         header, *rows = Path(f"{synth_files}.valid.txt").read_text().splitlines()
@@ -382,6 +395,13 @@ class TestExitCodes:
             assert "--config" in out
             # only the commands that draw random numbers take a seed
             assert ("--seed" in out) == (command in SEEDED)
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(tensorfm.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "tensorfm", "--help"], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.startswith("usage: tensorfm") and "eval" in proc.stdout
 
 
 class TestRequiredOptions:

@@ -119,6 +119,31 @@ class TestTextFormat:
         with pytest.raises(DataError, match=f"bad.txt:4: .*{reason}"):
             read_dataset(path)
 
+    @pytest.mark.parametrize("line", [
+        "1 0:\u0661 1:1",  # an Arabic-Indic digit one
+        "1 0:1 1:1_0",
+        "\u0661 0:1 1:2",
+        "1 0:1 1:\uff12",  # a fullwidth digit two
+        "1 0:1 1:2:1_5",
+        "1 0:1 1:2:\u0661.5",
+        "1 0:1 1:2:.5",
+        "1 0:1 1:2:1E5",
+        "1 0:1 1:2:infinity",
+    ])
+    def test_only_ascii_digits_and_the_writers_float_spelling_are_read(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("#schema 3,20\n1 0:1 1:2\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="bad.txt:3: bad token"):
+            read_dataset(path)
+
+    def test_signs_and_leading_zeros_are_read(self, tmp_path):
+        path = tmp_path / "ds.txt"
+        path.write_text("#schema 3,20\n+1 0:+2 1:0007:-1.5e-05\n0 0:00 1:19:+2.0\n")
+        back = read_dataset(path)
+        np.testing.assert_array_equal(back.active, [[2, 7], [0, 19]])
+        np.testing.assert_array_equal(back.values, [[1.0, -1.5e-05], [1.0, 2.0]])
+        np.testing.assert_array_equal(back.labels, [1, 0])
+
     def test_non_utf8_file_names_the_path(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"#schema 3,3\n1 0:1 1:2\n1 0:1 1:\xe92\n")
@@ -186,6 +211,7 @@ class TestChunkedRead:
         ("1:1 0:1 1:2", "bad token"),
         ("1 0:1 1:4294967297", "bad token"),  # beyond int32, ten digits
         ("1 0:1 1:2:1e999", "non-finite"),
+        ("1 0:1 1:2:.5", "bad token"),  # bytes of the array path, a spelling the writer never writes
         ("2 0:1 1:2", "label"),
         ("1 1:2 0:1 0:1", "expected 2 field tokens"),
         ("1 0:1\n1:2", "expected 2 field tokens"),  # the words of one line, over two

@@ -1,5 +1,6 @@
 """Parameter blocks, initialization, materialization, and serialization."""
 
+import itertools
 import json
 import math
 from pathlib import Path
@@ -167,7 +168,20 @@ class TestInit:
             assert span.core == (None if kind == "tensorfm" else f"tucker.{span.order}.core")
         names = [name for name in bundle.blocks if ".factor." in name]
         assert list(bundle.factor_columns) == names
-        np.testing.assert_array_equal(np.hstack([bundle.blocks[name] for name in names]), bundle.factor_stack)
+        # CP spans are rank-major (mode b of rank column c is column
+        # first + c * order + b), Tucker spans mode-major.
+        layout = np.empty(bundle.factor_stack.shape[1], dtype=object)
+        for span in bundle.factor_spans:
+            for b, c in itertools.product(range(span.order), range(span.rank)):
+                col = span.first + (c * span.order + b if kind == "tensorfm" else b * span.rank + c)
+                layout[col] = (span.factors[b], c)
+        stacked = np.stack([bundle.blocks[name][:, c] for name, c in layout], axis=1)
+        np.testing.assert_array_equal(stacked, bundle.factor_stack)
+        if kind == "tensorfm":
+            assert bundle.cp_segments.tolist() == [0, 2, 4, 6, 9, 13]
+            assert bundle.cp_firsts.tolist() == [0, 3, 4]
+        else:
+            assert bundle.cp_segments.size == bundle.cp_firsts.size == 0
         bundle.blocks[names[4]][1, 0] = 7.0  # in-place edits write the stack
         assert bundle.factor_stack[1, bundle.factor_columns[names[4]].start] == 7.0
 

@@ -2,8 +2,10 @@
 ranks per order. Each example builds one bundle of every kind it covers
 over the same schema. Oracle agreement, finite differences, batch
 gradients and seeded determinism cover every kind; copies cover the two
-tensor kinds, whose factor blocks view one stack; a d=5 Tucker check
-covers a longer contraction chain; a hofm check with d up to n and one
+tensor kinds, whose factor blocks view one stack; CP orders up to d=5,
+scored in one segmented product for one, a few and more than one batch of
+rows, match each order computed alone; a d=5 Tucker check covers a longer
+contraction chain; a hofm check with d up to n and one
 dominant field guards the exactness of its recurrence. Model files of every
 kind and alias spelling, and dataset files with awkward values, round-trip
 exactly; a dataset file with one character changed reads as the
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 import tensorfm as tfm
 from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
-from tensorfm.scoring import forward_batch
+from tensorfm.scoring import cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -177,6 +179,25 @@ def test_order_five_tucker_batch_scores_equal_single_scores(model):
         assert abs(batch[i] - one) <= 1e-12 * max(1.0, abs(one)), i
     oracle = tfm.score_naive_oracle(bundle, dataset.instance(0))
     assert abs(batch[0] - oracle) <= 1e-9 * max(1.0, abs(oracle))
+
+
+@settings(PROPERTY, max_examples=30)
+@given(models(("tensorfm",), n_range=(2, 5), d_range=(2, 5)), st.sampled_from([1, 7, 4099]))
+def test_cp_orders_in_one_segmented_product_equal_each_order_alone(model, n_rows):
+    (bundle,), rng = model
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in bundle.schema.cardinalities], axis=1)
+    dataset = tfm.Dataset(bundle.schema, active, rng.uniform(0.5, 1.5, size=active.shape))
+    A = gather_embeddings(bundle, dataset.global_indices, dataset.values)
+    G = cp_mode_products(A, bundle.factor_stack)
+    terms = cp_order_batch(G, bundle.cp_segments, bundle.cp_firsts)
+    for o, span in enumerate(bundle.factor_spans):
+        alone = order_tables(G, span).prod(axis=2).sum(axis=(1, 2))
+        assert (abs(terms[:, o] - alone) <= 1e-12 * np.maximum(1.0, abs(alone))).all(), span
+    batch = tfm.score_dataset(bundle, dataset)
+    assert all(batch[i] == tfm.score(bundle, dataset.instance(i)) for i in range(n_rows))
+    for i in range(min(n_rows, 3)):
+        oracle = tfm.score_naive_oracle(bundle, dataset.instance(i))
+        assert abs(batch[i] - oracle) <= 1e-9 * max(1.0, abs(oracle)), i
 
 
 @PROPERTY
