@@ -41,6 +41,7 @@ def latency_table():
     for label, kind, kw in [
         ("tensorfm(1,2)", "tensorfm", dict(d=2, r_vec=1)),
         ("tensorfm(4,3)", "tensorfm", dict(d=3, r_vec=4)),
+        ("hofm d=3", "hofm", dict(d=3)),
         ("fwfm", "fwfm", {}),
     ]:
         bundle = tfm.init(kind, data.schema, k=8, seed=0, **kw)

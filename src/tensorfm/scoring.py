@@ -168,18 +168,72 @@ def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, upst
     return d_a
 
 
-def hofm_table_batch(A: np.ndarray, degree: int) -> np.ndarray:
-    """Dynamic-program (ANOVA-kernel) table ``dp`` of shape (n + 1, degree + 1,
-    B, k): ``dp[j, t]`` sums, per embedding coordinate, the products over the
-    t-subsets of the first j fields, so the degree-t term is ``dp[n, t]``
-    summed over coordinates. Each field is one exact array step over all
-    degrees: dp[j, t] = dp[j-1, t] + A[:, j-1] * dp[j-1, t-1]."""
-    b, n, k = A.shape
-    dp = np.zeros((n + 1, degree + 1, b, k))
-    dp[:, 0] = 1.0
-    for j in range(1, n + 1):
-        dp[j, 1:] = dp[j - 1, 1:] + A[:, j - 1] * dp[j - 1, :-1]
-    return dp
+def hofm_table_batch(A: np.ndarray, degree: int) -> list[np.ndarray]:
+    """The levels of hofm's polynomial product tree, leaves first.
+
+    Per embedding coordinate, the degree-t term is the coefficient of x^t in
+    the product over the fields j of (1 + a_j x). A level is a contiguous
+    (D, nodes, B·k) array whose node i is the polynomial
+    1 + Σ_t level[t-1, i] x^t. The leaves are the a_j, (1, n, B·k); each
+    further level is the product of pairs of nodes of the one below
+    (:func:`_pair_products`), truncated at x^degree, until the root is left
+    after ceil(log2 n) levels. Its row t-1 holds the degree-t term of every
+    coordinate. Every coefficient is a sum of products, with no
+    subtraction."""
+    batch, n, k = A.shape
+    levels = [np.ascontiguousarray(A.transpose(1, 0, 2)).reshape(1, n, batch * k)]
+    while levels[-1].shape[1] > 1:
+        levels.append(_pair_products(levels[-1], degree))
+    return levels
+
+
+def _pair_products(nodes: np.ndarray, top: int) -> np.ndarray:
+    """The next tree level: node i of ``nodes`` times node half + i,
+    truncated at x^top, is node i; an odd last node is carried up unchanged.
+
+    The two halves of the pairs are contiguous blocks of every coefficient
+    row, so each degree pair i + j <= top is one product of two (half, B·k)
+    arrays; no other pair is formed."""
+    degree, count, cols = nodes.shape
+    half = count // 2
+    size = min(2 * degree, top)
+    out = np.empty((size, count - half, cols))
+    left, right = nodes[:, :half], nodes[:, half : 2 * half]
+    np.add(left, right, out=out[:degree, :half])
+    for t in range(2, size + 1):
+        for i in range(max(1, t - degree), min(degree, t - 1) + 1):
+            if i == t - degree:  # x^t is above the inputs' degree: its first term
+                np.multiply(left[i - 1], right[t - i - 1], out=out[t - 1, :half])
+            else:
+                out[t - 1, :half] += left[i - 1] * right[t - i - 1]
+    if count % 2:
+        out[:degree, -1] = nodes[:, -1]
+        out[degree:, -1] = 0.0
+    return out
+
+
+def _outside_products(nodes: np.ndarray, outside: np.ndarray, top: int) -> np.ndarray:
+    """One step down the tree: from ``outside``, each parent node's product
+    over every leaf outside it truncated at x^top (laid out as a level), the
+    same for each node of ``nodes``. A paired node's is its parent's times
+    its sibling; a carried node's is its parent's."""
+    degree, count, cols = nodes.shape
+    half = count // 2
+    out = np.empty((top, count, cols))
+    sibling = nodes[:, : 2 * half].reshape(degree, 2, half, cols)[:, ::-1]
+    parent = outside[:, None, :half]
+    prod = out[:, : 2 * half].reshape(top, 2, half, cols)
+    low = min(degree, top)
+    np.add(parent[:low], sibling[:low], out=prod[:low])
+    prod[low:] = parent[low:]
+    scratch = np.empty((2, half, cols))
+    for t in range(2, top + 1):
+        for i in range(max(1, t - degree), t):
+            np.multiply(parent[i - 1], sibling[t - i - 1], out=scratch)
+            prod[t - 1] += scratch
+    if count % 2:
+        out[:, -1] = outside[:, -1]
+    return out
 
 
 class Kernel:
@@ -230,24 +284,42 @@ class _FM(Kernel):
 
 
 class _HOFM(_FM):
-    """hofm: fm's tensors up to order d; the state is the DP table, walked back one array step per field."""
+    """hofm: fm's tensors up to order d; the state is the levels of the
+    product tree, walked back down from the root for the gradient."""
 
     def terms(self, bundle, A):
-        dp = hofm_table_batch(A, bundle.d)
-        return (dp[-1, 2:].sum(axis=(0, 2)),), dp
+        levels = hofm_table_batch(A, bundle.d)
+        batch, _, k = A.shape
+        return (levels[-1][1:, 0].reshape(-1, batch, k).sum(axis=(0, 2)),), levels
 
-    def d_a(self, bundle, A, dp, upstream, grads):
-        d_a = np.empty_like(A)
-        adj = np.zeros_like(dp[0])  # d score / d dp[j], from j = n down
-        adj[2:] = 1.0
-        for j in range(A.shape[1], 0, -1):
-            d_a[:, j - 1] = (adj[1:] * dp[j - 1, :-1]).sum(axis=0)
-            adj[:-1] += adj[1:] * A[:, j - 1]
-        return d_a
+    def d_a(self, bundle, A, levels, upstream, grads):
+        # d/d a_j of the coefficients 2..d of prod_i (1 + a_i x) is the sum of
+        # the coefficients 1..d-1 of the product over every i but j
+        batch, n, k = A.shape
+        top = bundle.d - 1
+        outside = np.zeros((top, 1, batch * k))  # the root's: 1
+        for nodes in levels[-2:0:-1]:
+            outside = _outside_products(nodes, outside, top)
+        # a paired leaf's is its node's outside product o times (1 + partner x),
+        # summed over 1..top: sum(o) + partner (1 + sum of o below x^top)
+        partial = outside[: top - 1].sum(axis=0)
+        total = partial + outside[top - 1]
+        lower = np.add(partial, 1.0, out=partial)
+        half = n // 2
+        d_a = np.empty((n, batch * k))
+        pairs = d_a[: 2 * half].reshape(2, half, -1)
+        np.multiply(levels[0][0, : 2 * half].reshape(2, half, -1)[::-1], lower[:half], out=pairs)
+        pairs += total[:half]
+        if n % 2:
+            d_a[-1] = total[-1]
+        return np.ascontiguousarray(d_a.reshape(n, batch, k).transpose(1, 0, 2))
 
     def flops(self, n, k, d, r_vec):
-        # the degree-d dynamic program 2nkd plus the (d-1)k final accumulation
-        return 2 * n * k * d + (d - 1) * k
+        # n - 1 internal nodes: n//2 leaf pairs (a + b, ab) at 2k each, and
+        # n - 1 - n//2 products of two polynomials truncated at x^d, counted
+        # at full degree: sum over t <= d of 2t - 1, d^2 per coordinate;
+        # then the (d-1)k final accumulation
+        return 2 * k * (n // 2) + d * d * k * (n - 1 - n // 2) + (d - 1) * k
 
 
 class _FwFM(Kernel):

@@ -6,7 +6,9 @@ tensor kinds, whose factor blocks view one stack; CP orders up to d=5,
 scored in one segmented product for one, a few and more than one batch of
 rows, match each order computed alone; a d=5 Tucker check covers a longer
 contraction chain; a hofm check with d up to n and one
-dominant field guards the exactness of its recurrence. Model files of every
+dominant field guards the exactness of its product tree, and the tree's
+terms and gradient match the per-field dynamic program for n up to 9 and
+one, a few and more than a thousand rows. Model files of every
 kind and alias spelling, and dataset files with awkward values, round-trip
 exactly; a dataset file with one character changed reads as the
 line-by-line parser reads it."""
@@ -18,12 +20,14 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tensorfm as tfm
 from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
-from tensorfm.scoring import cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
+from tensorfm.scoring import KERNELS, cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
+
+from oracles import hofm_dp_oracle
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -118,6 +122,35 @@ def test_hofm_is_exact_when_one_field_dominates(model, scale):
     bundle.blocks["embeddings"][first : first + schema.cardinalities[field]] *= scale
     check_oracle([bundle], rng)
     check_central_differences([bundle], rng)
+
+
+# (n, d): n from 2 to 9 gives odd and even levels and powers of two, so a
+# node is carried up at every level for some n
+HOFM_SHAPES = st.integers(2, 9).flatmap(lambda n: st.tuples(st.just(n), st.integers(2, n)))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(HOFM_SHAPES, st.integers(1, 3), st.sampled_from([1, 3, 1030]), st.sampled_from([1.0, 60.0]), st.integers(0, 2**31))
+@example(shape=(2, 2), k=2, n_rows=3, scale=60.0, seed=0)  # the root is the only level above the leaves
+@example(shape=(3, 3), k=2, n_rows=1030, scale=1.0, seed=1)  # one node carried up
+@example(shape=(3, 2), k=1, n_rows=1, scale=60.0, seed=2)
+def test_hofm_tree_equals_the_per_field_dynamic_program(shape, k, n_rows, scale, seed):
+    # errors are relative to the same sums of products over |A|, where
+    # nothing can cancel
+    (n, d), rng = shape, np.random.default_rng(seed)
+    A = rng.normal(size=(n_rows, n, k))
+    A[:, rng.integers(n)] *= scale
+    bundle = tfm.init("hofm", tfm.build_schema([1] * n), k=k, d=d, seed=0)
+    kernel = KERNELS["hofm"]
+    (terms,), levels = kernel.terms(bundle, A)
+    d_a = kernel.d_a(bundle, A, levels, None, {})
+    want_terms, want_d_a = hofm_dp_oracle(A, d)
+    abs_terms, abs_d_a = hofm_dp_oracle(np.abs(A), d)
+    assert (np.abs(terms - want_terms) <= 1e-13 * abs_terms).all()
+    assert d_a.shape == A.shape
+    assert (np.abs(d_a - want_d_a) <= 1e-13 * abs_d_a).all()
+    # the backward state is no larger than the dynamic program's table
+    assert sum(level.size for level in levels) <= (n + 1) * (d + 1) * A.size // n
 
 
 @PROPERTY
