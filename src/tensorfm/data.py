@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import math
 import os
 import re
@@ -105,6 +106,10 @@ class Dataset:
             values = np.ascontiguousarray(values, dtype=np.float64)
             if values.shape != active.shape:
                 raise SchemaError("values array must match active array shape")
+            finite = np.isfinite(values)
+            if not finite.all():
+                row, field = np.argwhere(~finite)[0]
+                raise DataError(f"multipliers must be finite, found {values[row, field]} in row {row}, field {field}")
         if labels is None:
             labels = np.zeros(n_rows, dtype=np.int8)
         else:
@@ -137,17 +142,26 @@ class Dataset:
         gidx.setflags(write=False)
         return gidx
 
+    @cached_property
+    def unit_values(self) -> bool:
+        """True when every multiplier is 1.0; the batch scorers and training
+        then skip the multiply by them, which is exact."""
+        return bool((self.values == 1.0).all())
+
     def instance(self, i: int) -> Instance:
         return Instance(self.active[i], self.values[i], int(self.labels[i]))
 
     def subset(self, rows: np.ndarray, provenance: str = "") -> "Dataset":
-        return Dataset(
-            self.schema,
-            self.active[rows],
-            self.values[rows],
-            self.labels[rows],
-            provenance or self.provenance,
-        )
+        """The instances ``rows`` of this dataset, in that order. They were
+        checked when this dataset was built, so they are not checked again."""
+        sub = object.__new__(Dataset)
+        for name in ("active", "values", "labels"):
+            arr = np.ascontiguousarray(getattr(self, name)[rows])
+            arr.setflags(write=False)
+            setattr(sub, name, arr)
+        sub.schema = self.schema
+        sub.provenance = provenance or self.provenance
+        return sub
 
 
 @contextlib.contextmanager
@@ -191,14 +205,29 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
 
 
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
+    """Write the canonical text form: the ``#schema`` line, then per row its
+    label and a ``field:index`` token per field, with ``:value`` (the float's
+    repr) after it where the multiplier is not 1.0. The tokens are built a
+    field at a time over :data:`CHUNK_LINES` rows, then joined into lines."""
     with atomic_open(path) as fh:
         fh.write("#schema " + ",".join(str(c) for c in dataset.schema.cardinalities) + "\n")
-        for label, active, values in zip(dataset.labels, dataset.active, dataset.values):
-            pairs = enumerate(zip(active.tolist(), values.tolist()))
-            fh.write(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs) + "\n")
+        labels = iter(dataset.labels)
+        for lo in range(0, len(dataset.active), CHUNK_LINES):
+            active, values = dataset.active[lo : lo + CHUNK_LINES], dataset.values[lo : lo + CHUNK_LINES]
+            columns = [[str(label) for label in itertools.islice(labels, len(active))]]
+            for j, (field_active, field_values) in enumerate(zip(active.T, values.T)):
+                # one token string per distinct index, shared by its rows
+                distinct, which = np.unique(field_active, return_inverse=True)
+                names = [f"{j}:{a}" for a in distinct.tolist()]
+                tokens = list(map(names.__getitem__, which.tolist()))
+                floats = field_values.tolist()
+                for i in np.flatnonzero(field_values != 1.0).tolist():
+                    tokens[i] += f":{floats[i]!r}"
+                columns.append(tokens)
+            fh.write("\n".join(map(" ".join, zip(*columns))) + "\n")
 
 
-# Lines of a dataset body parsed at once: bounds the parser's scratch arrays.
+# Lines of a dataset body parsed or written at once: bounds the scratch arrays and token lists.
 CHUNK_LINES = 512
 
 # Class of each byte in canonical text: 0 not allowed, 1 a delimiter (space,

@@ -36,11 +36,13 @@ from .params import FactorSpan, ModelBundle, materialize_distinct, materialize_t
 # ---------------------------------------------------------------------------
 
 
-def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
+def gather_embeddings(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
     """(B, n, k) array whose row [b, j] is the embedding of the active feature
-    of field j, scaled by the instance multiplier."""
+    of field j, scaled by the instance multiplier. ``vals`` None means every
+    multiplier is 1, and the exact multiply by 1.0 is skipped."""
     A = bundle.blocks["embeddings"].take(gidx, axis=0)
-    A *= vals[..., None]  # in place: no second (B, n, k) array
+    if vals is not None:
+        A *= vals[..., None]  # in place: no second (B, n, k) array
     return A
 
 
@@ -55,9 +57,12 @@ def _as_batch(bundle: ModelBundle, instance: Instance) -> tuple[np.ndarray, np.n
     return gidx[None, :], np.asarray(instance.values, dtype=np.float64)[None, :]
 
 
-def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    blocks = bundle.blocks
-    return blocks["linear.b"] + (blocks["linear.w"][gidx] * vals).sum(axis=1)
+def linear_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray | None) -> np.ndarray:
+    """The (B,) linear term; ``vals`` as in :func:`gather_embeddings`."""
+    w = bundle.blocks["linear.w"][gidx]
+    if vals is not None:
+        w *= vals
+    return bundle.blocks["linear.b"] + w.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -91,17 +96,28 @@ def cp_order_batch(G: np.ndarray, segments: np.ndarray, firsts: np.ndarray) -> n
     return np.add.reduceat(np.multiply.reduceat(G, segments, axis=2).sum(axis=1), firsts, axis=1)
 
 
+def cp_tables(rows: np.ndarray, span: FactorSpan) -> np.ndarray:
+    """The (order, rank, B·k) view of one CP order's tables in the
+    factor-stack products laid out as contiguous (stack columns, B·k) rows;
+    ``[b]`` is mode b's, and each of its rank rows is contiguous."""
+    return rows[span.first : span.first + span.order * span.rank].reshape(span.rank, span.order, -1).swapaxes(0, 1)
+
+
 def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
-    """For the tables g[:, :, 0..l-1] of one CP order, write into
-    out[:, :, b] the elementwise product of all tables but g[:, :, b]."""
-    count = g.shape[2]
-    prefix = [np.ones_like(g[:, :, 0])]
-    for i in range(count - 1):
-        prefix.append(prefix[i] * g[:, :, i])
-    suffix = np.ones_like(g[:, :, 0])
-    for i in range(count - 1, -1, -1):
-        np.multiply(prefix[i], suffix, out=out[:, :, i])
-        suffix = suffix * g[:, :, i]
+    """For the tables g[0..l-1] of one CP order (l >= 2), write into out[b]
+    the elementwise product of all tables but g[b]: the product of the
+    tables before b, multiplied up from g[0], times the product of those
+    after it, multiplied down from g[l-1]. An empty product is 1 and is not
+    multiplied, which is exact."""
+    count = g.shape[0]
+    out[1] = g[0]
+    for i in range(2, count):
+        np.multiply(out[i - 1], g[i - 1], out=out[i])
+    suffix = g[count - 1]
+    for i in range(count - 2, 0, -1):
+        out[i] *= suffix
+        suffix = suffix * g[i]
+    out[0] = suffix
 
 
 def tucker_mode_products(A: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -158,12 +174,14 @@ def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.
 def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, upstream: np.ndarray, grads) -> np.ndarray:
     """Two GEMMs from ``rest``, d score / d G of the factor-stack tables (CP:
     the product of the order's other tables; Tucker: the core contracted with
-    them): return d_a, and put every factor block's gradient in ``grads``."""
+    them): return d_a, a (B, n, k) view, and put every factor block's
+    gradient in ``grads``."""
     batch, n, k = A.shape
     rest = rest.reshape(batch * k, -1)
     d_a = (rest @ bundle.factor_stack.T).reshape(batch, k, n).transpose(0, 2, 1)
-    weighted = np.multiply(A.transpose(0, 2, 1), upstream[:, None, None], order="C").reshape(batch * k, n)
-    stack_grad = weighted.T @ rest
+    weighted = np.ascontiguousarray(A.transpose(0, 2, 1))
+    weighted *= upstream[:, None, None]
+    stack_grad = weighted.reshape(batch * k, n).T @ rest
     grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
     return d_a
 
@@ -250,8 +268,9 @@ class Kernel:
         return (), None
 
     def d_a(self, bundle, A, state, upstream, grads):
-        """d score / d A per row before ``upstream`` (None without embeddings);
-        the kind's own blocks' upstream-weighted gradients go in ``grads``."""
+        """d score / d A per row before ``upstream`` (None without embeddings),
+        which the caller only reads, so it may be a view of ``state``; the
+        kind's own blocks' upstream-weighted gradients go in ``grads``."""
         return None
 
     def tensors(self, bundle):
@@ -334,10 +353,11 @@ class _FwFM(Kernel):
 
     def d_a(self, bundle, A, sa, upstream, grads):
         n = A.shape[1]
-        abar = A.transpose(0, 2, 1)
-        ds_full = 0.5 * ((abar * upstream[:, None, None]).reshape(-1, n).T @ abar.reshape(-1, n))
+        rows = np.ascontiguousarray(A.transpose(0, 2, 1))
+        weighted = rows * upstream[:, None, None]
+        ds_full = 0.5 * (weighted.reshape(-1, n).T @ rows.reshape(-1, n))
         grads["pair.upper"] = (ds_full + ds_full.T)[bundle.schema.pair_index]
-        return sa.transpose(0, 2, 1).copy()
+        return sa.transpose(0, 2, 1)
 
     def tensors(self, bundle):
         return {2: bundle.dense_s / 2.0}
@@ -356,10 +376,14 @@ class _CP(Kernel):
         return cp_order_batch(G, bundle.cp_segments, bundle.cp_firsts).T, G
 
     def d_a(self, bundle, A, G, upstream, grads):
-        rest = np.empty_like(G)
+        # the leave-one-out runs over contiguous (stack column, B·k) rows;
+        # rest goes back to G's layout because handing a GEMM the transposed
+        # rows changes the last bits of its result at small B·k (OpenBLAS)
+        rows = np.ascontiguousarray(G.reshape(-1, G.shape[2]).T)
+        rest = np.empty_like(rows)
         for span in bundle.factor_spans:
-            _leave_one_out(order_tables(G, span), order_tables(rest, span))
-        return _factor_gradients(bundle, A, rest, upstream, grads)
+            _leave_one_out(cp_tables(rows, span), cp_tables(rest, span))
+        return _factor_gradients(bundle, A, np.ascontiguousarray(rest.T), upstream, grads)
 
     def tensors(self, bundle):
         return {s.order: materialize_tensor([bundle.blocks[name] for name in s.factors]) for s in bundle.factor_spans}
@@ -415,7 +439,7 @@ class ForwardCache:
     """Everything the backward pass needs from a batch forward pass."""
 
     gidx: np.ndarray
-    vals: np.ndarray
+    vals: np.ndarray | None  # None: every multiplier is 1
     scores: np.ndarray | None = None
     A: np.ndarray | None = None
     state: object = None  # the kernel's backward state
@@ -431,8 +455,9 @@ def _interaction_terms(bundle: ModelBundle, cache: ForwardCache):
     return terms
 
 
-def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray) -> ForwardCache:
+def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray | None) -> ForwardCache:
     """Score a batch under the bundle's kind, keeping backward intermediates.
+    ``vals`` None means every multiplier is 1.
 
     The returned scores are the full predictor: the linear term, then each
     interaction term added in turn.
@@ -450,10 +475,12 @@ def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096)
         raise ConfigError("dataset schema does not match the model schema")
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    vals = None if dataset.unit_values else dataset.values
     out = np.empty(len(dataset))
     for lo in range(0, len(dataset), batch_size):
         hi = min(lo + batch_size, len(dataset))
-        out[lo:hi] = forward_batch(bundle, dataset.global_indices[lo:hi], dataset.values[lo:hi]).scores
+        batch_vals = None if vals is None else vals[lo:hi]
+        out[lo:hi] = forward_batch(bundle, dataset.global_indices[lo:hi], batch_vals).scores
     return out
 
 

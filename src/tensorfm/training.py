@@ -68,22 +68,25 @@ def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.n
     upstream = np.asarray(upstream, dtype=np.float64)
     gidx, vals = cache.gidx, cache.vals
     m = bundle.schema.m
+    flat_gidx = gidx.ravel()
+    # (B, n) weight of each active feature: its row's upstream times its
+    # multiplier (None: every multiplier is 1, so the upstream itself)
+    w = np.repeat(upstream[:, None], gidx.shape[1], axis=1) if vals is None else upstream[:, None] * vals
 
     grads = {
         "linear.b": np.array([upstream.sum()]),
-        "linear.w": np.bincount(gidx.ravel(), weights=(upstream[:, None] * vals).ravel(), minlength=m),
+        "linear.w": np.bincount(flat_gidx, weights=w.ravel(), minlength=m),
     }
     d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
     if d_a is None:  # no embeddings
         return grads
 
-    # Scatter d_a, scaled in place, into the embedding rows one coordinate
-    # at a time: no (B, n, k) index array, and each bin sums in row order.
-    d_a *= upstream[:, None, None] * vals[:, :, None]
-    flat_gidx = gidx.ravel()
+    # Scatter d_a times w into the embedding rows one coordinate at a time:
+    # d_a is read, never written (a kernel may return a view of its state),
+    # no (B, n, k) index array is built, and each bin sums in row order.
     d_emb = np.empty((m, d_a.shape[2]))
     for h in range(d_emb.shape[1]):
-        d_emb[:, h] = np.bincount(flat_gidx, weights=d_a[:, :, h].ravel(), minlength=m)
+        d_emb[:, h] = np.bincount(flat_gidx, weights=(d_a[:, :, h] * w).ravel(), minlength=m)
     grads["embeddings"] = d_emb
     return {name: grads[name] for name in bundle.blocks}
 
@@ -170,7 +173,7 @@ def train(
     state = adagrad_state(bundle)
     rng = np.random.default_rng(config.seed)
     gidx_all = train_set.global_indices
-    vals_all = train_set.values
+    vals_all = None if train_set.unit_values else train_set.values
     y_all = train_set.labels.astype(np.float64)
     n_rows = len(train_set)
 
@@ -181,7 +184,8 @@ def train(
         loss_sum = 0.0
         for lo in range(0, n_rows, config.batch_size):
             rows = perm[lo : lo + config.batch_size]
-            gidx, vals, y = gidx_all[rows], vals_all[rows], y_all[rows]
+            gidx, y = gidx_all[rows], y_all[rows]
+            vals = None if vals_all is None else vals_all[rows]
             cache = forward_batch(bundle, gidx, vals)
             batch_loss = float(bce_from_score(cache.scores, y).mean())
             if not np.isfinite(batch_loss):

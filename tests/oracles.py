@@ -39,3 +39,14 @@ def hofm_dp_oracle(A, degree):
         d_a[:, j - 1] = (adj[1:] * dp[j - 1, :-1]).sum(axis=0)
         adj[:-1] += adj[1:] * A[:, j - 1]
     return dp[-1, 2:].sum(axis=(0, 2)), d_a
+
+
+def dataset_text_oracle(dataset) -> str:
+    """The dataset text format written a row at a time: the reference for
+    :func:`tensorfm.write_dataset`, which builds the same bytes a field at a
+    time."""
+    lines = ["#schema " + ",".join(str(c) for c in dataset.schema.cardinalities)]
+    for label, active, values in zip(dataset.labels.tolist(), dataset.active.tolist(), dataset.values.tolist()):
+        pairs = enumerate(zip(active, values))
+        lines.append(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs))
+    return "\n".join(lines) + "\n"

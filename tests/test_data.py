@@ -17,6 +17,8 @@ from tensorfm import (
 )
 from tensorfm import data
 
+from oracles import dataset_text_oracle
+
 
 class TestBuildSchema:
     def test_three_equal_fields(self):
@@ -70,6 +72,22 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.active[0, 0] = 1
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_multiplier_rejected(self, bad):
+        # a non-finite multiplier would turn every score of its row into NaN
+        schema = build_schema([2, 2])
+        with pytest.raises(DataError, match="row 1, field 0"):
+            Dataset(schema, np.array([[0, 1], [1, 0]]), values=[[1.0, 2.0], [bad, 1.0]])
+
+    def test_unit_values_false_with_one_multiplier_not_one(self):
+        schema = build_schema([2, 3])
+        active = np.array([[0, 1], [1, 2], [0, 0]])
+        assert Dataset(schema, active).unit_values
+        assert Dataset(schema, active, values=np.ones((3, 2))).unit_values
+        values = np.ones((3, 2))
+        values[2, 1] = 1.0 + 2**-52
+        assert not Dataset(schema, active, values=values).unit_values
+
 
 class TestTextFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -87,6 +105,19 @@ class TestTextFormat:
         np.testing.assert_array_equal(back.active, ds.active)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert (back.values == ds.values).all()  # bit-exact, no tolerance
+
+    def test_writer_matches_row_by_row_text_across_chunks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        schema = build_schema([3, 40, 1])
+        rows = 2 * data.CHUNK_LINES + 3
+        active = np.stack([rng.integers(0, c, size=rows) for c in schema.cardinalities], axis=1)
+        values = np.ones((rows, 3))
+        values[rng.random(rows) < 0.1, 1] = -0.0
+        values[:, 2] = rng.choice([1.0, 0.1, 1e16, 5e-324], size=rows)
+        ds = Dataset(schema, active, values, rng.integers(0, 2, size=rows))
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        assert path.read_text(encoding="utf-8") == dataset_text_oracle(ds)
 
     def test_value_token_omitted_for_one(self, tmp_path):
         schema = build_schema([2, 2])

@@ -27,7 +27,7 @@ import tensorfm as tfm
 from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
 from tensorfm.scoring import KERNELS, cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
 
-from oracles import hofm_dp_oracle
+from oracles import dataset_text_oracle, hofm_dp_oracle
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -170,6 +170,23 @@ def test_batch_gradient_is_the_upstream_weighted_sum_of_instance_gradients(model
 
 
 @PROPERTY
+@given(models(), st.sampled_from([1, 5, 40]))
+def test_no_multipliers_give_the_bits_of_unit_multipliers(model, n_rows):
+    # vals None reads as "every multiplier is 1" and skips a multiply by 1.0
+    bundles, rng = model
+    schema = bundles[0].schema
+    gidx = np.stack([rng.integers(0, c, size=n_rows) for c in schema.cardinalities], axis=1) + schema.offsets
+    upstream = rng.normal(size=n_rows)
+    for bundle in bundles:
+        ones, none = (forward_batch(bundle, gidx, vals) for vals in (np.ones(gidx.shape), None))
+        assert np.array_equal(ones.scores, none.scores), bundle.kind
+        want, got = (tfm.backward_from_cache(bundle, cache, upstream) for cache in (ones, none))
+        assert list(got) == list(want)
+        for name in bundle.blocks:
+            assert np.array_equal(got[name], want[name]), (bundle.kind, name)
+
+
+@PROPERTY
 @given(models(TENSOR_KINDS))
 def test_copies_score_identically_and_own_their_factors(model):
     bundles, rng = model
@@ -265,6 +282,7 @@ def test_dataset_files_round_trip_exactly(data):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.txt", Path(tmp) / "b.txt"
         tfm.write_dataset(dataset, first)
+        assert first.read_text(encoding="utf-8") == dataset_text_oracle(dataset)
         back = tfm.read_dataset(first)
         assert back.schema == schema
         assert np.array_equal(back.active, dataset.active) and np.array_equal(back.labels, dataset.labels)
