@@ -51,15 +51,12 @@ from .params import (
     materialize_tucker,
     param_count,
     save_bundle,
-    symmetrize,
 )
 from .scoring import (
     embed_view,
     interaction_term,
-    predict_proba,
     score,
     score_dataset,
-    score_linear,
     score_naive_oracle,
     sigmoid,
 )

@@ -468,8 +468,8 @@ def load_tabular(
     equal-width binned into ``numeric_bins`` categories. Other columns are
     categorical with a vocabulary built from the file; values rarer than
     ``min_count`` fold into the per-field unknown slot. Every field reserves
-    one trailing unknown slot (local index ``m_j - 1``) so a schema built here
-    can encode later files containing unseen categories.
+    one trailing unknown slot (local index ``m_j - 1``). The encoding is not
+    kept, so a second file cannot be encoded to the same schema.
 
     Rows with an empty value in a numeric field are skipped; the count of
     skipped rows is exposed as ``dataset.skipped_rows``.
@@ -504,7 +504,6 @@ def load_tabular(
 
     cardinalities: list[int] = []
     encoded: list[np.ndarray] = []
-    encoders: list[dict] = []
     for c in field_columns:
         col = [columns[c][i] for i in keep_idx]
         if numeric[c]:
@@ -514,20 +513,17 @@ def load_tabular(
             bins = np.minimum((xn * numeric_bins).astype(np.int64), numeric_bins - 1)
             cardinalities.append(numeric_bins + 1)  # + unknown slot
             encoded.append(bins)
-            encoders.append({"column": c, "kind": "numeric", "min": lo, "max": hi, "bins": numeric_bins})
         else:
             vocab = sorted(v for v, cnt in Counter(col).items() if cnt >= min_count)
             index = {v: i for i, v in enumerate(vocab)}
             unk = len(vocab)
             cardinalities.append(len(vocab) + 1)
             encoded.append(np.asarray([index.get(s, unk) for s in col], dtype=np.int64))
-            encoders.append({"column": c, "kind": "categorical", "vocab": index})
 
     schema = build_schema(cardinalities)
     active = np.stack(encoded, axis=1).astype(np.int32)
     ds = Dataset(schema, active, labels=labels, provenance=str(path))
     ds.skipped_rows = skipped
-    ds.field_encoders = encoders
     return ds
 
 

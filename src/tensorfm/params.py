@@ -291,15 +291,6 @@ def materialize_distinct(n: int, order: int) -> np.ndarray:
     return distinct / math.factorial(order)
 
 
-def symmetrize(tensor: np.ndarray) -> np.ndarray:
-    """Average a tensor over all permutations of its axes."""
-    order = tensor.ndim
-    acc = np.zeros_like(tensor)
-    for perm in itertools.permutations(range(order)):
-        acc += np.transpose(tensor, perm)
-    return acc / math.factorial(order)
-
-
 def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> ModelBundle:
     """Convert a dense field-pair model into the equivalent ``tensorfm``
     bundle with d=2.

@@ -489,10 +489,6 @@ def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096)
 # ---------------------------------------------------------------------------
 
 
-def score_linear(bundle: ModelBundle, instance: Instance) -> float:
-    return float(linear_batch(bundle, *_as_batch(bundle, instance))[0])
-
-
 def interaction_term(bundle: ModelBundle, instance: Instance) -> float:
     """Sum of the kind's interaction terms for one instance (no linear block)."""
     return float(sum(_interaction_terms(bundle, ForwardCache(*_as_batch(bundle, instance))), np.zeros(1))[0])
@@ -501,10 +497,6 @@ def interaction_term(bundle: ModelBundle, instance: Instance) -> float:
 def score(bundle: ModelBundle, instance: Instance) -> float:
     """Full predictor for any kind: linear block plus interaction terms."""
     return float(forward_batch(bundle, *_as_batch(bundle, instance)).scores[0])
-
-
-def predict_proba(bundle: ModelBundle, instance: Instance) -> float:
-    return float(sigmoid(np.asarray(score(bundle, instance))))
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -556,11 +548,12 @@ def score_naive_oracle(bundle: ModelBundle, instance: Instance, max_tuples: int 
     Raises :class:`ConfigError` when that sum would exceed ``max_tuples``
     ordered tuples (orders 2..max(d, 2) for every kind with interactions).
     """
+    linear = float(linear_batch(bundle, *_as_batch(bundle, instance))[0])
     if "embeddings" not in bundle.blocks:
-        return score_linear(bundle, instance)
+        return linear
     n = bundle.schema.n
     total_tuples = sum(n**o for o in range(2, max(bundle.d, 2) + 1))
     if total_tuples > max_tuples:
         raise ConfigError(f"oracle would sum {total_tuples} tuples, above the cap of {max_tuples}")
     interactions = oracle_interaction_sum(embed_view(bundle, instance), interaction_tensors(bundle))
-    return score_linear(bundle, instance) + interactions
+    return linear + interactions

@@ -16,6 +16,7 @@ import copy
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,45 +57,79 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 
 
-def backward_from_cache(bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray) -> dict[str, np.ndarray]:
+class RowGradient(NamedTuple):
+    """The gradient of a block indexed by vocabulary row (``linear.w``,
+    ``embeddings``) over the rows a batch touches: ``values[i]`` is the
+    gradient at row ``rows[i]``, ``rows`` increases, and every other row's
+    gradient is zero."""
+
+    rows: np.ndarray
+    values: np.ndarray
+
+    def dense(self, m: int) -> np.ndarray:
+        out = np.zeros((m,) + self.values.shape[1:])
+        out[self.rows] = self.values
+        return out
+
+
+def backward_from_cache(
+    bundle: ModelBundle, cache: ForwardCache, upstream: np.ndarray
+) -> dict[str, np.ndarray | RowGradient]:
     """Accumulate sum_b upstream[b] * d score_b / d theta for every block.
 
     ``upstream`` holds one multiplier per batch row (for mean-BCE training,
     (sigmoid(score) - label) / batch_size). The result has one gradient per
-    block of the bundle, under the same names and in the same order.
+    block of the bundle, under the same names and in the same order. The
+    ``linear.w`` and ``embeddings`` gradients are :class:`RowGradient`
+    over the rows the batch touches, or whole arrays when it touches every
+    row; either way each row's value is the same, summed in batch order.
     """
     if cache.gidx is None:
         raise ConfigError("backward pass needs the forward cache")
     upstream = np.asarray(upstream, dtype=np.float64)
     gidx, vals = cache.gidx, cache.vals
     m = bundle.schema.m
-    flat_gidx = gidx.ravel()
+    # the touched rows, by a mask rather than np.unique's sort, and each
+    # active feature's position among them
+    mask = np.zeros(m, dtype=bool)
+    mask[gidx] = True
+    rows = np.flatnonzero(mask)
+    n_rows, index = len(rows), gidx.ravel()
+    if n_rows < m:
+        remap = np.empty(m, dtype=np.intp)
+        remap[rows] = np.arange(n_rows)
+        index = remap.take(index)
     # (B, n) weight of each active feature: its row's upstream times its
     # multiplier (None: every multiplier is 1, so the upstream itself)
     w = np.repeat(upstream[:, None], gidx.shape[1], axis=1) if vals is None else upstream[:, None] * vals
 
     grads = {
         "linear.b": np.array([upstream.sum()]),
-        "linear.w": np.bincount(flat_gidx, weights=w.ravel(), minlength=m),
+        "linear.w": np.bincount(index, weights=w.ravel(), minlength=n_rows),
     }
     d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
-    if d_a is None:  # no embeddings
-        return grads
-
-    # Scatter d_a times w into the embedding rows one coordinate at a time:
-    # d_a is read, never written (a kernel may return a view of its state),
-    # no (B, n, k) index array is built, and each bin sums in row order.
-    d_emb = np.empty((m, d_a.shape[2]))
-    for h in range(d_emb.shape[1]):
-        d_emb[:, h] = np.bincount(flat_gidx, weights=(d_a[:, :, h] * w).ravel(), minlength=m)
-    grads["embeddings"] = d_emb
+    if d_a is not None:
+        # Scatter d_a times w into the embedding rows one coordinate at a
+        # time: d_a is read, never written (a kernel may return a view of its
+        # state), no (B, n, k) index array is built, and each bin sums in
+        # row order.
+        d_emb = np.empty((n_rows, d_a.shape[2]))
+        for h in range(d_emb.shape[1]):
+            d_emb[:, h] = np.bincount(index, weights=(d_a[:, :, h] * w).ravel(), minlength=n_rows)
+        grads["embeddings"] = d_emb
+    if n_rows < m:
+        for name in ("linear.w", "embeddings"):
+            if name in grads:
+                grads[name] = RowGradient(rows, grads[name])
     return {name: grads[name] for name in bundle.blocks}
 
 
 def backward(bundle: ModelBundle, instance: Instance, upstream: float = 1.0) -> dict[str, np.ndarray]:
-    """Gradient of the full score of one instance, scaled by ``upstream``."""
+    """Gradient of the full score of one instance, scaled by ``upstream``:
+    one whole array per block."""
     cache = forward_batch(bundle, *_as_batch(bundle, instance))
-    return backward_from_cache(bundle, cache, np.asarray([upstream]))
+    grads = backward_from_cache(bundle, cache, np.asarray([upstream]))
+    return {name: g.dense(bundle.schema.m) if isinstance(g, RowGradient) else g for name, g in grads.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -109,20 +144,35 @@ def adagrad_state(bundle: ModelBundle) -> dict[str, np.ndarray]:
 
 
 def adagrad_step(
-    bundle: ModelBundle, grads: dict[str, np.ndarray], state: dict[str, np.ndarray], config: TrainConfig
+    bundle: ModelBundle,
+    grads: dict[str, np.ndarray | RowGradient],
+    state: dict[str, np.ndarray],
+    config: TrainConfig,
 ) -> None:
     """One in-place AdaGrad update: accumulate squared gradients, then scale
     each coordinate's step by the inverse root of its accumulator (plus
     :data:`ADAGRAD_EPSILON`). The L2 term ``config.l2 * theta`` is added to
     the gradient of every block but the bias ``linear.b`` before
     accumulation.
+
+    A :class:`RowGradient` updates only its rows when there is no L2 term:
+    an untouched row's step would be ``theta - 0.0``. With L2 every row
+    moves, so it is made whole first.
     """
     lr = config.learning_rate
     for name, theta in bundle.blocks.items():
         grad = grads[name]
-        if not np.all(np.isfinite(grad)):
+        if not np.all(np.isfinite(grad.values if isinstance(grad, RowGradient) else grad)):
             raise NumericError(f"non-finite gradient in block {name!r}")
         l2 = 0.0 if name == "linear.b" else config.l2
+        if isinstance(grad, RowGradient):
+            if not l2:
+                rows, g = grad
+                acc = state[name][rows] + g * g
+                state[name][rows] = acc
+                theta[rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+                continue
+            grad = grad.dense(len(theta))
         g = grad + l2 * theta if l2 else grad
         acc = state[name]
         acc += g * g

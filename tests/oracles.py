@@ -1,8 +1,13 @@
 """Slow reference implementations that the tests compare the package against."""
 
+import itertools
+import math
+
 import numpy as np
 
-from tensorfm import MetricError
+from tensorfm import MetricError, NumericError
+from tensorfm.scoring import KERNELS
+from tensorfm.training import ADAGRAD_EPSILON
 
 
 def auc_pair_oracle(scores, labels) -> float:
@@ -50,3 +55,52 @@ def dataset_text_oracle(dataset) -> str:
         pairs = enumerate(zip(active, values))
         lines.append(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs))
     return "\n".join(lines) + "\n"
+
+
+def symmetrize(tensor: np.ndarray) -> np.ndarray:
+    """Average a tensor over all permutations of its axes."""
+    order = tensor.ndim
+    acc = np.zeros_like(tensor)
+    for perm in itertools.permutations(range(order)):
+        acc += np.transpose(tensor, perm)
+    return acc / math.factorial(order)
+
+
+def backward_dense_oracle(bundle, cache, upstream):
+    """The batch gradient with every block a whole array: ``linear.w`` and
+    each embedding coordinate are one ``bincount`` over the global indices
+    with ``minlength`` m. The reference for
+    :func:`tensorfm.backward_from_cache`, which scatters into the touched
+    rows only."""
+    upstream = np.asarray(upstream, dtype=np.float64)
+    gidx, vals = cache.gidx, cache.vals
+    m = bundle.schema.m
+    flat_gidx = gidx.ravel()
+    w = np.repeat(upstream[:, None], gidx.shape[1], axis=1) if vals is None else upstream[:, None] * vals
+    grads = {
+        "linear.b": np.array([upstream.sum()]),
+        "linear.w": np.bincount(flat_gidx, weights=w.ravel(), minlength=m),
+    }
+    d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
+    if d_a is not None:
+        d_emb = np.empty((m, d_a.shape[2]))
+        for h in range(d_emb.shape[1]):
+            d_emb[:, h] = np.bincount(flat_gidx, weights=(d_a[:, :, h] * w).ravel(), minlength=m)
+        grads["embeddings"] = d_emb
+    return {name: grads[name] for name in bundle.blocks}
+
+
+def adagrad_dense_oracle(bundle, grads, state, config):
+    """One AdaGrad step over every row of every block, from whole-array
+    gradients: the reference for :func:`tensorfm.adagrad_step`, which
+    updates only the touched rows when there is no L2 term."""
+    lr = config.learning_rate
+    for name, theta in bundle.blocks.items():
+        grad = grads[name]
+        if not np.all(np.isfinite(grad)):
+            raise NumericError(f"non-finite gradient in block {name!r}")
+        l2 = 0.0 if name == "linear.b" else config.l2
+        g = grad + l2 * theta if l2 else grad
+        acc = state[name]
+        acc += g * g
+        theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)

@@ -14,7 +14,7 @@ import numpy as np
 import tensorfm as tfm
 from tensorfm.scoring import interaction_tensors, oracle_interaction_sum
 
-from oracles import auc_pair_oracle
+from oracles import auc_pair_oracle, symmetrize
 
 
 def report(num: int, passed: bool, detail: str) -> None:
@@ -158,7 +158,7 @@ class TestCriterion05SymmetrizationInvariance:
             inst = random_instance(schema, rng)
             a = tfm.embed_view(bundle, inst)
             tensors = interaction_tensors(bundle)
-            sym = {order: tfm.symmetrize(t) for order, t in tensors.items()}
+            sym = {order: symmetrize(t) for order, t in tensors.items()}
             raw = oracle_interaction_sum(a, tensors)
             symmetric = oracle_interaction_sum(a, sym)
             worst = max(worst, abs(raw - symmetric) / max(abs(raw), 1.0))

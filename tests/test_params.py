@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from tensorfm import (
     ConfigError,
+    Dataset,
     Instance,
     ModelBundle,
     ModelIOError,
@@ -25,11 +27,14 @@ from tensorfm import (
     save_bundle,
     score,
     score_naive_oracle,
-    symmetrize,
+    write_dataset,
 )
 import tensorfm.params as params_module
-from tensorfm.params import MAX_DENSE_ENTRIES
+from tensorfm.cli import main
+from tensorfm.params import KINDS, MAX_DENSE_ENTRIES
 from tensorfm.scoring import interaction_tensors
+
+from oracles import symmetrize
 
 SCHEMA = build_schema([3, 4, 2, 5])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -494,6 +499,57 @@ class TestCorruptModelFile:
         path.write_text(path.read_text().replace("kind fm", "kind deepfm"))
         with pytest.raises(ModelIOError, match="deepfm"):
             load_bundle(path)
+
+
+def one_token_edits(text):
+    """(case, edited text) for every one-token edit of a model file: a digit
+    made a letter, the token deleted, the token made ``nan`` or ``inf``; and
+    the file cut at the start and in the middle of each row of a block."""
+    for match in re.finditer(r"\S+", text):
+        lo, hi = match.span()
+        digit = re.search(r"\d", match.group())
+        if digit:
+            at = lo + digit.start()
+            yield "digit to letter", text[:at] + "x" + text[at + 1 :]
+        yield "token deleted", text[:lo] + text[hi:]
+        for word in ("nan", "inf"):
+            yield f"token made {word}", text[:lo] + word + text[hi:]
+    start = 0
+    for line in text.splitlines(keepends=True):
+        if not line.startswith(("tensorfm-model", "kind", "cardinalities", "k ", "d ", "r_vec", "block", "end")):
+            yield "truncated mid-block", text[:start]
+            yield "truncated mid-block", text[: start + len(line) // 2]
+        start += len(line)
+
+
+class TestMutatedTokens:
+    """One mutated token in a model file is a ModelIOError, and ``eval``
+    exits 3 with a message, never a traceback or a NaN score."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_one_token_edit_is_a_model_file_error(self, tmp_path, capsys, kind):
+        schema = build_schema([2, 3, 2])
+        path, data = tmp_path / "m.txt", tmp_path / "d.txt"
+        save_bundle(init(kind, schema, k=2, d=3, r_vec=2 if kind in ("tensorfm", "tensorfm-tucker") else None,
+                         init_scale=0.5, seed=0), path)
+        write_dataset(Dataset(schema, np.array([[0, 2, 1], [1, 0, 0]], dtype=np.int32)), data)
+        text = path.read_text()
+        by_case = {}
+        for case, edited in one_token_edits(text):
+            path.write_text(edited)
+            try:
+                load_bundle(path)
+            except ModelIOError:
+                by_case.setdefault(case, []).append(edited)
+                continue
+            pytest.fail(f"{case}: the edited file loads:\n{edited}")
+        assert len(by_case) == 5
+        for case, edits in by_case.items():
+            path.write_text(edits[len(edits) // 2])
+            capsys.readouterr()
+            assert main(["eval", "--model", str(path), "--data", str(data)]) == 3, case
+            out, err = capsys.readouterr()
+            assert "m.txt" in err and "Traceback" not in err and "nan" not in out, case
 
 
 class TestAtomicSave:

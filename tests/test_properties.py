@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 import tensorfm as tfm
 from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
 from tensorfm.scoring import KERNELS, cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
+from tensorfm.training import RowGradient
 
 from oracles import dataset_text_oracle, hofm_dp_oracle
 
@@ -153,6 +154,12 @@ def test_hofm_tree_equals_the_per_field_dynamic_program(shape, k, n_rows, scale,
     assert sum(level.size for level in levels) <= (n + 1) * (d + 1) * A.size // n
 
 
+def whole_gradients(bundle, grads):
+    """``backward_from_cache``'s gradients with each touched-row block made
+    a whole array."""
+    return {name: g.dense(bundle.schema.m) if isinstance(g, RowGradient) else g for name, g in grads.items()}
+
+
 @PROPERTY
 @given(models())
 def test_batch_gradient_is_the_upstream_weighted_sum_of_instance_gradients(model):
@@ -162,7 +169,7 @@ def test_batch_gradient_is_the_upstream_weighted_sum_of_instance_gradients(model
     gidx = np.stack([inst.active + bundles[0].schema.offsets for inst in insts])
     vals = np.stack([inst.values for inst in insts])
     for bundle in bundles:
-        batch = tfm.backward_from_cache(bundle, forward_batch(bundle, gidx, vals), upstream)
+        batch = whole_gradients(bundle, tfm.backward_from_cache(bundle, forward_batch(bundle, gidx, vals), upstream))
         singles = [tfm.backward(bundle, inst, upstream=u) for inst, u in zip(insts, upstream)]
         for name in bundle.blocks:
             want = sum(grads[name] for grads in singles)
@@ -180,7 +187,7 @@ def test_no_multipliers_give_the_bits_of_unit_multipliers(model, n_rows):
     for bundle in bundles:
         ones, none = (forward_batch(bundle, gidx, vals) for vals in (np.ones(gidx.shape), None))
         assert np.array_equal(ones.scores, none.scores), bundle.kind
-        want, got = (tfm.backward_from_cache(bundle, cache, upstream) for cache in (ones, none))
+        want, got = (whole_gradients(bundle, tfm.backward_from_cache(bundle, c, upstream)) for c in (ones, none))
         assert list(got) == list(want)
         for name in bundle.blocks:
             assert np.array_equal(got[name], want[name]), (bundle.kind, name)

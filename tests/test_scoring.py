@@ -18,14 +18,14 @@ from tensorfm import (
     interaction_term,
     materialize_tensor,
     materialize_tucker,
-    predict_proba,
     score,
     score_dataset,
-    score_linear,
     score_naive_oracle,
-    symmetrize,
+    sigmoid,
 )
 from tensorfm.scoring import interaction_tensors, oracle_interaction_sum
+
+from oracles import symmetrize
 
 
 def random_instance(schema, rng, values=None):
@@ -36,6 +36,19 @@ def random_instance(schema, rng, values=None):
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
+
+
+def score_linear(bundle, instance):
+    """The linear block's score alone: an lr model with the same linear
+    weights scores exactly that."""
+    lr = init("lr", bundle.schema)
+    for name in ("linear.w", "linear.b"):
+        lr.blocks[name][:] = bundle.blocks[name]
+    return score(lr, instance)
+
+
+def predict_proba(bundle, instance):
+    return float(sigmoid(score(bundle, instance)))
 
 
 class TestEmbedView:

@@ -29,6 +29,9 @@ from tensorfm import (
     split,
     train,
 )
+from tensorfm.training import RowGradient
+
+from oracles import adagrad_dense_oracle, backward_dense_oracle
 
 
 class TestBceLoss:
@@ -180,6 +183,19 @@ class TestAdagrad:
         with pytest.raises(NumericError, match="embeddings"):
             adagrad_step(bundle, grads, state, TrainConfig())
 
+    @pytest.mark.parametrize("name", ["linear.w", "embeddings"])
+    def test_non_finite_touched_row_gradient_names_block(self, name):
+        bundle = init("fm", build_schema([3, 3]), k=2, seed=0)
+        rows = np.array([1, 4])
+        grads = {
+            "linear.b": np.zeros(1),
+            "linear.w": RowGradient(rows, np.zeros(2)),
+            "embeddings": RowGradient(rows, np.zeros((2, 2))),
+        }
+        grads[name].values[1] = np.nan
+        with pytest.raises(NumericError, match=name):
+            adagrad_step(bundle, grads, adagrad_state(bundle), TrainConfig())
+
     def test_l2_shrinks_parameters_with_zero_data_gradient(self):
         # zero factor matrices make the embedding data-gradient vanish, so
         # only the L2 term drives the update and norms must strictly shrink
@@ -311,6 +327,58 @@ class TestTrain:
         assert [e.epoch for e in log] == [1, 2, 3, 4]
         assert all(np.isfinite(e.valid_auc) and np.isfinite(e.valid_logloss) for e in log)
         assert all(e.wall_seconds >= 0 for e in log)
+
+
+def few_rows_per_batch():
+    """Each 8-row batch touches at most 32 of 188 vocabulary rows, and the
+    multipliers are not 1."""
+    rng = np.random.default_rng(11)
+    schema = build_schema([40, 60, 8, 80])
+    active = np.stack([rng.integers(0, c, 96) for c in schema.cardinalities], axis=1).astype(np.int32)
+    ds = Dataset(schema, active, rng.uniform(0.5, 2.0, active.shape), rng.integers(0, 2, 96).astype(np.int8))
+    return ds, 8
+
+
+def every_row_per_batch():
+    """One batch per epoch whose rows take every value of every field."""
+    schema = build_schema([2, 3, 4])
+    rows = np.arange(24)
+    active = np.stack([rows % c for c in schema.cardinalities], axis=1).astype(np.int32)
+    return Dataset(schema, active, labels=(rows % 5 < 2).astype(np.int8)), 24
+
+
+class TestTouchedRows:
+    """Training scatters gradients into, and steps, only the vocabulary rows
+    a batch touches; the whole-vocabulary step in ``oracles`` is the
+    reference, and the trained blocks and accumulators must be its bits."""
+
+    @pytest.mark.parametrize("l2", [0.0, 1e-3])
+    @pytest.mark.parametrize("data,row_gradients", [(few_rows_per_batch, True), (every_row_per_batch, False)])
+    @pytest.mark.parametrize("kind,kw", ALL_KINDS)
+    def test_training_equals_the_whole_vocabulary_step(self, monkeypatch, kind, kw, data, row_gradients, l2):
+        ds, batch_size = data()
+        config = TrainConfig(learning_rate=0.2, l2=l2, epochs=2, batch_size=batch_size, seed=4)
+        runs = []
+        for dense in (True, False):
+            state, row_grads = {}, []
+            step = adagrad_dense_oracle if dense else adagrad_step
+
+            def recording_step(bundle, grads, acc, config, step=step):
+                state.update(acc)  # the loop's accumulators, updated in place
+                row_grads.append(isinstance(grads["linear.w"], RowGradient))
+                step(bundle, grads, acc, config)
+
+            with monkeypatch.context() as patch:
+                patch.setattr("tensorfm.training.adagrad_step", recording_step)
+                if dense:
+                    patch.setattr("tensorfm.training.backward_from_cache", backward_dense_oracle)
+                bundle, _ = train(init(kind, ds.schema, k=3, init_scale=0.3, seed=1, **kw), ds, None, config)
+            runs.append((bundle, state, row_grads))
+        (want, want_acc, _), (got, got_acc, row_grads) = runs
+        assert row_grads == [row_gradients] * (2 * len(ds) // batch_size)
+        for name in want.blocks:
+            assert np.array_equal(got.blocks[name], want.blocks[name]), name
+            assert np.array_equal(got_acc[name], want_acc[name]), name
 
 
 class TestGridSearch:
