@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, MetricError
+from .errors import ConfigError, DataError, MetricError
 from .params import ModelBundle, canonical_args
 from .scoring import KERNELS, interaction_tensors, score_dataset
 
@@ -59,6 +59,11 @@ def flops_estimate(
     return FlopsModel(kind, n, k, d, r_vec, 2 * n + 1 + n * k + KERNELS[kind].flops(n, k, d, r_vec))
 
 
+def _require_rows(dataset: Dataset) -> None:
+    if len(dataset) == 0:
+        raise DataError(f"{dataset.provenance or 'dataset'}: no data rows")
+
+
 # ---------------------------------------------------------------------------
 # latency
 # ---------------------------------------------------------------------------
@@ -85,6 +90,7 @@ def time_inference(
     """
     if repeats < 3:
         raise ConfigError("need at least 3 repeats for a stable median")
+    _require_rows(dataset)
     score_dataset(bundle, dataset, batch_size=batch_size)  # warm-up
     times = []
     for _ in range(repeats):
@@ -118,6 +124,7 @@ def learned_strength(
     of all orderings of the field combination are averaged, which makes the
     score comparable to the (order-free) mutual information.
     """
+    _require_rows(train_set)
     tensors = interaction_tensors(bundle)
     if order not in tensors:
         raise ConfigError(f"bundle has no order-{order} interaction parameters")
@@ -144,8 +151,7 @@ def learned_strength(
 def mutual_information(train_set: Dataset, fields: tuple[int, ...]) -> float:
     """Plug-in mutual information (natural log) between the feature tuple at
     ``fields`` and the label, from empirical frequencies."""
-    if len(train_set) == 0:
-        raise ConfigError("mutual information needs a non-empty dataset")
+    _require_rows(train_set)
     _, key_ids = np.unique(train_set.active[:, list(fields)], axis=0, return_inverse=True)
     y = train_set.labels.astype(np.int64)
     n = float(len(train_set))

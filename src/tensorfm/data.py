@@ -22,7 +22,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .errors import DataError, SchemaError, TensorFMError
+from .errors import ConfigError, DataError, SchemaError, TensorFMError
 
 
 @dataclass(frozen=True)
@@ -428,17 +428,14 @@ def _int(piece: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _is_numeric_column(raw: list[str]) -> bool:
-    saw_value = False
-    for s in raw:
-        if s == "":
-            continue
-        saw_value = True
-        try:
-            float(s)
-        except ValueError:
-            return False
-    return saw_value
+def _numeric_column(raw: list[str]) -> np.ndarray | None:
+    """The column's values as floats, NaN where empty; None when a non-empty
+    value is not a number or every value is empty."""
+    try:
+        x = np.array([float(s) if s else math.nan for s in raw])
+    except ValueError:
+        return None
+    return x if any(raw) else None
 
 
 def _map_labels(raw: list[str]) -> np.ndarray:
@@ -472,8 +469,12 @@ def load_tabular(
     kept, so a second file cannot be encoded to the same schema.
 
     Rows with an empty value in a numeric field are skipped; the count of
-    skipped rows is exposed as ``dataset.skipped_rows``.
+    skipped rows is exposed as ``dataset.skipped_rows``. A numeric value
+    that is not finite (``nan``, ``inf``, or one too large for a float)
+    raises :class:`DataError` naming its column and line.
     """
+    if numeric_bins < 1:
+        raise ConfigError(f"numeric_bins must be >= 1, got {numeric_bins}")
     path = Path(path)
     with open_text(path, DataError, "input file") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
@@ -482,19 +483,19 @@ def load_tabular(
         missing = [c for c in [*field_columns, label_column] if c not in reader.fieldnames]
         if missing:
             raise DataError(f"{path}: missing columns {missing}")
-        rows = [row for row in reader]
+        rows = [(reader.line_num, row) for row in reader]  # with the file line each row ends on
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    columns = {c: [("" if row[c] is None else row[c].strip()) for row in rows] for c in field_columns}
-    label_raw = [("" if row[label_column] is None else row[label_column].strip()) for row in rows]
+    columns = {c: [("" if row[c] is None else row[c].strip()) for _, row in rows] for c in field_columns}
+    label_raw = [("" if row[label_column] is None else row[label_column].strip()) for _, row in rows]
 
-    numeric = {c: _is_numeric_column(columns[c]) for c in field_columns}
+    numeric = {c: _numeric_column(columns[c]) for c in field_columns}
 
     # rows unusable for any numeric field are dropped up front
     keep = np.ones(len(rows), dtype=bool)
     for c in field_columns:
-        if numeric[c]:
+        if numeric[c] is not None:
             keep &= np.asarray([s != "" for s in columns[c]])
     skipped = int((~keep).sum())
     if not keep.any():
@@ -506,10 +507,16 @@ def load_tabular(
     encoded: list[np.ndarray] = []
     for c in field_columns:
         col = [columns[c][i] for i in keep_idx]
-        if numeric[c]:
-            x = np.asarray([float(s) for s in col])
+        if numeric[c] is not None:
+            x = numeric[c][keep_idx]
+            bad = np.flatnonzero(~np.isfinite(x))
+            if len(bad):
+                line = rows[keep_idx[bad[0]]][0]
+                raise DataError(f"{path}:{line}: numeric column {c!r} holds a non-finite value {col[bad[0]]!r}")
             lo, hi = float(x.min()), float(x.max())
-            xn = (x - lo) / (hi - lo) if hi > lo else np.zeros_like(x)
+            # halving every value keeps a span wider than the float range finite
+            half = 1.0 if math.isfinite(hi - lo) else 0.5
+            xn = (x * half - lo * half) / (hi * half - lo * half) if hi > lo else np.zeros_like(x)
             bins = np.minimum((xn * numeric_bins).astype(np.int64), numeric_bins - 1)
             cardinalities.append(numeric_bins + 1)  # + unknown slot
             encoded.append(bins)

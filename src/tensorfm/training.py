@@ -81,8 +81,7 @@ def backward_from_cache(
     (sigmoid(score) - label) / batch_size). The result has one gradient per
     block of the bundle, under the same names and in the same order. The
     ``linear.w`` and ``embeddings`` gradients are :class:`RowGradient`
-    over the rows the batch touches, or whole arrays when it touches every
-    row; either way each row's value is the same, summed in batch order.
+    over the rows the batch touches, each row's value summed in batch order.
     """
     if cache.gidx is None:
         raise ConfigError("backward pass needs the forward cache")
@@ -105,7 +104,7 @@ def backward_from_cache(
 
     grads = {
         "linear.b": np.array([upstream.sum()]),
-        "linear.w": np.bincount(index, weights=w.ravel(), minlength=n_rows),
+        "linear.w": RowGradient(rows, np.bincount(index, weights=w.ravel(), minlength=n_rows)),
     }
     d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
     if d_a is not None:
@@ -116,11 +115,7 @@ def backward_from_cache(
         d_emb = np.empty((n_rows, d_a.shape[2]))
         for h in range(d_emb.shape[1]):
             d_emb[:, h] = np.bincount(index, weights=(d_a[:, :, h] * w).ravel(), minlength=n_rows)
-        grads["embeddings"] = d_emb
-    if n_rows < m:
-        for name in ("linear.w", "embeddings"):
-            if name in grads:
-                grads[name] = RowGradient(rows, grads[name])
+        grads["embeddings"] = RowGradient(rows, d_emb)
     return {name: grads[name] for name in bundle.blocks}
 
 
@@ -162,21 +157,16 @@ def adagrad_step(
     lr = config.learning_rate
     for name, theta in bundle.blocks.items():
         grad = grads[name]
-        if not np.all(np.isfinite(grad.values if isinstance(grad, RowGradient) else grad)):
-            raise NumericError(f"non-finite gradient in block {name!r}")
         l2 = 0.0 if name == "linear.b" else config.l2
-        if isinstance(grad, RowGradient):
-            if not l2:
-                rows, g = grad
-                acc = state[name][rows] + g * g
-                state[name][rows] = acc
-                theta[rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
-                continue
+        if isinstance(grad, RowGradient) and l2:
             grad = grad.dense(len(theta))
-        g = grad + l2 * theta if l2 else grad
-        acc = state[name]
-        acc += g * g
-        theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+        rows, g = grad if isinstance(grad, RowGradient) else (..., grad)
+        if not np.all(np.isfinite(g)):
+            raise NumericError(f"non-finite gradient in block {name!r}")
+        g = g + l2 * theta if l2 else g
+        acc = state[name][rows] + g * g
+        state[name][rows] = acc
+        theta[rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
 
 
 # ---------------------------------------------------------------------------

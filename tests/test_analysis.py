@@ -8,6 +8,7 @@ import pytest
 
 from tensorfm import (
     ConfigError,
+    DataError,
     Dataset,
     SyntheticSpec,
     build_schema,
@@ -241,3 +242,16 @@ class TestInteractionReport:
         assert report.tuples == list(itertools.combinations(range(4), 3))
         assert all(s > 0 for s in report.learned)
         assert [p.k for p in report.topk_overlap] == [3]
+
+
+@pytest.mark.parametrize("measure", [
+    lambda bundle, ds: time_inference(bundle, ds, repeats=3),
+    lambda bundle, ds: learned_strength(bundle, ds, 2),
+    lambda bundle, ds: mutual_information(ds, (0, 1)),
+    lambda bundle, ds: interaction_report(bundle, ds, 2, [1]),
+], ids=["time_inference", "learned_strength", "mutual_information", "interaction_report"])
+def test_empty_dataset_is_data_error_naming_it(measure):
+    schema = build_schema([2, 3])
+    empty = Dataset(schema, np.zeros((0, 2), dtype=np.int32), labels=np.zeros(0, dtype=np.int8), provenance="e.txt")
+    with pytest.raises(DataError, match="e.txt: no data rows"):
+        measure(init("tensorfm", schema, k=2, d=2, r_vec=1), empty)

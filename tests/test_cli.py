@@ -13,7 +13,7 @@ import tensorfm
 from tensorfm import auc, logloss, read_dataset, score_dataset
 from tensorfm import cli
 from tensorfm.cli import main
-from tensorfm.params import load_bundle
+from tensorfm.params import load_bundle, save_bundle
 
 # The flags each sub-command cannot run without, in the order its help lists them.
 REQUIRED_FLAGS = {
@@ -372,6 +372,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "embeddings" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    def test_prep_of_a_non_finite_numeric_value_is_data_error(self, tmp_path, value):
+        csv = tmp_path / "t.csv"
+        csv.write_text(f"x,y\n0.1,0\n{value},1\n0.9,1\n")
+        proc = run_cli(["prep", "--csv", str(csv), "--fields", "x", "--label", "y", "--out-prefix", "p"], cwd=tmp_path)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error: {csv}:3: numeric column 'x' holds a non-finite value '{value}'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     @pytest.mark.parametrize("line", ["x 0:1 1:2 2:0", "1 0:a 1:2 2:0", "1 0:1 0:2 2:0", "1 0:1 1:2:nan 2:0"])
     def test_corrupt_dataset_line_is_data_error(self, synth_files, tmp_path, capsys, line):
         model = tmp_path / "m.txt"
@@ -395,6 +404,18 @@ class TestExitCodes:
             assert "--config" in out
             # only the commands that draw random numbers take a seed
             assert ("--seed" in out) == (command in SEEDED)
+
+
+def test_readme_command_line_examples_parse():
+    # the fenced block under "## Command line", one example per sub-command
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    examples = [line.split()[1:] for line in block.replace("\\\n", " ").splitlines() if line.startswith("tensorfm ")]
+    assert sorted(argv[0] for argv in examples) == sorted(cli.COMMANDS)
+    for argv in examples:
+        args = cli.build_parser().parse_args(argv)
+        missing = [key for key, _, default, _ in args.options if default is cli.REQUIRED and getattr(args, key) is None]
+        assert not missing, (argv, missing)
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
@@ -431,8 +452,9 @@ class TestRequiredOptions:
 
 
 class TestUnusablePaths:
-    """A path that names a directory, or a file that is not UTF-8 text, is a
-    data error (exit 3) that names the path, whichever option gave it."""
+    """A path that names a directory, a file that is not UTF-8 text, or a
+    dataset with no rows where a command needs rows, is a data error (exit
+    3) that names the path, whichever option gave it."""
 
     CASES = {
         "eval --model <dir>": ["eval", "--model", "{dir}", "--data", "{tmp}/d.txt"],
@@ -445,15 +467,21 @@ class TestUnusablePaths:
         "dataset not UTF-8": ["train", "--train", "{bad}", "--model", "fm", "--out", "{tmp}/m.txt"],
         "config not UTF-8": ["eval", "--config", "{bad}"],
         "prep --csv not UTF-8": ["prep", "--csv", "{bad}", "--fields", "a", "--label", "y", "--out-prefix", "{tmp}/p"],
+        "bench-latency --data <empty>": ["bench-latency", "--data", "{empty}", "--out", "{tmp}/lat.csv"],
+        "interpret --data <empty>": ["interpret", "--model", "{model}", "--data", "{empty}", "--order", "2",
+                                     "--out-prefix", "{tmp}/ip"],
     }
 
     def _argv(self, tmp_path, case):
-        paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing" / "m.txt"}
+        paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing" / "m.txt",
+                 "empty": tmp_path / "empty.txt", "model": tmp_path / "model.txt"}
         train = tmp_path / "train.txt"
         paths["dir"].mkdir()
         (paths["dir"] / "kept.txt").write_text("kept\n")
         paths["bad"].write_bytes("caf\u00e9 1\n".encode("latin-1"))
         train.write_text("#schema 2,2\n1 0:1 1:0\n0 0:0 1:1\n")
+        paths["empty"].write_text("#schema 2,2\n")
+        save_bundle(tensorfm.init("tensorfm", tensorfm.build_schema([2, 2]), k=2, d=2, r_vec=1), paths["model"])
         path = next(p for key, p in paths.items() if f"{{{key}}}" in self.CASES[case])
         return [arg.format(train=train, tmp=tmp_path, **paths) for arg in self.CASES[case]], path
 
@@ -465,15 +493,16 @@ class TestUnusablePaths:
         assert err.startswith("error: ") and str(path) in err
         assert ".tmp" not in err  # the path given, not the temporary file beside it
         assert [p.name for p in (tmp_path / "dir").iterdir()] == ["kept.txt"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dir", "train.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dir", "empty.txt", "model.txt", "train.txt"]
 
-    @pytest.mark.parametrize("case", ["eval --model <dir>", "dataset not UTF-8"])
+    @pytest.mark.parametrize("case", ["eval --model <dir>", "dataset not UTF-8", "bench-latency --data <empty>",
+                                      "interpret --data <empty>"])
     def test_no_traceback(self, tmp_path, case):
         argv, path = self._argv(tmp_path, case)
         proc = run_cli(argv, cwd=tmp_path)
         assert proc.returncode == 3
         assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_failed_csv_write_keeps_previous_file(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tensorfm import (
+    ConfigError,
     DataError,
     Dataset,
     SchemaError,
@@ -324,6 +325,27 @@ class TestLoadTabular:
         ds = load_tabular(path, field_columns=["x"], label_column="y", numeric_bins=5)
         # edges at 0.2, 0.4, 0.6, 0.8: values fall in bins 0, 2, 4
         assert ds.active[:, 0].tolist() == [0, 2, 4]
+
+    def test_span_wider_than_the_float_range_bins_by_equal_width(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        self._write_csv(path, ["x", "y"], [[-1e308, 0], [0.0, 1], [1e308, 0]])
+        ds = load_tabular(path, field_columns=["x"], label_column="y", numeric_bins=5)
+        assert ds.active[:, 0].tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_numeric_value_names_column_and_line(self, tmp_path, value):
+        # the row with an empty value is skipped but still counts as a line
+        path = tmp_path / "num.csv"
+        self._write_csv(path, ["f", "x", "y"], [["a", "", 0], ["b", 0.1, 1], ["a", value, 1], ["b", 0.9, 0]])
+        with pytest.raises(DataError, match=f"num.csv:4: numeric column 'x' holds a non-finite value '{value}'"):
+            load_tabular(path, field_columns=["f", "x"], label_column="y")
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_fewer_than_one_bin_is_config_error(self, tmp_path, bins):
+        path = tmp_path / "num.csv"
+        self._write_csv(path, ["x", "y"], [[0.0, 0], [1.0, 1]])
+        with pytest.raises(ConfigError, match="numeric_bins"):
+            load_tabular(path, field_columns=["x"], label_column="y", numeric_bins=bins)
 
     def test_minus_one_label_maps_to_zero(self, tmp_path):
         path = tmp_path / "lab.csv"

@@ -1,7 +1,8 @@
 """Property tests: random schemas (n = 2..6), orders d = 2..4 and unequal
 ranks per order. Each example builds one bundle of every kind it covers
 over the same schema. Oracle agreement, finite differences, batch
-gradients and seeded determinism cover every kind; copies cover the two
+gradients, the touched-row training step against the whole-vocabulary
+step, and seeded determinism cover every kind; copies cover the two
 tensor kinds, whose factor blocks view one stack; CP orders up to d=5,
 scored in one segmented product for one, a few and more than one batch of
 rows, match each order computed alone; a d=5 Tucker check covers a longer
@@ -28,7 +29,7 @@ from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
 from tensorfm.scoring import KERNELS, cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
 from tensorfm.training import RowGradient
 
-from oracles import dataset_text_oracle, hofm_dp_oracle
+from oracles import adagrad_dense_oracle, backward_dense_oracle, dataset_text_oracle, hofm_dp_oracle
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -191,6 +192,32 @@ def test_no_multipliers_give_the_bits_of_unit_multipliers(model, n_rows):
         assert list(got) == list(want)
         for name in bundle.blocks:
             assert np.array_equal(got[name], want[name]), (bundle.kind, name)
+
+
+@PROPERTY
+@given(models(), st.sampled_from([1, 5, 40]), st.booleans(), st.booleans(), st.sampled_from([0.0, 0.01]))
+def test_touched_row_step_gives_the_bits_of_the_whole_vocabulary_step(model, n_rows, every_row, unit, l2):
+    bundles, rng = model
+    schema = bundles[0].schema
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in schema.cardinalities], axis=1)
+    if every_row:  # lead with rows that take every value of every field
+        cover = np.arange(max(schema.cardinalities))[:, None] % schema.cardinalities
+        active = np.concatenate([cover, active])
+    gidx = active + schema.offsets
+    vals = None if unit else rng.uniform(0.5, 1.5, size=gidx.shape)
+    upstream = rng.normal(size=len(gidx))
+    config = tfm.TrainConfig(learning_rate=0.1, l2=l2)
+    for bundle in bundles:
+        acc = {name: rng.uniform(0.0, 1.0, size=arr.shape) for name, arr in bundle.blocks.items()}
+        want, want_acc = copy.deepcopy(bundle), copy.deepcopy(acc)
+        grads = tfm.backward_from_cache(bundle, forward_batch(bundle, gidx, vals), upstream)
+        assert isinstance(grads["linear.w"], RowGradient)
+        assert not every_row or len(grads["linear.w"].rows) == schema.m
+        tfm.adagrad_step(bundle, grads, acc, config)
+        adagrad_dense_oracle(want, backward_dense_oracle(want, forward_batch(want, gidx, vals), upstream), want_acc, config)
+        for name in bundle.blocks:
+            assert np.array_equal(bundle.blocks[name], want.blocks[name]), (bundle.kind, name)
+            assert np.array_equal(acc[name], want_acc[name]), (bundle.kind, name)
 
 
 @PROPERTY
