@@ -9,9 +9,9 @@ exactly the models :func:`params.init` can build. Latency measurement, by
 contrast, times the real batch scorers and is only meaningful for ordinal
 comparisons on one machine.
 
-The interpretability pipeline compares two per-field-combination rankings:
-the occurrence-weighted magnitude of the model's learned interaction terms,
-and the mutual information between the fields and the label.
+The interpretability pipeline compares two per-field-combination rankings,
+neither of which groups the rows by feature tuple: the mean magnitude of
+the model's learned interaction terms, and the label mutual information.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, DataError, MetricError
+from .errors import ConfigError, MetricError
 from .params import ModelBundle, canonical_args
-from .scoring import KERNELS, interaction_tensors, score_dataset
+from .scoring import KERNELS, interaction_orders, score_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +59,6 @@ def flops_estimate(
     return FlopsModel(kind, n, k, d, r_vec, 2 * n + 1 + n * k + KERNELS[kind].flops(n, k, d, r_vec))
 
 
-def _require_rows(dataset: Dataset) -> None:
-    if len(dataset) == 0:
-        raise DataError(f"{dataset.provenance or 'dataset'}: no data rows")
-
-
 # ---------------------------------------------------------------------------
 # latency
 # ---------------------------------------------------------------------------
@@ -90,7 +85,7 @@ def time_inference(
     """
     if repeats < 3:
         raise ConfigError("need at least 3 repeats for a stable median")
-    _require_rows(dataset)
+    dataset.require_rows()
     score_dataset(bundle, dataset, batch_size=batch_size)  # warm-up
     times = []
     for _ in range(repeats):
@@ -115,50 +110,46 @@ def learned_strength(
     train_set: Dataset,
     order: int,
 ) -> dict[tuple[int, ...], float]:
-    """Occurrence-weighted mean interaction magnitude per field combination.
+    """Mean interaction magnitude over the rows per field combination.
 
-    For each combination of ``order`` distinct fields, every feature tuple
-    observed in the training set contributes the magnitude of its interaction
-    term — the tensor weight times the multi-way inner product of the
-    features' embeddings — weighted by its occurrence count. Tensor weights
-    of all orderings of the field combination are averaged, which makes the
-    score comparable to the (order-free) mutual information.
+    For each combination of ``order`` distinct fields, every row contributes
+    the magnitude of its interaction term at those fields: the tensor weight
+    times the multi-way inner product of the row's feature embeddings. Tensor
+    weights of all orderings of the field combination are averaged, which
+    makes the score comparable to the (order-free) mutual information. Only
+    the order-``order`` tensor is built.
     """
-    _require_rows(train_set)
-    tensors = interaction_tensors(bundle)
-    if order not in tensors:
+    train_set.require_rows()
+    train_set.require_schema(bundle.schema)
+    if order not in interaction_orders(bundle):
         raise ConfigError(f"bundle has no order-{order} interaction parameters")
-    tensor = tensors[order]
+    tensor = KERNELS[bundle.kind].tensor(bundle, order)
     emb = bundle.blocks["embeddings"]
-    offsets = train_set.schema.offsets
-    n = train_set.schema.n
+    gidx = train_set.global_indices
 
     out: dict[tuple[int, ...], float] = {}
-    for combo in itertools.combinations(range(n), order):
+    for combo in itertools.combinations(range(train_set.schema.n), order):
         # mean |tensor entry| over orderings of this field combination
         weight = sum(abs(float(tensor[perm])) for perm in itertools.permutations(combo)) / math.factorial(order)
-
-        # the distinct feature tuples at these fields, in lexicographic order
-        tuples, counts = np.unique(train_set.active[:, combo], axis=0, return_counts=True)
-        prod = np.ones((len(tuples), emb.shape[1]))
-        for pos, f in enumerate(combo):
-            prod *= emb[offsets[f] + tuples[:, pos]]
-        inner = prod.sum(axis=1)
-        out[combo] = float((np.abs(inner) * weight * counts).sum() / counts.sum())
+        prod = emb[gidx[:, combo[0]]]
+        for f in combo[1:]:
+            prod *= emb[gidx[:, f]]
+        out[combo] = weight * float(np.abs(prod.sum(axis=1)).mean())
     return out
 
 
 def mutual_information(train_set: Dataset, fields: tuple[int, ...]) -> float:
     """Plug-in mutual information (natural log) between the feature tuple at
-    ``fields`` and the label, from empirical frequencies."""
-    _require_rows(train_set)
-    _, key_ids = np.unique(train_set.active[:, list(fields)], axis=0, return_inverse=True)
-    y = train_set.labels.astype(np.int64)
-    n = float(len(train_set))
-
-    joint = np.zeros((key_ids.max() + 1, 2))
-    np.add.at(joint, (key_ids, y), 1.0)
-    p_joint = joint / n
+    ``fields`` and the label, from empirical frequencies. A row's tuple id,
+    its rank among the distinct tuples in lexicographic order, is built a
+    field at a time as the rank of ``id * cardinality + value``: the id is
+    below the row count, so the key fits in int64."""
+    train_set.require_rows()
+    ids = np.zeros(len(train_set), dtype=np.int64)
+    for f in fields:
+        _, ids = np.unique(ids * train_set.schema.cardinalities[f] + train_set.active[:, f], return_inverse=True)
+    joint = np.bincount(2 * ids + train_set.labels, minlength=2 * (ids.max() + 1)).reshape(-1, 2)
+    p_joint = joint / len(train_set)
     p_x = p_joint.sum(axis=1, keepdims=True)
     p_y = p_joint.sum(axis=0, keepdims=True)
     mask = p_joint > 0
@@ -211,25 +202,13 @@ def interaction_report(
 ) -> InteractionReport:
     """Learned strength vs. mutual information across all field combinations
     of the given order, with their correlation and top-k ranking overlap."""
-    strengths = learned_strength(bundle, train_set, order)
-    tuples = sorted(strengths)
-    learned = [strengths[t] for t in tuples]
+    strengths = learned_strength(bundle, train_set, order)  # keyed in sorted order
+    tuples, learned = list(strengths), list(strengths.values())
     mi = [mutual_information(train_set, t) for t in tuples]
     n_tuples = len(tuples)
     points = [
-        OverlapPoint(
-            k=k,
-            overlap=topk_overlap(learned, mi, k),
-            baseline_squared=(k / n_tuples) ** 2,
-            baseline_uniform=k / n_tuples,
-        )
+        OverlapPoint(k, topk_overlap(learned, mi, k), (k / n_tuples) ** 2, k / n_tuples)
         for k in k_list
         if 1 <= k <= n_tuples
     ]
-    return InteractionReport(
-        tuples=tuples,
-        learned=learned,
-        mutual_info=mi,
-        pearson=pearson(learned, mi),
-        topk_overlap=points,
-    )
+    return InteractionReport(tuples, learned, mi, pearson(learned, mi), points)

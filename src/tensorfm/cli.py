@@ -108,8 +108,9 @@ def _char(text: str) -> str:
     return text
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",")]
+def _counts(text: str) -> list[int]:
+    """Comma-separated integers >= 1."""
+    return [_int_at_least(1)(t.strip()) for t in text.split(",")]
 
 
 def _str_list(text: str) -> list[str]:
@@ -204,6 +205,7 @@ def cmd_train(a: argparse.Namespace) -> int:
 def cmd_eval(a: argparse.Namespace) -> int:
     bundle = params.load_bundle(a.model)
     dataset = data.read_dataset(a.data)
+    dataset.require_rows()
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged model overflows; the check below reports it
         scores = scoring.score_dataset(bundle, dataset)
     bad = np.flatnonzero(~np.isfinite(scores))
@@ -392,7 +394,7 @@ COMMANDS = {
         ("model", str, REQUIRED, "model file"),
         ("data", str, REQUIRED, "dataset file the mutual information is measured on"),
         ("order", int, 3, "interaction order of the field tuples reported"),
-        ("topk", _int_list, [3, 10, 36], "comma-separated k values for the ranking-overlap curve"),
+        ("topk", _counts, [3, 10, 36], "comma-separated k values for the ranking-overlap curve"),
         _OUT_PREFIX,
     )),
 }

@@ -148,6 +148,18 @@ class Dataset:
         then skip the multiply by them, which is exact."""
         return bool((self.values == 1.0).all())
 
+    def require_rows(self) -> None:
+        """Raise :class:`DataError` naming the dataset if it has no rows."""
+        if len(self) == 0:
+            raise DataError(f"{self.provenance or 'dataset'}: no data rows")
+
+    def require_schema(self, schema: FieldSchema) -> None:
+        """Raise :class:`ConfigError` naming the dataset if its schema is not ``schema``, a model's."""
+        if self.schema.cardinalities != schema.cardinalities:
+            name, ours = self.provenance or "dataset", self.schema
+            raise ConfigError(f"{name}: schema of {ours.n} fields and {ours.m} features does not match"
+                              f" the model schema of {schema.n} fields and {schema.m} features")
+
     def instance(self, i: int) -> Instance:
         return Instance(self.active[i], self.values[i], int(self.labels[i]))
 

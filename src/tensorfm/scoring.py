@@ -273,9 +273,9 @@ class Kernel:
         kind's own blocks' upstream-weighted gradients go in ``grads``."""
         return None
 
-    def tensors(self, bundle):
-        """The dense per-order interaction tensors."""
-        return {}
+    def tensor(self, bundle, order):
+        """The dense interaction tensor of one of the bundle's
+        :func:`interaction_orders` (lr has none, so this is never called)."""
 
     def flops(self, n, k, d, r_vec):
         """The forward count beyond the linear term and the gather."""
@@ -293,8 +293,8 @@ class _FM(Kernel):
     def d_a(self, bundle, A, field_sum, upstream, grads):
         return field_sum[:, None, :] - A
 
-    def tensors(self, bundle):
-        return {order: materialize_distinct(bundle.schema.n, order) for order in range(2, max(bundle.d, 2) + 1)}
+    def tensor(self, bundle, order):
+        return materialize_distinct(bundle.schema.n, order)
 
     def flops(self, n, k, d, r_vec):
         # field sum (n-1)k, its squared norm 2k-1, the summed squared field
@@ -359,8 +359,8 @@ class _FwFM(Kernel):
         grads["pair.upper"] = (ds_full + ds_full.T)[bundle.schema.pair_index]
         return sa.transpose(0, 2, 1)
 
-    def tensors(self, bundle):
-        return {2: bundle.dense_s / 2.0}
+    def tensor(self, bundle, order):
+        return bundle.dense_s / 2.0
 
     def flops(self, n, k, d, r_vec):
         # n(n-1)/2 field pairs, each a length-k dot product plus weighting
@@ -385,8 +385,8 @@ class _CP(Kernel):
             _leave_one_out(cp_tables(rows, span), cp_tables(rest, span))
         return _factor_gradients(bundle, A, np.ascontiguousarray(rest.T), upstream, grads)
 
-    def tensors(self, bundle):
-        return {s.order: materialize_tensor([bundle.blocks[name] for name in s.factors]) for s in bundle.factor_spans}
+    def tensor(self, bundle, order):
+        return materialize_tensor([bundle.blocks[name] for name in bundle.factor_spans[order - 2].factors])
 
     def flops(self, n, k, d, r_vec):
         # per order l of rank r, l*k*r length-n dot products plus the
@@ -407,11 +407,9 @@ class _Tucker(Kernel):
             grads[s.core] = _tucker_rest(order_tables(G, s), bundle.blocks[s.core], upstream, order_tables(rest, s))
         return _factor_gradients(bundle, A, rest, upstream, grads)
 
-    def tensors(self, bundle):
-        blocks = bundle.blocks
-        return {
-            s.order: materialize_tucker(blocks[s.core], [blocks[f] for f in s.factors]) for s in bundle.factor_spans
-        }
+    def tensor(self, bundle, order):
+        span, blocks = bundle.factor_spans[order - 2], bundle.blocks
+        return materialize_tucker(blocks[span.core], [blocks[f] for f in span.factors])
 
     def flops(self, n, k, d, r_vec):
         # per order l of rank r, the mode products 2nkrl plus the core
@@ -471,8 +469,7 @@ def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray | None
 
 
 def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096) -> np.ndarray:
-    if dataset.schema.cardinalities != bundle.schema.cardinalities:
-        raise ConfigError("dataset schema does not match the model schema")
+    dataset.require_schema(bundle.schema)
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     vals = None if dataset.unit_values else dataset.values
@@ -516,11 +513,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def interaction_orders(bundle: ModelBundle) -> range:
+    """The orders of the bundle's interaction terms: 2..max(d, 2) for every
+    kind with embeddings, none for lr."""
+    return range(2, max(bundle.d, 2) + 1) if "embeddings" in bundle.blocks else range(0)
+
+
 def interaction_tensors(bundle: ModelBundle) -> dict[int, np.ndarray]:
     """Dense per-order field interaction tensors implied by the bundle: the
     literal ordered-tuple sum over them reproduces the model's interaction
     term."""
-    return KERNELS[bundle.kind].tensors(bundle)
+    return {order: KERNELS[bundle.kind].tensor(bundle, order) for order in interaction_orders(bundle)}
 
 
 def oracle_interaction_sum(a_matrix: np.ndarray, tensors: dict[int, np.ndarray]) -> float:
@@ -546,14 +549,13 @@ def score_naive_oracle(bundle: ModelBundle, instance: Instance, max_tuples: int 
     materializing every interaction tensor and summing over all index tuples.
 
     Raises :class:`ConfigError` when that sum would exceed ``max_tuples``
-    ordered tuples (orders 2..max(d, 2) for every kind with interactions).
+    ordered tuples over the :func:`interaction_orders`.
     """
     linear = float(linear_batch(bundle, *_as_batch(bundle, instance))[0])
-    if "embeddings" not in bundle.blocks:
+    orders = interaction_orders(bundle)
+    if not orders:
         return linear
-    n = bundle.schema.n
-    total_tuples = sum(n**o for o in range(2, max(bundle.d, 2) + 1))
+    total_tuples = sum(bundle.schema.n**o for o in orders)
     if total_tuples > max_tuples:
         raise ConfigError(f"oracle would sum {total_tuples} tuples, above the cap of {max_tuples}")
-    interactions = oracle_interaction_sum(embed_view(bundle, instance), interaction_tensors(bundle))
-    return linear + interactions
+    return linear + oracle_interaction_sum(embed_view(bundle, instance), interaction_tensors(bundle))

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset, Instance
-from .errors import ConfigError, DataError, MetricError, NumericError
+from .errors import ConfigError, MetricError, NumericError
 from .metrics import auc, bce_from_score, logloss
 from .params import ModelBundle
 from .scoring import KERNELS, ForwardCache, _as_batch, forward_batch, score_dataset, sigmoid
@@ -203,12 +203,10 @@ def train(
     that diverges raises :class:`NumericError` naming the epoch, and the
     block if a parameter block is no longer finite at the end of an epoch.
     """
-    if len(train_set) == 0:
-        raise DataError("cannot train on an empty dataset")
-    if train_set.schema.cardinalities != bundle.schema.cardinalities:
-        raise ConfigError("training data schema does not match the model schema")
-    if valid_set is not None and valid_set.schema.cardinalities != bundle.schema.cardinalities:
-        raise ConfigError("validation data schema does not match the model schema")
+    train_set.require_rows()
+    train_set.require_schema(bundle.schema)
+    if valid_set is not None:
+        valid_set.require_schema(bundle.schema)
 
     state = adagrad_state(bundle)
     rng = np.random.default_rng(config.seed)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from tensorfm import MetricError, NumericError
-from tensorfm.scoring import KERNELS
+from tensorfm.scoring import KERNELS, interaction_tensors
 from tensorfm.training import ADAGRAD_EPSILON
 
 
@@ -55,6 +55,44 @@ def dataset_text_oracle(dataset) -> str:
         pairs = enumerate(zip(active, values))
         lines.append(f"{label} " + " ".join(f"{j}:{a}" if v == 1.0 else f"{j}:{a}:{v!r}" for j, (a, v) in pairs))
     return "\n".join(lines) + "\n"
+
+
+def learned_strength_grouped_oracle(bundle, train_set, order):
+    """Learned strength with the rows grouped by feature tuple: each
+    distinct tuple's magnitude weighted by its count, from every order's
+    dense tensor. The reference for :func:`tensorfm.learned_strength`,
+    which averages over the rows and builds one order's tensor."""
+    tensor = interaction_tensors(bundle)[order]
+    emb = bundle.blocks["embeddings"]
+    offsets = train_set.schema.offsets
+    out = {}
+    for combo in itertools.combinations(range(train_set.schema.n), order):
+        weight = sum(abs(float(tensor[perm])) for perm in itertools.permutations(combo)) / math.factorial(order)
+        tuples, counts = np.unique(train_set.active[:, combo], axis=0, return_counts=True)
+        prod = np.ones((len(tuples), emb.shape[1]))
+        for pos, f in enumerate(combo):
+            prod *= emb[offsets[f] + tuples[:, pos]]
+        inner = prod.sum(axis=1)
+        out[combo] = float((np.abs(inner) * weight * counts).sum() / counts.sum())
+    return out
+
+
+def mutual_information_grouped_oracle(train_set, fields):
+    """Mutual information with the tuple ids from ``np.unique(axis=0)`` and
+    the joint table from ``np.add.at``: the reference for
+    :func:`tensorfm.mutual_information`, which builds the ids a field at a
+    time."""
+    _, key_ids = np.unique(train_set.active[:, list(fields)], axis=0, return_inverse=True)
+    key_ids = key_ids.ravel()
+    y = train_set.labels.astype(np.int64)
+    joint = np.zeros((key_ids.max() + 1, 2))
+    np.add.at(joint, (key_ids, y), 1.0)
+    p_joint = joint / float(len(train_set))
+    p_x = p_joint.sum(axis=1, keepdims=True)
+    p_y = p_joint.sum(axis=0, keepdims=True)
+    mask = p_joint > 0
+    ratio = p_joint[mask] / (p_x @ p_y)[mask]
+    return float((p_joint[mask] * np.log(ratio)).sum())
 
 
 def symmetrize(tensor: np.ndarray) -> np.ndarray:

@@ -187,6 +187,27 @@ class TestLearnedStrength:
         inner = float((emb[0 + 1] * emb[2 + 0] * emb[4 + 1]).sum())
         assert abs(learned_strength(bundle, ds, order=3)[(0, 1, 2)] - abs(inner) / 6.0) < 1e-12
 
+    def test_builds_only_the_reported_orders_tensor(self):
+        # the order-4 tensor at n=100 holds 1e8 entries, above the dense cap
+        schema = build_schema([3] * 100)
+        bundle = init("tensorfm", schema, k=4, d=4, r_vec=4, init_scale=0.3, seed=0)
+        rng = np.random.default_rng(14)
+        ds = Dataset(schema, rng.integers(0, 3, size=(20, 100)), labels=rng.integers(0, 2, 20))
+        strengths = learned_strength(bundle, ds, order=2)
+        assert list(strengths) == list(itertools.combinations(range(100), 2))
+        factor_0, factor_1 = bundle.blocks["cp.2.factor.0"], bundle.blocks["cp.2.factor.1"]
+        weight = (abs(factor_0[3] @ factor_1[97]) + abs(factor_0[97] @ factor_1[3])) / 2.0
+        emb, gidx = bundle.blocks["embeddings"], ds.global_indices
+        inner = (emb[gidx[:, 3]] * emb[gidx[:, 97]]).sum(axis=1)
+        assert abs(strengths[(3, 97)] - weight * np.abs(inner).mean()) < 1e-12
+
+    @pytest.mark.parametrize("cards", [[1, 2, 2], [3, 2, 2]], ids=["smaller", "larger"])
+    def test_dataset_of_another_schema_rejected(self, cards):
+        bundle, _ = self._toy()
+        ds = Dataset(build_schema(cards), np.zeros((1, 3)), labels=np.ones(1), provenance="o.txt")
+        with pytest.raises(ConfigError, match="o.txt: schema of 3 fields"):
+            learned_strength(bundle, ds, order=2)
+
     def test_order_without_parameters_rejected(self):
         bundle, ds = self._toy()
         with pytest.raises(ConfigError):

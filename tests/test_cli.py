@@ -306,6 +306,8 @@ class TestExitCodes:
         ("synth", ["--noise", "-1"]),
         ("prep", ["--bins", "0"]),
         ("prep", ["--delimiter", ""]),
+        ("interpret", ["--topk", "0"]),
+        ("interpret", ["--topk", "3,-1"]),
     ])
     def test_bad_count_or_fractions_is_usage_error(self, tmp_path, capsys, command, bad):
         with pytest.raises(SystemExit) as exc:
@@ -454,7 +456,8 @@ class TestRequiredOptions:
 class TestUnusablePaths:
     """A path that names a directory, a file that is not UTF-8 text, or a
     dataset with no rows where a command needs rows, is a data error (exit
-    3) that names the path, whichever option gave it."""
+    3) that names the path, whichever option gave it. A dataset whose schema
+    is not the model's is a usage error (exit 2) that names the dataset."""
 
     CASES = {
         "eval --model <dir>": ["eval", "--model", "{dir}", "--data", "{tmp}/d.txt"],
@@ -470,20 +473,33 @@ class TestUnusablePaths:
         "bench-latency --data <empty>": ["bench-latency", "--data", "{empty}", "--out", "{tmp}/lat.csv"],
         "interpret --data <empty>": ["interpret", "--model", "{model}", "--data", "{empty}", "--order", "2",
                                      "--out-prefix", "{tmp}/ip"],
+        "eval --data <empty>": ["eval", "--model", "{model}", "--data", "{empty}"],
+        "train --train <empty>": ["train", "--train", "{empty}", "--model", "fm", "--out", "{tmp}/m.txt"],
     }
+    OTHER_SCHEMA = {
+        "eval --data <other schema>": ["eval", "--model", "{model}", "--data", "{other}"],
+        "interpret --data <other schema>": ["interpret", "--model", "{model}", "--data", "{other}", "--order", "2",
+                                            "--out-prefix", "{tmp}/ip"],
+        "train --valid <other schema>": ["train", "--train", "{train}", "--valid", "{other}", "--model", "fm",
+                                         "--epochs", "1", "--out", "{tmp}/m.txt"],
+    }
+    FILES = ["bad.txt", "dir", "empty.txt", "model.txt", "other.txt", "train.txt"]
 
     def _argv(self, tmp_path, case):
         paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing" / "m.txt",
-                 "empty": tmp_path / "empty.txt", "model": tmp_path / "model.txt"}
+                 "empty": tmp_path / "empty.txt", "other": tmp_path / "other.txt", "model": tmp_path / "model.txt"}
         train = tmp_path / "train.txt"
         paths["dir"].mkdir()
         (paths["dir"] / "kept.txt").write_text("kept\n")
         paths["bad"].write_bytes("caf\u00e9 1\n".encode("latin-1"))
         train.write_text("#schema 2,2\n1 0:1 1:0\n0 0:0 1:1\n")
         paths["empty"].write_text("#schema 2,2\n")
+        # more values per field than the model's schema has: rows the model has no embeddings for
+        paths["other"].write_text("#schema 3,3\n1 0:2 1:0\n0 0:0 1:2\n")
         save_bundle(tensorfm.init("tensorfm", tensorfm.build_schema([2, 2]), k=2, d=2, r_vec=1), paths["model"])
-        path = next(p for key, p in paths.items() if f"{{{key}}}" in self.CASES[case])
-        return [arg.format(train=train, tmp=tmp_path, **paths) for arg in self.CASES[case]], path
+        template = self.CASES.get(case) or self.OTHER_SCHEMA[case]
+        path = next(p for key, p in paths.items() if f"{{{key}}}" in template)
+        return [arg.format(train=train, tmp=tmp_path, **paths) for arg in template], path
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_exits_3_naming_the_path(self, tmp_path, capsys, case):
@@ -493,14 +509,23 @@ class TestUnusablePaths:
         assert err.startswith("error: ") and str(path) in err
         assert ".tmp" not in err  # the path given, not the temporary file beside it
         assert [p.name for p in (tmp_path / "dir").iterdir()] == ["kept.txt"]
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.txt", "dir", "empty.txt", "model.txt", "train.txt"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
+
+    @pytest.mark.parametrize("case", list(OTHER_SCHEMA))
+    def test_other_schema_exits_2_naming_the_dataset(self, tmp_path, capsys, case):
+        argv, path = self._argv(tmp_path, case)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: schema of 2 fields and 6 features does not match")
+        assert sorted(p.name for p in tmp_path.iterdir()) == self.FILES
 
     @pytest.mark.parametrize("case", ["eval --model <dir>", "dataset not UTF-8", "bench-latency --data <empty>",
-                                      "interpret --data <empty>"])
+                                      "interpret --data <empty>", "eval --data <empty>", "train --train <empty>",
+                                      *OTHER_SCHEMA])
     def test_no_traceback(self, tmp_path, case):
         argv, path = self._argv(tmp_path, case)
         proc = run_cli(argv, cwd=tmp_path)
-        assert proc.returncode == 3
+        assert proc.returncode == (2 if case in self.OTHER_SCHEMA else 3)
         assert proc.stderr.startswith("error: ") and str(path) in proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 

@@ -12,9 +12,13 @@ terms and gradient match the per-field dynamic program for n up to 9 and
 one, a few and more than a thousand rows. Model files of every
 kind and alias spelling, and dataset files with awkward values, round-trip
 exactly; a dataset file with one character changed reads as the
-line-by-line parser reads it."""
+line-by-line parser reads it. The interpretability statistics equal their
+grouped-by-tuple references: learned strength within 1e-12 relative for
+every kind with embeddings and every order, mutual information bit for bit
+for cardinalities up to 2**30."""
 
 import copy
+import itertools
 import pickle
 import tempfile
 from pathlib import Path
@@ -26,10 +30,25 @@ from hypothesis import strategies as st
 
 import tensorfm as tfm
 from tensorfm.params import ALIASES, KINDS, TENSOR_KINDS
-from tensorfm.scoring import KERNELS, cp_mode_products, cp_order_batch, forward_batch, gather_embeddings, order_tables
+from tensorfm.scoring import (
+    KERNELS,
+    cp_mode_products,
+    cp_order_batch,
+    forward_batch,
+    gather_embeddings,
+    interaction_orders,
+    order_tables,
+)
 from tensorfm.training import RowGradient
 
-from oracles import adagrad_dense_oracle, backward_dense_oracle, dataset_text_oracle, hofm_dp_oracle
+from oracles import (
+    adagrad_dense_oracle,
+    backward_dense_oracle,
+    dataset_text_oracle,
+    hofm_dp_oracle,
+    learned_strength_grouped_oracle,
+    mutual_information_grouped_oracle,
+)
 
 # Reproducible examples, and no example database written into the checkout.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -369,3 +388,38 @@ def test_one_mutation_reads_as_line_by_line(data):
             with patch.object(tfm.data, "_parse_canonical", lambda text, n: None):
                 want = read_outcome(path)
     assert got == want
+
+
+@PROPERTY
+@given(models(tuple(kind for kind in KINDS if kind != "lr")), st.integers(1, 200))
+def test_learned_strength_equals_the_grouped_reference(model, n_rows):
+    bundles, rng = model
+    schema = bundles[0].schema
+    active = np.stack([rng.integers(0, c, n_rows) for c in schema.cardinalities], axis=1)
+    dataset = tfm.Dataset(schema, active, labels=rng.integers(0, 2, n_rows))
+    for bundle in bundles:
+        for order in interaction_orders(bundle):
+            got = tfm.learned_strength(bundle, dataset, order)
+            want = learned_strength_grouped_oracle(bundle, dataset, order)
+            assert list(got) == list(want)
+            for combo, value in want.items():
+                assert abs(got[combo] - value) <= 1e-12 * abs(value), (bundle.kind, order, combo)
+
+
+# Cardinalities near 2**30 push a tuple key past the int32 range; a model
+# over them would need an embedding table of 2**30 rows, so the learned
+# strength check above keeps to small schemas.
+CARDINALITIES = st.one_of(st.integers(1, 4), st.integers(2**30 - 4, 2**30))
+
+
+@PROPERTY
+@given(st.lists(CARDINALITIES, min_size=1, max_size=6), st.integers(1, 200), st.integers(0, 2**31))
+def test_mutual_information_equals_the_grouped_reference(cards, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    # three values per field, the largest included, so tuples repeat
+    pools = [np.append(rng.integers(0, c, 2), c - 1) for c in cards]
+    active = np.stack([rng.choice(pool, n_rows) for pool in pools], axis=1)
+    dataset = tfm.Dataset(tfm.build_schema(cards), active, labels=rng.integers(0, 2, n_rows))
+    for order in range(1, len(cards) + 1):
+        for fields in itertools.combinations(range(len(cards)), order):
+            assert tfm.mutual_information(dataset, fields) == mutual_information_grouped_oracle(dataset, fields)
