@@ -116,8 +116,10 @@ def learned_strength(
     the magnitude of its interaction term at those fields: the tensor weight
     times the multi-way inner product of the row's feature embeddings. Tensor
     weights of all orderings of the field combination are averaged, which
-    makes the score comparable to the (order-free) mutual information. Only
-    the order-``order`` tensor is built.
+    makes the score comparable to the (order-free) mutual information. Each
+    embedding counts scaled by its field's multiplier, as the scorers scale
+    it, so the inner product is times the product of the row's multipliers
+    at those fields. Only the order-``order`` tensor is built.
     """
     train_set.require_rows()
     train_set.require_schema(bundle.schema)
@@ -126,6 +128,7 @@ def learned_strength(
     tensor = KERNELS[bundle.kind].tensor(bundle, order)
     emb = bundle.blocks["embeddings"]
     gidx = train_set.global_indices
+    vals = None if train_set.unit_values else train_set.values
 
     out: dict[tuple[int, ...], float] = {}
     for combo in itertools.combinations(range(train_set.schema.n), order):
@@ -134,6 +137,8 @@ def learned_strength(
         prod = emb[gidx[:, combo[0]]]
         for f in combo[1:]:
             prod *= emb[gidx[:, f]]
+        if vals is not None:
+            prod *= vals[:, combo].prod(axis=1)[:, None]
         out[combo] = weight * float(np.abs(prod.sum(axis=1)).mean())
     return out
 

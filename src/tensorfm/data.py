@@ -85,7 +85,11 @@ class Dataset:
     Instances are held as three aligned arrays: ``active`` (N, n) int32 local
     indices, ``values`` (N, n) float64 multipliers, ``labels`` (N,) int8 in
     {0, 1}. The arrays are frozen after construction; views handed out are
-    read-only.
+    read-only. Multipliers that are all 1.0 (``unit_values``, the case for
+    categorical data) are stored as a read-only zero-stride view of one 1.0,
+    which reads as the (N, n) array but holds no bytes; :meth:`subset` and
+    :func:`split` keep that view, and :func:`read_dataset` never builds the
+    array for a file without ``:value`` tokens.
     """
 
     def __init__(
@@ -100,10 +104,8 @@ class Dataset:
         if active.ndim != 2 or active.shape[1] != schema.n:
             raise SchemaError(f"active index array must be (N, {schema.n}), got {active.shape}")
         n_rows = active.shape[0]
-        if values is None:
-            values = np.ones((n_rows, schema.n), dtype=np.float64)
-        else:
-            values = np.ascontiguousarray(values, dtype=np.float64)
+        if values is not None:
+            values = np.asarray(values, dtype=np.float64)  # no copy yet: an all-1.0 array is not kept
             if values.shape != active.shape:
                 raise SchemaError("values array must match active array shape")
             finite = np.isfinite(values)
@@ -124,13 +126,27 @@ class Dataset:
         if bad.any():
             raise DataError(f"labels must be 0 or 1, found {labels[bad][0]}")
 
-        for arr in (active, values, labels):
+        for arr in (active, labels):
             arr.setflags(write=False)
         self.schema = schema
         self.active = active
-        self.values = values
+        self._set_values(values)
         self.labels = labels
         self.provenance = provenance
+
+    def _set_values(self, values: np.ndarray | None) -> None:
+        """Store the multipliers of ``self.active``'s rows, None meaning
+        every one is 1.0, and set ``unit_values``: True when every
+        multiplier is 1.0, so that the batch scorers and training skip the
+        multiply by them, which is exact. Unit multipliers are kept as a
+        read-only view of one 1.0, any others as a read-only C-ordered
+        array."""
+        self.unit_values = values is None or bool((values == 1.0).all())
+        if self.unit_values:
+            self.values = np.broadcast_to(np.float64(1.0), self.active.shape)
+        else:
+            self.values = np.ascontiguousarray(values)
+            self.values.setflags(write=False)
 
     def __len__(self) -> int:
         return self.active.shape[0]
@@ -141,12 +157,6 @@ class Dataset:
         gidx = self.active.astype(np.int64) + self.schema.offsets[None, :]
         gidx.setflags(write=False)
         return gidx
-
-    @cached_property
-    def unit_values(self) -> bool:
-        """True when every multiplier is 1.0; the batch scorers and training
-        then skip the multiply by them, which is exact."""
-        return bool((self.values == 1.0).all())
 
     def require_rows(self) -> None:
         """Raise :class:`DataError` naming the dataset if it has no rows."""
@@ -167,10 +177,11 @@ class Dataset:
         """The instances ``rows`` of this dataset, in that order. They were
         checked when this dataset was built, so they are not checked again."""
         sub = object.__new__(Dataset)
-        for name in ("active", "values", "labels"):
+        for name in ("active", "labels"):
             arr = np.ascontiguousarray(getattr(self, name)[rows])
             arr.setflags(write=False)
             setattr(sub, name, arr)
+        sub._set_values(None if self.unit_values else self.values[rows])
         sub.schema = self.schema
         sub.provenance = provenance or self.provenance
         return sub
@@ -286,7 +297,12 @@ def read_dataset(path: str | Path) -> Dataset:
             raise
         chunks.append(_parse_chunk(path, n, lines, first))  # the rest, perhaps no line
 
-    active, values, labels, linenos = (np.concatenate(arrays) for arrays in zip(*chunks))
+    active, values, labels, linenos = zip(*chunks)
+    if all(v is None for v in values):
+        values = None  # no ':value' token: the dataset stores no multiplier array
+    else:
+        values = np.concatenate([np.broadcast_to(1.0, a.shape) if v is None else v for a, v in zip(active, values)])
+    active, labels, linenos = (np.concatenate(arrays) for arrays in (active, labels, linenos))
     bad = (active < 0) | (active >= np.asarray(schema.cardinalities))
     if bad.any():
         row, j = np.argwhere(bad)[0]
@@ -294,22 +310,24 @@ def read_dataset(path: str | Path) -> Dataset:
     return Dataset(schema, active, values, labels, provenance=str(path))
 
 
-def _parse_chunk(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray, ...]:
+def _parse_chunk(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray | None, ...]:
     """``(active, values, labels, linenos)`` of the instances in ``lines``,
-    the first of which is line ``first`` of the file."""
+    the first of which is line ``first`` of the file; ``values`` is None
+    when no token has a ``:value``."""
     parsed = _parse_canonical("".join(lines), n)
     if parsed is None:
         return _parse_lines(path, n, lines, first)
     return (*parsed, np.arange(first, first + len(parsed[2])))
 
 
-def _parse_canonical(text: str, n: int) -> tuple[np.ndarray, ...] | None:
+def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
     """Parse ``text`` as arrays if it is in the form :func:`write_dataset`
     writes: ASCII, one instance per line, fields in order 0..n-1, single
     spaces, label, field and index pieces of at most 9 digits, labels 0 or 1
     and finite values. Return ``(active, values, labels)``, equal to what
-    :func:`_parse_lines` returns for the same lines, or ``None`` if ``text``
-    holds anything else, faults included."""
+    :func:`_parse_lines` returns for the same lines (``values`` None when
+    no token has a ``:value``), or ``None`` if ``text`` holds anything
+    else, faults included."""
     if not text.isascii() or len(text) >= 2**31 - 1:  # positions are int32
         return None
     if not text.endswith("\n"):
@@ -364,26 +382,31 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray, ...] | None:
     if (buf[np.concatenate([dots - 1, dots + 1])] - ord("0") > 9).any():  # a non-digit wraps above 9
         return None
     has_value = np.flatnonzero(count[:, 1:].ravel() == 3)
-    value_pieces = head[:, 1:].ravel()[has_value] + 2
-    try:
-        parsed = [float(text[a:b]) for a, b in zip(starts[value_pieces].tolist(), ends[value_pieces].tolist())]
-    except ValueError:
-        return None
-    values = np.ones(rows * n, dtype=np.float64)
-    values[has_value] = parsed
-    if not np.isfinite(values).all():
-        return None
-    return np.ascontiguousarray(active), values.reshape(rows, n), labels.astype(np.int8)
+    values = None
+    if len(has_value):
+        value_pieces = head[:, 1:].ravel()[has_value] + 2
+        try:
+            parsed = [float(text[a:b]) for a, b in zip(starts[value_pieces].tolist(), ends[value_pieces].tolist())]
+        except ValueError:
+            return None
+        values = np.ones(rows * n, dtype=np.float64)
+        values[has_value] = parsed
+        if not np.isfinite(values).all():
+            return None
+        values = values.reshape(rows, n)
+    return np.ascontiguousarray(active), values, labels.astype(np.int8)
 
 
-def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray, ...]:
+def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray | None, ...]:
     """The line-by-line parser: ``(active, values, labels, linenos)`` of the
     instances in ``lines``, the first of which is line ``first`` of the
-    file. It takes every form the reader accepts (fields in any order,
-    blank lines, any whitespace and line end, the spellings of :data:`_INT`
-    and :data:`_FLOAT`) and raises each ``path:line`` message but the range
+    file, with ``values`` None when no token has a ``:value``. It takes
+    every form the reader accepts (fields in any order, blank lines, any
+    whitespace and line end, the spellings of :data:`_INT` and
+    :data:`_FLOAT`) and raises each ``path:line`` message but the range
     check's."""
-    active_rows, value_rows, labels, linenos = [], [], [], []
+    active_rows, labels, linenos = [], [], []
+    value_at = {}  # (row, field) -> multiplier, for the tokens with a ':value'
     for lineno, line in enumerate(lines, start=first):
         toks = line.split()
         if not toks:
@@ -391,7 +414,6 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
         if len(toks) != n + 1:
             raise DataError(f"{path}:{lineno}: expected {n} field tokens")
         act = np.empty(n, dtype=np.int32)
-        val = np.ones(n, dtype=np.float64)
         fields = set()
         try:
             label = _int(toks[0])
@@ -410,7 +432,7 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
                     value = float(pieces[2])
                     if not math.isfinite(value):
                         raise DataError(f"{path}:{lineno}: non-finite value in {tok!r}")
-                    val[j] = value
+                    value_at[len(labels), j] = value
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{path}:{lineno}: bad token: {exc}") from exc
         if label not in (0, 1):
@@ -419,11 +441,15 @@ def _parse_lines(path: Path, n: int, lines: list[str], first: int) -> tuple[np.n
             raise DataError(f"{path}:{lineno}: every field must appear exactly once")
         labels.append(label)
         active_rows.append(act)
-        value_rows.append(val)
         linenos.append(lineno)
+    values = None
+    if value_at:
+        values = np.ones((len(labels), n), dtype=np.float64)
+        rows, fields = zip(*value_at)
+        values[rows, fields] = list(value_at.values())
     return (
         np.array(active_rows, dtype=np.int32).reshape(-1, n),
-        np.array(value_rows, dtype=np.float64).reshape(-1, n),
+        values,
         np.array(labels, dtype=np.int8),
         np.array(linenos, dtype=np.int64),
     )

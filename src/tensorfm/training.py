@@ -206,6 +206,7 @@ def train(
     train_set.require_rows()
     train_set.require_schema(bundle.schema)
     if valid_set is not None:
+        valid_set.require_rows()
         valid_set.require_schema(bundle.schema)
 
     state = adagrad_state(bundle)
@@ -237,7 +238,7 @@ def train(
                 raise _diverged(f"parameter block {name!r}", epoch)
 
         valid_ll, valid_auc = float("nan"), float("nan")
-        if valid_set is not None and len(valid_set):
+        if valid_set is not None:
             scores = score_dataset(bundle, valid_set)
             if not np.isfinite(scores).all():
                 raise _diverged("validation score", epoch)
@@ -298,6 +299,7 @@ def grid_search(
     """
     if not grid:
         raise ConfigError("hyperparameter grid is empty")
+    valid_set.require_rows()
     # the ranking needs a validation AUC: raise its MetricError before any point trains
     auc(np.zeros(len(valid_set)), valid_set.labels)
     results: list[GridResult] = []

@@ -58,20 +58,23 @@ def dataset_text_oracle(dataset) -> str:
 
 
 def learned_strength_grouped_oracle(bundle, train_set, order):
-    """Learned strength with the rows grouped by feature tuple: each
-    distinct tuple's magnitude weighted by its count, from every order's
-    dense tensor. The reference for :func:`tensorfm.learned_strength`,
-    which averages over the rows and builds one order's tensor."""
+    """Learned strength with the rows grouped by feature tuple and
+    multipliers: each distinct tuple's magnitude, its embeddings scaled by
+    its multipliers, weighted by its count, from every order's dense
+    tensor. The reference for :func:`tensorfm.learned_strength`, which
+    averages over the rows and builds one order's tensor."""
     tensor = interaction_tensors(bundle)[order]
     emb = bundle.blocks["embeddings"]
     offsets = train_set.schema.offsets
     out = {}
     for combo in itertools.combinations(range(train_set.schema.n), order):
         weight = sum(abs(float(tensor[perm])) for perm in itertools.permutations(combo)) / math.factorial(order)
-        tuples, counts = np.unique(train_set.active[:, combo], axis=0, return_counts=True)
+        # float64 holds every local index exactly
+        keys = np.concatenate([train_set.active[:, combo], train_set.values[:, combo]], axis=1)
+        tuples, counts = np.unique(keys, axis=0, return_counts=True)
         prod = np.ones((len(tuples), emb.shape[1]))
         for pos, f in enumerate(combo):
-            prod *= emb[offsets[f] + tuples[:, pos]]
+            prod *= emb[offsets[f] + tuples[:, pos].astype(np.int64)] * tuples[:, order + pos, None]
         inner = prod.sum(axis=1)
         out[combo] = float((np.abs(inner) * weight * counts).sum() / counts.sum())
     return out

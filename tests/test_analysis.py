@@ -178,6 +178,14 @@ class TestLearnedStrength:
         expected /= len(ds)
         assert abs(strengths[(0, 1)] - expected) < 1e-12
 
+    def test_multipliers_scale_each_embedding(self):
+        # every multiplier 3.0: each order-2 term is 3.0 * 3.0 times the unit one
+        bundle, ds = self._toy()
+        unit = learned_strength(bundle, ds, order=2)
+        tripled = Dataset(ds.schema, ds.active, np.full(ds.active.shape, 3.0), ds.labels)
+        for combo, value in learned_strength(bundle, tripled, order=2).items():
+            assert abs(value - 9.0 * unit[combo]) <= 1e-12 * 9.0 * unit[combo], combo
+
     def test_hofm_weights_each_field_subset_once(self):
         # hofm's order-3 tensor is 1/3! on every tuple of distinct fields
         schema = build_schema([2, 2, 2])

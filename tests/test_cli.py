@@ -153,8 +153,9 @@ class TestGridCommand:
         assert out == ""
         assert err.startswith(f"error: {model}: non-finite score for row 0 of {synth_files}.test.txt")
 
-    @pytest.mark.parametrize("keep", ["1", ""], ids=["one-class", "empty"])
-    def test_undefined_validation_auc_is_data_error(self, synth_files, tmp_path, capsys, monkeypatch, keep):
+    @pytest.mark.parametrize("keep, message", [("1", "AUC is undefined"), ("", "{valid}: no data rows")],
+                             ids=["one-class", "empty"])
+    def test_undefined_validation_auc_is_data_error(self, synth_files, tmp_path, capsys, monkeypatch, keep, message):
         header, *rows = Path(f"{synth_files}.valid.txt").read_text().splitlines()
         valid = tmp_path / "v.txt"
         valid.write_text("\n".join([header, *(r for r in rows if keep and r.startswith(keep + " "))]) + "\n")
@@ -162,7 +163,7 @@ class TestGridCommand:
         rc = main(["grid", "--train", f"{synth_files}.train.txt", "--valid", str(valid),
                    "--model", "fm", "--out", str(tmp_path / "best.txt")])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("error: AUC is undefined")
+        assert capsys.readouterr().err.startswith("error: " + message.format(valid=valid))
         assert not (tmp_path / "best.txt").exists()
 
 
@@ -475,6 +476,10 @@ class TestUnusablePaths:
                                      "--out-prefix", "{tmp}/ip"],
         "eval --data <empty>": ["eval", "--model", "{model}", "--data", "{empty}"],
         "train --train <empty>": ["train", "--train", "{empty}", "--model", "fm", "--out", "{tmp}/m.txt"],
+        "train --valid <empty>": ["train", "--train", "{train}", "--valid", "{empty}", "--model", "fm",
+                                  "--epochs", "1", "--out", "{tmp}/m.txt"],
+        "grid --valid <empty>": ["grid", "--train", "{train}", "--valid", "{empty}", "--model", "fm",
+                                 "--epochs", "1", "--out", "{tmp}/m.txt"],
     }
     OTHER_SCHEMA = {
         "eval --data <other schema>": ["eval", "--model", "{model}", "--data", "{other}"],
@@ -521,7 +526,7 @@ class TestUnusablePaths:
 
     @pytest.mark.parametrize("case", ["eval --model <dir>", "dataset not UTF-8", "bench-latency --data <empty>",
                                       "interpret --data <empty>", "eval --data <empty>", "train --train <empty>",
-                                      *OTHER_SCHEMA])
+                                      "train --valid <empty>", "grid --valid <empty>", *OTHER_SCHEMA])
     def test_no_traceback(self, tmp_path, case):
         argv, path = self._argv(tmp_path, case)
         proc = run_cli(argv, cwd=tmp_path)

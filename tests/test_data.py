@@ -1,5 +1,7 @@
 """Schema construction, dataset IO, splitting, and synthetic generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -433,6 +435,27 @@ class TestSplit:
             split(ds, (0.7, 0.2, 0.2), seed=0)
         with pytest.raises(DataError):
             split(ds, (0.7, -0.1, 0.4), seed=0)
+
+    def test_reading_and_splitting_categorical_text_builds_no_multiplier_array(self, tmp_path):
+        # 20k rows of a 39-field click-log shape, no ':value' token
+        rng = np.random.default_rng(2)
+        schema = build_schema(np.geomspace(3, 3000, 39).astype(int))
+        active = np.stack([rng.integers(0, c, size=20_000) for c in schema.cardinalities], axis=1)
+        path = tmp_path / "ds.txt"
+        write_dataset(Dataset(schema, active, labels=rng.integers(0, 2, size=20_000)), path)
+        tracemalloc.start()
+        try:
+            parts = split(read_dataset(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The int32 indices are held twice at most (the chunks and their
+        # concatenation). An (N, n) float64 array of 1.0 anywhere in the
+        # reader, the dataset or the split parts would take the peak past
+        # that by a whole such array.
+        cells = active.size
+        assert peak < 2 * 4 * cells + 8 * cells, f"peak {peak / 1e6:.1f} MB"
+        assert all(part.values.strides == (0, 0) for part in parts)
 
 
 class TestGenerateSynthetic:

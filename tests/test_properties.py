@@ -12,10 +12,13 @@ terms and gradient match the per-field dynamic program for n up to 9 and
 one, a few and more than a thousand rows. Model files of every
 kind and alias spelling, and dataset files with awkward values, round-trip
 exactly; a dataset file with one character changed reads as the
-line-by-line parser reads it. The interpretability statistics equal their
-grouped-by-tuple references: learned strength within 1e-12 relative for
-every kind with embeddings and every order, mutual information bit for bit
-for cardinalities up to 2**30."""
+line-by-line parser reads it. Unit multipliers, however a dataset is
+built, read or split, are a read-only zero-stride view, and scoring and
+training over it give the bits of an explicit ones array. The
+interpretability statistics equal their grouped-by-tuple references:
+learned strength within 1e-12 relative for every kind with embeddings,
+every order and multipliers or none, mutual information bit for bit for
+cardinalities up to 2**30."""
 
 import copy
 import itertools
@@ -345,6 +348,59 @@ def test_dataset_files_round_trip_exactly(data):
         assert second.read_bytes() == first.read_bytes()
 
 
+def one_epoch_with_explicit_ones(bundle, dataset, config):
+    """One epoch of :func:`tensorfm.train`'s loop with every batch's
+    multipliers an explicit ``np.ones`` array."""
+    state = tfm.adagrad_state(bundle)
+    perm = np.random.default_rng(config.seed).permutation(len(dataset))
+    y = dataset.labels.astype(np.float64)
+    for lo in range(0, len(dataset), config.batch_size):
+        rows = perm[lo : lo + config.batch_size]
+        cache = forward_batch(bundle, dataset.global_indices[rows], np.ones((len(rows), dataset.schema.n)))
+        upstream = (tfm.sigmoid(cache.scores) - y[rows]) / len(rows)
+        tfm.adagrad_step(bundle, tfm.backward_from_cache(bundle, cache, upstream), state, config)
+    return bundle
+
+
+@PROPERTY
+@given(models(), st.integers(3, 40))
+def test_unit_multipliers_are_a_zero_stride_view(model, n_rows):
+    bundles, rng = model
+    schema = bundles[0].schema
+    active = np.stack([rng.integers(0, c, size=n_rows) for c in schema.cardinalities], axis=1)
+    labels = rng.integers(0, 2, size=n_rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ds.txt"
+        tfm.write_dataset(tfm.Dataset(schema, active, labels=labels), path)
+        built = [
+            tfm.Dataset(schema, active, labels=labels),
+            tfm.Dataset(schema, active, np.ones(active.shape), labels),
+            tfm.read_dataset(path),
+        ]
+    rows = rng.permutation(n_rows)[: rng.integers(0, n_rows + 1)]
+    derived = [part for ds in built for part in (*tfm.split(ds, seed=int(rng.integers(9))), ds.subset(rows))]
+    for ds in built + derived:
+        assert ds.unit_values and ds.values.dtype == np.float64
+        assert np.array_equal(ds.values, np.ones((len(ds), schema.n)))
+        assert not ds.values.flags.writeable and ds.values.strides == (0, 0)
+
+    values = np.ones(active.shape)
+    values[rng.integers(n_rows), rng.integers(schema.n)] = 2.0
+    kept = tfm.Dataset(schema, active, values, labels)
+    assert not kept.unit_values and kept.values.strides == (8 * schema.n, 8)
+    assert np.array_equal(kept.values, values) and not kept.values.flags.writeable
+
+    unit = built[2]
+    config = tfm.TrainConfig(learning_rate=0.1, l2=1e-3, epochs=1, batch_size=16, seed=int(rng.integers(9)))
+    for bundle in bundles:
+        want = forward_batch(bundle, unit.global_indices, np.ones(active.shape)).scores
+        assert np.array_equal(tfm.score_dataset(bundle, unit), want), bundle.kind
+        trained = tfm.train(copy.deepcopy(bundle), unit, None, config)[0]
+        reference = one_epoch_with_explicit_ones(copy.deepcopy(bundle), unit, config)
+        for name in bundle.blocks:
+            assert np.array_equal(trained.blocks[name], reference.blocks[name]), (bundle.kind, name)
+
+
 # Characters a one-character mutation of a dataset file draws from: digits,
 # the delimiters, other whitespace and line ends, the characters of a float,
 # and non-ASCII text, including a digit int() reads.
@@ -391,12 +447,14 @@ def test_one_mutation_reads_as_line_by_line(data):
 
 
 @PROPERTY
-@given(models(tuple(kind for kind in KINDS if kind != "lr")), st.integers(1, 200))
-def test_learned_strength_equals_the_grouped_reference(model, n_rows):
+@given(models(tuple(kind for kind in KINDS if kind != "lr")), st.integers(1, 200), st.booleans())
+def test_learned_strength_equals_the_grouped_reference(model, n_rows, unit):
     bundles, rng = model
     schema = bundles[0].schema
     active = np.stack([rng.integers(0, c, n_rows) for c in schema.cardinalities], axis=1)
-    dataset = tfm.Dataset(schema, active, labels=rng.integers(0, 2, n_rows))
+    # a few distinct multipliers, so rows still share tuples
+    values = None if unit else rng.choice([1.0, -0.5, 2.0], size=active.shape)
+    dataset = tfm.Dataset(schema, active, values, rng.integers(0, 2, n_rows))
     for bundle in bundles:
         for order in interaction_orders(bundle):
             got = tfm.learned_strength(bundle, dataset, order)

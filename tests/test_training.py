@@ -279,6 +279,13 @@ class TestTrain:
         with pytest.raises(DataError):
             train(bundle, empty, None, TrainConfig())
 
+    def test_empty_validation_set_rejected(self):
+        schema = build_schema([2, 2])
+        ds = Dataset(schema, np.array([[0, 1], [1, 0]]), labels=np.array([0, 1]))
+        empty = Dataset(schema, np.zeros((0, 2), dtype=np.int32), provenance="v.txt")
+        with pytest.raises(DataError, match="v.txt: no data rows"):
+            train(init("lr", schema, seed=0), ds, empty, TrainConfig())
+
     @pytest.mark.parametrize("setting", [dict(learning_rate=math.nan), dict(learning_rate=math.inf),
                                          dict(l2=math.nan), dict(l2=-1e-3)])
     def test_non_finite_or_negative_setting_rejected(self, setting):
@@ -408,13 +415,13 @@ class TestGridSearch:
         for name, arr in bundle.blocks.items():
             np.testing.assert_array_equal(arr, before.blocks[name], err_msg=name)
 
-    @pytest.mark.parametrize("labels", [[1], []], ids=["one-class", "empty"])
-    def test_undefined_validation_auc_raises_before_training(self, monkeypatch, labels):
+    @pytest.mark.parametrize("labels, error", [([1], MetricError), ([], DataError)], ids=["one-class", "empty"])
+    def test_undefined_validation_auc_raises_before_training(self, monkeypatch, labels, error):
         tr, va = self._data()
         va = va.subset(np.flatnonzero(np.isin(va.labels, labels)))
         calls = []
         monkeypatch.setattr("tensorfm.training.train", lambda *args: calls.append(args))
-        with pytest.raises(MetricError):
+        with pytest.raises(error):
             grid_search(init("fm", tr.schema, k=3), [(0.1, 0.0)], tr, va, TrainConfig())
         assert calls == []
 
