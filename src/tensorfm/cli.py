@@ -184,6 +184,7 @@ def cmd_prep(a: argparse.Namespace) -> int:
 
 
 def cmd_train(a: argparse.Namespace) -> int:
+    data.check_output_dirs(a.out, a.log)
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid) if a.valid else None
     bundle = params.init(a.model, train_set.schema, k=a.k, d=a.d, r_vec=a.rank, init_scale=a.init_scale, seed=a.seed)
@@ -218,6 +219,7 @@ def cmd_eval(a: argparse.Namespace) -> int:
 
 
 def cmd_grid(a: argparse.Namespace) -> int:
+    data.check_output_dirs(a.out, a.report)
     train_set = data.read_dataset(a.train)
     valid_set = data.read_dataset(a.valid)
     grid = [(lr, l2) for lr in a.grid_lr for l2 in a.grid_l2]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import itertools
 import math
 import os
@@ -219,6 +220,17 @@ def atomic_open(path: str | Path) -> Iterator[IO[str]]:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
+
+
+def check_output_dirs(*paths: str | Path | None) -> None:
+    """Raise the ``OSError`` that writing a file at each given path would
+    raise for want of its directory, so a long job can fail before it
+    starts rather than at its end. A ``None`` path is skipped."""
+    for path in filter(None, paths):
+        folder = Path(path).parent
+        if not folder.is_dir():
+            code = errno.ENOTDIR if folder.exists() else errno.ENOENT
+            raise OSError(code, os.strerror(code), str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,226 @@
+"""Float64 arrays spelled exactly as Python's ``repr`` spells each float,
+computed a whole array at a time.
+
+``repr`` gives the shortest decimal string that reads back as the same
+float, and of those the one nearest to it. For a float x = m * 2**e (m the
+53-bit integer of its bits) in [2**-36, 2**46) that is not a power of two,
+that string is found here with exact uint64 arithmetic:
+
+- For p = 17, 16 and 15 significant digits, ``k = p - 1 - e10`` (e10 the
+  decimal exponent) lies in [1, 27], so 5**k fits in 64 bits, and
+  ``F = -(k + e)`` lies in [1, 63]. Then x * 10**k = m * 5**k / 2**F, whose
+  floor q and remainder R come from one 128-bit product in two words.
+- Rounding q to nearest gives r, and r * 10**-k reads back as x exactly when
+  its distance from x * 10**k, R or 2**F - R in units of 2**-F, is at most
+  (5**k - 1) / 2: half the gap 2**e between x and its neighbours, scaled by
+  10**k * 2**F. 5**k is odd, so the distance never equals the bound.
+- If any string of 15 or fewer digits reads back, the rounded 15-digit
+  string is that string padded with zeros, since the read-back interval is
+  narrower than half a unit in the 15th digit. At 16 and 17 digits the
+  nearest string reads back whenever any string of its length does, since
+  the interval of a float that is not a power of two is symmetric. So the
+  first of p = 15, 16 whose r reads back, else p = 17, is ``repr``'s
+  string once its trailing zeros are stripped.
+
+Exact zeros are spelled directly. ``repr`` itself spells every other float
+(a power of two, a subnormal, one outside that range) and every float for
+which some x * 10**k falls exactly halfway between two integers.
+
+The text is built as bytes: each value's spelling and separator fill a
+NUL-padded row of three uint64 words (four when a ``repr`` spelling needs
+25 bytes), made from its digits and the template of its layout (decimal
+exponent, digit count, sign and separator); the rows are then packed
+without their padding.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from typing import Iterator
+
+import numpy as np
+
+# Values formatted per step; each scratch array of a step is a few hundred
+# kB at most.
+CHUNK_VALUES = 8192
+
+_U = np.uint64
+_ONE, _M32 = _U(1), _U(0xFFFF_FFFF)
+_FRAC, _ABS = _U((1 << 52) - 1), _U((1 << 63) - 1)
+_POW5 = np.array([5**k for k in range(28)], dtype=np.uint64)
+_HALF5 = _POW5 >> _ONE  # (5**k - 1) / 2, the widest distance that still reads back
+_E10_MIN, _E10_MAX = -11, 13  # the decimal exponents of [2**-36, 2**46)
+_BIASED_MIN, _BIASED_END = 1023 - 36, 1023 + 46  # its biased binary exponents
+_ZEROS8 = _U(0x3030_3030_3030_3030)  # "00000000"
+
+# Digit j of a value sits at byte 7 + j of its three-word digit row. A
+# template puts the digits before the decimal point at byte shift + j
+# (mask A) and those after it at byte shift + 1 + j (mask B).
+_FIRST_DIGIT = 7
+# Text words hold their first character in their lowest byte.
+_TEXT_WORD = np.dtype("<u8")
+
+
+def _spelling(e10: int, nd: int) -> list:
+    """``repr``'s layout of the nd significant digits d_0 d_1 ... of a
+    float with decimal exponent e10: digit j as the int j, any other
+    character as itself."""
+    digits = list(range(nd))
+    if not -4 <= e10 < 16:
+        return digits[:1] + (["."] + digits[1:] if nd > 1 else []) + ["e"] + list(f"{e10:+03d}")
+    if e10 < 0:
+        return ["0", "."] + ["0"] * (-e10 - 1) + digits
+    return digits[: e10 + 1] + ["0"] * (e10 + 1 - nd) + ["."] + (digits[e10 + 1 :] or ["0"])
+
+
+def _template(row: list) -> tuple[bytes, int]:
+    """One layout's table entry: its constant bytes and the byte masks A and
+    B of its digits, 24 bytes each, and the bit shift that moves the digit
+    row into place."""
+    offsets = [col - c for col, c in enumerate(row) if isinstance(c, int)]
+    shift = min(offsets, default=0)
+    assert set(offsets) <= {shift, shift + 1} and 0 <= shift < _FIRST_DIGIT and len(row) <= 24
+    planes = [bytearray(24) for _ in range(3)]
+    for col, c in enumerate(row):
+        if isinstance(c, int):
+            planes[1 + col - c - shift][col] = 0xFF  # A where col == shift + c, else B
+        else:
+            planes[0][col] = ord(c)
+    return b"".join(planes), 8 * (_FIRST_DIGIT - shift)
+
+
+@functools.cache
+def _templates() -> np.ndarray:
+    """Every layout's :func:`_template` as one column: nine text words, then
+    the shift. Column ``4 * s + 2 * negative + row_end`` holds spelling s,
+    ``(e10 - _E10_MIN) * 17 + nd - 1`` for nd significant digits, and the
+    last spelling (from column :data:`_ZERO`) is zero's. Built on first
+    use and read-only."""
+    spellings = [_spelling(e10, nd) for e10 in range(_E10_MIN, _E10_MAX + 1) for nd in range(1, 18)]
+    spellings.append(["0", ".", "0"])
+    signs, seps = ((), ("-",)), (" ", "\n")
+    entries = [_template([*sign, *chars, sep]) for chars in spellings for sign in signs for sep in seps]
+    words = np.frombuffer(b"".join(planes for planes, _ in entries), dtype=_TEXT_WORD).reshape(len(entries), 9)
+    shifts = np.array([[shift for _, shift in entries]], dtype=np.uint64)
+    table = np.ascontiguousarray(np.vstack([words.T, shifts]))
+    table.flags.writeable = False
+    return table
+
+
+_ZERO = 4 * 17 * (_E10_MAX - _E10_MIN + 1)
+
+
+def _digits8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each v < 10**8 as the bytes of one
+    uint64, most significant digit in the lowest byte: v is split into
+    4-digit, then 2-digit, then 1-digit lanes by exact multiply-and-shift
+    division, both lanes of a split at once."""
+    high = v // _U(10_000)
+    x = high | ((v - high * _U(10_000)) << _U(32))
+    hundreds = ((x * _U(10_486)) >> _U(20)) & _U(0x0000_007F_0000_007F)  # // 100 per 32-bit lane
+    x = hundreds | ((x - hundreds * _U(100)) << _U(16))
+    tens = ((x * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # // 10 per 16-bit lane
+    return tens | ((x - tens * _U(10)) << _U(8))
+
+
+def _rounding(m_low, m_high, e, e10, p):
+    """For p significant digits: the floor q of m * 2**e * 10**k, whether it
+    rounds up, whether the rounding reads back and whether it is an exact
+    tie. The 128-bit product m * 5**k is formed from 32-bit limbs; every
+    operand is uint64, so nothing is promoted to float."""
+    k = p - 1 - e10
+    f = _POW5[k]
+    shift = (-(k + e)).astype(np.uint64)
+    f_low, f_high = f & _M32, f >> _U(32)
+    low = m_low * f_low
+    mid = m_low * f_high + m_high * f_low + (low >> _U(32))  # below 2**63 + 2**54
+    lo = (mid << _U(32)) | (low & _M32)
+    hi = m_high * f_high + (mid >> _U(32))
+    q = (hi << (_U(64) - shift)) | (lo >> shift)
+    unit = _ONE << shift
+    rem, half = lo & (unit - _ONE), unit >> _ONE
+    up = rem > half
+    return q, up, np.where(up, unit - rem, rem) <= _HALF5[k], rem == half
+
+
+def _spell_chunk(x: np.ndarray, row_end: np.ndarray) -> bytes:
+    """The text of the floats ``x``, each followed by a newline where
+    ``row_end`` (0 or 1) is set and by a space elsewhere."""
+    bits = x.view(np.uint64)
+    negative = (bits >> _U(63)).astype(np.intp)
+    biased = (bits >> _U(52)) & _U(0x7FF)
+    zero = (bits & _ABS) == 0
+    fast = (biased >= _BIASED_MIN) & (biased < _BIASED_END) & ((bits & _FRAC) != 0)
+    # every other value goes through the arithmetic as 1.5 and is replaced below
+    bits = np.where(fast, bits & _ABS, np.float64(1.5).view(np.uint64))
+    m = (bits & _FRAC) | (_ONE << _U(52))
+    m_low, m_high = m & _M32, m >> _U(32)
+    e = (bits >> _U(52)).astype(np.int64) - 1075
+    e10 = np.floor(np.log10(bits.view(np.float64))).astype(np.int64)
+    # log10 rounds up to the next integer just below some powers of ten:
+    # the 17-digit floor must lie in [1e16, 1e17)
+    q17, up17, _, tie17 = _rounding(m_low, m_high, e, e10, 17)
+    off = (q17 >= _U(10**17)).astype(np.int64) - (q17 < _U(10**16))
+    if off.any():
+        e10 += off
+        q17, up17, _, tie17 = _rounding(m_low, m_high, e, e10, 17)
+    q16, up16, ok16, tie16 = _rounding(m_low, m_high, e, e10, 16)
+    q15, up15, ok15, tie15 = _rounding(m_low, m_high, e, e10, 15)
+    # the shortest rounding that reads back, scaled to 17 digits
+    r = np.where(ok15, (q15 + up15) * _U(100), np.where(ok16, (q16 + up16) * _U(10), q17 + up17))
+    carry = r == _U(10**17)  # rounded up to the next power of ten
+    r[carry] = _U(10**16)
+    e10 += carry
+
+    # the digit row: digit 0 in byte 7 of word 0, digits 1..16 in words 1, 2
+    lead = r // _U(10**16)
+    digits = np.empty((3, len(x)), dtype=np.uint64)
+    digits[1] = (r - lead * _U(10**16)) // _U(10**8)
+    digits[2] = r % _U(10**8)
+    digits[1:] = _digits8(digits[1:])
+    # nd runs to the last nonzero digit (frexp finds its byte; -1 for none)
+    in_last = digits[2] != 0
+    last_byte = (np.frexp(np.where(in_last, digits[2], digits[1]).astype(np.float64))[1] - 1) // 8
+    nd = last_byte + np.where(in_last, 10, 2)
+    digits[0] = (lead | _U(0x30)) << _U(56)
+    digits[1:] |= _ZEROS8
+
+    layout = ((e10 - _E10_MIN) * 17 + nd - 1) * 4
+    layout[zero] = _ZERO
+    layout += 2 * negative + row_end
+    template = np.take(_templates(), layout, axis=1)
+    # the digit row moved down by `shift` bits (A), and A moved up a byte (B)
+    shift = template[9]
+    a = digits >> shift
+    a[:2] |= digits[1:] << (_U(64) - shift)
+    b = a << _U(8)
+    b[1:] |= a[:2] >> _U(56)
+    words = template[:3] | (a & template[3:6]) | (b & template[6:9])
+
+    slow = np.flatnonzero(~(fast | zero) | tie17 | tie16 | tie15)
+    spelled = [repr(v) + " \n"[end] for v, end in zip(x[slow].tolist(), row_end[slow].tolist())]
+    text = np.zeros((len(x), 3 if max(map(len, spelled), default=0) <= 24 else 4), dtype=np.uint64)
+    text[:, :3] = words.T
+    if spelled:
+        padded = "".join(s.ljust(8 * text.shape[1], "\0") for s in spelled).encode()
+        text[slow] = np.frombuffer(padded, dtype=_TEXT_WORD).reshape(len(slow), -1)
+    text = text.astype(_TEXT_WORD, copy=False).view(np.uint8).ravel()
+    return text[text != 0].tobytes()
+
+
+def format_rows(arr: np.ndarray) -> Iterator[str]:
+    """The text of a float64 array as one line per run along its last axis
+    (a vector is one line): values separated by single spaces, every line
+    ending in a newline and every float spelled as ``repr`` spells it.
+    Yields the text :data:`CHUNK_VALUES` values at a time; a zero-width
+    array is one blank line per row."""
+    width = arr.shape[-1] if arr.ndim else 1
+    if width == 0:
+        yield "\n" * math.prod(arr.shape[:-1])
+        return
+    flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
+    for lo in range(0, flat.size, CHUNK_VALUES):
+        chunk = flat[lo : lo + CHUNK_VALUES]
+        row_end = (np.arange(lo + 1, lo + 1 + chunk.size) % width == 0).astype(np.intp)
+        yield _spell_chunk(chunk, row_end).decode("ascii")

@@ -45,6 +45,7 @@ import numpy as np
 
 from .data import FieldSchema, atomic_open, build_schema, open_text
 from .errors import ConfigError, ModelIOError, NumericError, SchemaError
+from .floatfmt import format_rows
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
 HIGHER_ORDER_KINDS = ("hofm", "tensorfm", "tensorfm-tucker")
@@ -312,7 +313,8 @@ def fwfm_lowrank_from_dense(bundle: ModelBundle, rank: int | None = None) -> Mod
 # ---------------------------------------------------------------------------
 # model file format: plain text, one header line per scalar key, then every
 # block of block_layout in layout order as `block <name> <AxB>` and its rows of
-# row-major floats at full round-trip precision, then `end`.
+# row-major floats, each spelled as Python's repr spells it (floatfmt), then
+# `end`.
 # ---------------------------------------------------------------------------
 
 # What the reader sees for a blank line, which np.loadtxt would skip rather
@@ -322,8 +324,7 @@ _BLANK, _EOF = "<blank>", "<end-of-file>"
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
     fh.write(f"block {name} {'x'.join(map(str, arr.shape))}\n")
-    rows = arr.reshape(math.prod(arr.shape[:-1]), -1)  # a vector is one row
-    fh.writelines(" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+    fh.writelines(format_rows(arr))  # a vector is one row
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:

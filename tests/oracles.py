@@ -57,6 +57,15 @@ def dataset_text_oracle(dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def model_block_text_oracle(name: str, arr) -> str:
+    """A model-file block written a row at a time with ``repr``: the
+    reference for ``tensorfm.params._write_block``, which spells whole
+    chunks of values at once."""
+    rows = arr.reshape(math.prod(arr.shape[:-1]), -1)  # a vector is one row
+    lines = (" ".join(map(repr, row.tolist())) + "\n" for row in rows)
+    return f"block {name} {'x'.join(map(str, arr.shape))}\n" + "".join(lines)
+
+
 def learned_strength_grouped_oracle(bundle, train_set, order):
     """Learned strength with the rows grouped by feature tuple and
     multipliers: each distinct tuple's magnitude, its embeddings scaled by

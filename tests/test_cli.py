@@ -535,6 +535,19 @@ class TestUnusablePaths:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+@pytest.mark.parametrize("command,option", [("train", "--out"), ("train", "--log"), ("grid", "--out"),
+                                            ("grid", "--report")])
+def test_missing_output_directory_is_reported_before_reading_data(tmp_path, capsys, command, option):
+    # the datasets do not exist either: reading one first would name it instead
+    missing = tmp_path / "missing" / "out.txt"
+    options = {"--train": tmp_path / "train.txt", "--valid": tmp_path / "valid.txt", "--model": "fm",
+               "--out": tmp_path / "m.txt", option: missing}
+    assert main([command, *(str(v) for item in options.items() for v in item)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_failed_csv_write_keeps_previous_file(tmp_path):
     path = tmp_path / "out.csv"
     cli._write_csv(str(path), ["a", "b"], [[1, 2]])

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from tensorfm.cli import main
 from tensorfm.params import KINDS, MAX_DENSE_ENTRIES
 from tensorfm.scoring import interaction_tensors
 
-from oracles import symmetrize
+from oracles import model_block_text_oracle, symmetrize
 
 SCHEMA = build_schema([3, 4, 2, 5])
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -291,6 +292,41 @@ class TestSaveLoad:
             save_bundle(bundle, p1)
             save_bundle(load_bundle(p1), p2)
             assert p1.read_bytes() == p2.read_bytes()
+
+    def test_every_kind_is_written_as_repr_and_resaves_identically(self, tmp_path):
+        # values the array path leaves to repr, in every block: zeros, a
+        # subnormal, powers of two and a float outside its range
+        awkward = [0.0, -0.0, 5e-324, 2.0**-40, 2.0**50, 1e300, 0.5]
+        one_field_fwfm = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=7)  # a blank pair.upper line
+        for i, bundle in enumerate([*self._bundles(), one_field_fwfm]):
+            for arr in bundle.blocks.values():
+                arr.flat[: len(awkward)] = awkward[: arr.size]
+            p1, p2 = tmp_path / f"m{i}a.txt", tmp_path / f"m{i}b.txt"
+            save_bundle(bundle, p1)
+            back = load_bundle(p1)
+            assert all(np.array_equal(back.blocks[name], arr) for name, arr in bundle.blocks.items()), bundle.kind
+            save_bundle(back, p2)
+            text = p1.read_text()
+            blocks = "".join(model_block_text_oracle(name, arr) for name, arr in bundle.blocks.items())
+            assert text == text[: text.index("block ")] + blocks + "end\n", bundle.kind
+            assert p2.read_bytes() == p1.read_bytes(), bundle.kind
+        assert "block pair.upper 0\n\n" in p1.read_text()
+
+    def test_saving_a_click_log_sized_model_holds_one_chunk_at_a_time(self, tmp_path):
+        schema = build_schema([2528] * 38 + [98_572 - 38 * 2528])
+        bundle = init("tensorfm", schema, k=8, d=3, r_vec=3, seed=0)
+        path = tmp_path / "m.txt"
+        tracemalloc.start()
+        try:
+            save_bundle(bundle, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size >= 16e6
+        # The row-at-a-time repr writer peaked at 9.1 MB on this model. A
+        # writer that holds a block's text (17 MB for the embeddings) or
+        # scratch arrays the size of a block (6.3 MB each) peaks above it.
+        assert peak <= 9.1e6, f"peak {peak / 1e6:.1f} MB"
 
     def test_round_trip_exact_values(self, tmp_path):
         bundle = init("tensorfm", SCHEMA, k=3, d=4, r_vec=(4, 4, 4), init_scale=0.7, seed=11)
