@@ -141,17 +141,23 @@ def _write_csv(path: str, header: list[str], rows: Iterable[list], nondet_note: 
 # ---------------------------------------------------------------------------
 
 
+def _part_paths(a: argparse.Namespace) -> list[str]:
+    """The train, valid and test dataset files: ``<out-prefix>.<part>.txt``."""
+    return [f"{a.out_prefix}.{tag}.txt" for tag in ("train", "valid", "test")]
+
+
 def _write_parts(a: argparse.Namespace, dataset: data.Dataset, parts: tuple, note: str = "") -> int:
-    """Write the train, valid and test parts of ``dataset`` as
-    ``<out-prefix>.<part>.txt`` and print the schema and the part sizes."""
-    for part, tag in zip(parts, ("train", "valid", "test")):
-        data.write_dataset(part, f"{a.out_prefix}.{tag}.txt")
+    """Write the train, valid and test parts of ``dataset`` to
+    :func:`_part_paths` and print the schema and the part sizes."""
+    for part, path in zip(parts, _part_paths(a)):
+        data.write_dataset(part, path)
     print(f"schema: {dataset.schema.n} fields, {dataset.schema.m} features{note}")
     print(f"sizes: train={len(parts[0])} valid={len(parts[1])} test={len(parts[2])}")
     return 0
 
 
 def cmd_synth(a: argparse.Namespace) -> int:
+    data.check_output_dirs(*_part_paths(a))
     if a.order > a.fields:
         raise ConfigError(f"argument --order: interaction order {a.order} exceeds --fields {a.fields}")
     spec = data.SyntheticSpec(
@@ -171,6 +177,7 @@ def cmd_synth(a: argparse.Namespace) -> int:
 
 
 def cmd_prep(a: argparse.Namespace) -> int:
+    data.check_output_dirs(*_part_paths(a))
     dataset = data.load_tabular(
         a.csv,
         field_columns=a.fields,
@@ -239,6 +246,7 @@ def cmd_grid(a: argparse.Namespace) -> int:
 
 
 def cmd_bench_flops(a: argparse.Namespace) -> int:
+    data.check_output_dirs(a.out)
     rows = []
     for kind in a.kinds:
         for n in a.sweep_n:
@@ -271,6 +279,7 @@ def _parse_bench_kind(token: str, schema: data.FieldSchema, k: int, seed: int) -
 
 
 def cmd_bench_latency(a: argparse.Namespace) -> int:
+    data.check_output_dirs(a.out)
     dataset = data.read_dataset(a.data)
     rows = []
     for token in a.kinds:
@@ -284,22 +293,25 @@ def cmd_bench_latency(a: argparse.Namespace) -> int:
 
 
 def cmd_interpret(a: argparse.Namespace) -> int:
+    top_n = max(a.topk)
+    outputs = [f"{a.out_prefix}.{suffix}" for suffix in ("interactions.csv", f"top{top_n}.csv", "summary.json")]
+    data.check_output_dirs(*outputs)
+    table_path, top_path, summary_path = outputs
     bundle = params.load_bundle(a.model)
     train_set = data.read_dataset(a.data)
     report = analysis.interaction_report(bundle, train_set, a.order, a.topk)
 
     ranked = sorted(zip(report.tuples, report.learned, report.mutual_info), key=lambda t: -t[1])
     rows = [["+".join(str(f) for f in tup), repr(s), repr(mi)] for tup, s, mi in ranked]
-    _write_csv(f"{a.out_prefix}.interactions.csv", ["tuple", "learned_strength", "mutual_info"], rows)
-    top_n = max(a.topk)
-    _write_csv(f"{a.out_prefix}.top{top_n}.csv", ["tuple", "learned_strength", "mutual_info"], rows[:top_n])
+    _write_csv(table_path, ["tuple", "learned_strength", "mutual_info"], rows)
+    _write_csv(top_path, ["tuple", "learned_strength", "mutual_info"], rows[:top_n])
     summary = {
         "order": a.order,
         "n_tuples": len(report.tuples),
         "pearson": report.pearson,
         "overlap": [dataclasses.asdict(p) for p in report.topk_overlap],
     }
-    with data.atomic_open(f"{a.out_prefix}.summary.json") as fh:
+    with data.atomic_open(summary_path) as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"pearson={report.pearson:.4f} over {len(report.tuples)} field tuples")

@@ -23,6 +23,7 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
+from . import floatfmt
 from .errors import ConfigError, DataError, SchemaError, TensorFMError
 
 
@@ -242,24 +243,99 @@ def check_output_dirs(*paths: str | Path | None) -> None:
 def write_dataset(dataset: Dataset, path: str | Path) -> None:
     """Write the canonical text form: the ``#schema`` line, then per row its
     label and a ``field:index`` token per field, with ``:value`` (the float's
-    repr) after it where the multiplier is not 1.0. The tokens are built a
-    field at a time over :data:`CHUNK_LINES` rows, then joined into lines."""
+    repr) after it where the multiplier is not 1.0. The rows are written
+    :data:`CHUNK_LINES` at a time, each chunk built by :func:`_chunk_text`
+    and its labels drawn as it is built."""
+    n = dataset.schema.n
+    width = 4 * -(-len(f"{n - 1}:") // 4)  # whole words for the longest prefix
+    prefixes = np.frombuffer("".join(f"{j}:".rjust(width, "\0") for j in range(n)).encode(), dtype=_WORD).reshape(n, -1)
+    ends = np.full(n, _SPACE_END)
+    ends[-1] = _NEWLINE_END
     with atomic_open(path) as fh:
-        fh.write("#schema " + ",".join(str(c) for c in dataset.schema.cardinalities) + "\n")
+        out = fh.buffer
+        out.write(("#schema " + ",".join(str(c) for c in dataset.schema.cardinalities) + "\n").encode())
         labels = iter(dataset.labels)
         for lo in range(0, len(dataset.active), CHUNK_LINES):
             active, values = dataset.active[lo : lo + CHUNK_LINES], dataset.values[lo : lo + CHUNK_LINES]
-            columns = [[str(label) for label in itertools.islice(labels, len(active))]]
-            for j, (field_active, field_values) in enumerate(zip(active.T, values.T)):
-                # one token string per distinct index, shared by its rows
-                distinct, which = np.unique(field_active, return_inverse=True)
-                names = [f"{j}:{a}" for a in distinct.tolist()]
-                tokens = list(map(names.__getitem__, which.tolist()))
-                floats = field_values.tolist()
-                for i in np.flatnonzero(field_values != 1.0).tolist():
-                    tokens[i] += f":{floats[i]!r}"
-                columns.append(tokens)
-            fh.write("\n".join(map(" ".join, zip(*columns))) + "\n")
+            chunk_labels = np.fromiter(itertools.islice(labels, len(active)), dtype=np.uint32, count=len(active))
+            out.write(_chunk_text(prefixes, ends, chunk_labels, active, values))
+
+
+# Text words hold their first character in their lowest byte. A row is
+# laid out in 4-byte words; an index is spelled in 8-byte ones.
+_WORD, _WIDE_WORD = np.dtype("<u4"), np.dtype("<u8")
+_ZEROS8 = np.uint64(0x3030_3030_3030_3030)  # "00000000"
+_UNITS = np.uint64(1 << 56)  # the lowest bit of the last of eight digits
+# a token's last character, in the last byte of its index word
+_SPACE_END, _NEWLINE_END, _COLON_END = (np.uint64(ord(c) << 56) for c in " \n:")
+
+
+def _shown(digits: np.ndarray, mark: np.ndarray) -> np.ndarray:
+    """The :func:`floatfmt.digits8` bytes ``digits`` as ASCII digits, NUL
+    before the first that shows: the first nonzero one, or the one holding
+    ``mark``'s lowest set bit if that comes first. ``digits`` is
+    overwritten."""
+    keep = digits | mark
+    keep ^= keep - np.uint64(1)  # the bits up to the lowest set one, all below the '0' bits of its byte
+    np.invert(keep, out=keep)
+    keep &= _ZEROS8
+    digits |= keep
+    return digits
+
+
+def _index_words(active: np.ndarray) -> np.ndarray:
+    """The decimal digits of each index of ``active`` (>= 0), without
+    leading zeros, right-aligned before a NUL last byte in one text word,
+    or in two when some index has eight digits or more: (rows, n, 1 or 2)."""
+    if active.max(initial=0) < 10**7:
+        words = _shown(floatfmt.digits8(active.astype(np.uint64)), _UNITS)[..., None]
+    else:
+        low = active.astype(np.uint64)
+        high = low // np.uint64(10**7)
+        low -= high * np.uint64(10**7)
+        mark = np.where(high != 0, np.uint64(1), _UNITS)  # every digit after a shown one shows
+        words = np.stack([_shown(floatfmt.digits8(high), np.uint64(0)), _shown(floatfmt.digits8(low), mark)], axis=-1)
+    # the last word's number is below 10**7, so its first byte is a zero digit
+    words[..., -1] >>= np.uint64(8)
+    return words.astype(_WIDE_WORD, copy=False)
+
+
+def _chunk_text(prefixes: np.ndarray, ends: np.ndarray, labels: np.ndarray, active: np.ndarray,
+                values: np.ndarray) -> bytearray:
+    """The text of one chunk of rows. Each row is laid out as NUL-padded text
+    words: the label and a space, then per field j its ``j:`` prefix words
+    and index words (:func:`_index_words`), which end in the field's byte of
+    ``ends`` (a space, or a newline after the last field) or, where the
+    multiplier is not 1.0, in ``:`` and are followed by the value's
+    :func:`floatfmt.spell_rows` row, which ends in that separator. Value
+    words are laid out only for the fields that have a value in this chunk."""
+    rows, n = active.shape
+    valued = values != 1.0
+    fields = np.flatnonzero(valued.any(axis=0))
+    has = valued[:, fields]
+    counts = has.sum(axis=0)
+    spelled = floatfmt.spell_rows(values[:, fields].T[has.T], np.repeat(fields == n - 1, counts).astype(np.intp))
+    spelled = spelled.view(_WORD)
+    index = _index_words(active)
+    index[..., -1] |= np.where(valued, _COLON_END, ends)
+    index = index.view(_WORD)
+    p, token, width = prefixes.shape[1], prefixes.shape[1] + index.shape[2], spelled.shape[1]
+
+    buf = bytearray(_WORD.itemsize * rows * (1 + n * token + len(fields) * width))
+    lines = np.frombuffer(buf, dtype=_WORD).reshape(rows, -1)
+    lines[:, 0] = labels + np.uint32(ord("0") | ord(" ") << 8)
+    # runs of fields whose tokens are adjacent, each but the last ending in a field of `fields`
+    at, first, done = 1, 0, 0
+    for i, last in enumerate([*fields.tolist(), n - 1]):
+        run = lines[:, at : at + (last + 1 - first) * token].reshape(rows, -1, token)
+        run[..., :p] = prefixes[first : last + 1]
+        run[..., p:] = index[:, first : last + 1]
+        at, first = at + run.shape[1] * token, last + 1
+        if i < len(fields):
+            lines[has[:, i], at : at + width] = spelled[done : done + counts[i]]
+            at, done = at + width, done + counts[i]
+    del index, lines  # the chunk's scratch, freed before its text is packed
+    return buf.translate(None, b"\0")
 
 
 # Lines of a dataset body parsed or written at once: bounds the scratch arrays and token lists.

@@ -29,8 +29,9 @@ which some x * 10**k falls exactly halfway between two integers.
 The text is built as bytes: each value's spelling and separator fill a
 NUL-padded row of three uint64 words (four when a ``repr`` spelling needs
 25 bytes), made from its digits and the template of its layout (decimal
-exponent, digit count, sign and separator); the rows are then packed
-without their padding.
+exponent, digit count, sign and separator). :func:`spell_rows` returns
+these rows, which the dataset writer lays into its lines, and
+:func:`format_rows` packs them without their padding.
 """
 
 from __future__ import annotations
@@ -111,17 +112,30 @@ def _templates() -> np.ndarray:
 _ZERO = 4 * 17 * (_E10_MAX - _E10_MIN + 1)
 
 
-def _digits8(v: np.ndarray) -> np.ndarray:
-    """The eight decimal digits of each v < 10**8 as the bytes of one
+def digits8(v: np.ndarray) -> np.ndarray:
+    """The eight decimal digits of each uint64 v < 10**8 as the bytes of one
     uint64, most significant digit in the lowest byte: v is split into
     4-digit, then 2-digit, then 1-digit lanes by exact multiply-and-shift
-    division, both lanes of a split at once."""
-    high = v // _U(10_000)
-    x = high | ((v - high * _U(10_000)) << _U(32))
-    hundreds = ((x * _U(10_486)) >> _U(20)) & _U(0x0000_007F_0000_007F)  # // 100 per 32-bit lane
-    x = hundreds | ((x - hundreds * _U(100)) << _U(16))
-    tens = ((x * _U(103)) >> _U(10)) & _U(0x000F_000F_000F_000F)  # // 10 per 16-bit lane
-    return tens | ((x - tens * _U(10)) << _U(8))
+    division, both lanes of a split at once. ``v`` is overwritten: it
+    serves as scratch, with one more array of its size."""
+    x = v // _U(10_000)
+    v -= x * _U(10_000)
+    v <<= _U(32)
+    x |= v
+    for multiplier, shift, mask, base, lane in _SPLITS:
+        np.multiply(x, multiplier, out=v)
+        v >>= shift
+        v &= mask  # each lane's quotient by base
+        x -= v * base
+        x <<= lane
+        x |= v
+    return x
+
+
+# (multiplier, shift, mask, base, lane bits) of the splits by 100 in each
+# 32-bit lane and by 10 in each 16-bit lane
+_SPLITS = [(_U(10_486), _U(20), _U(0x0000_007F_0000_007F), _U(100), _U(16)),
+           (_U(103), _U(10), _U(0x000F_000F_000F_000F), _U(10), _U(8))]
 
 
 def _rounding(m_low, m_high, e, e10, p):
@@ -144,16 +158,11 @@ def _rounding(m_low, m_high, e, e10, p):
     return q, up, np.where(up, unit - rem, rem) <= _HALF5[k], rem == half
 
 
-def _spell_chunk(x: np.ndarray, row_end: np.ndarray) -> bytes:
-    """The text of the floats ``x``, each followed by a newline where
-    ``row_end`` (0 or 1) is set and by a space elsewhere."""
-    bits = x.view(np.uint64)
-    negative = (bits >> _U(63)).astype(np.intp)
-    biased = (bits >> _U(52)) & _U(0x7FF)
-    zero = (bits & _ABS) == 0
-    fast = (biased >= _BIASED_MIN) & (biased < _BIASED_END) & ((bits & _FRAC) != 0)
-    # every other value goes through the arithmetic as 1.5 and is replaced below
-    bits = np.where(fast, bits & _ABS, np.float64(1.5).view(np.uint64))
+def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For the bits of positive floats in [2**-36, 2**46) that are not
+    powers of two: the shortest rounding that reads back, as 17 digits r
+    with trailing zeros, its decimal exponent e10, and whether any of the
+    roundings tried was an exact tie."""
     m = (bits & _FRAC) | (_ONE << _U(52))
     m_low, m_high = m & _M32, m >> _U(32)
     e = (bits >> _U(52)).astype(np.int64) - 1075
@@ -172,13 +181,41 @@ def _spell_chunk(x: np.ndarray, row_end: np.ndarray) -> bytes:
     carry = r == _U(10**17)  # rounded up to the next power of ten
     r[carry] = _U(10**16)
     e10 += carry
+    return r, e10, tie17 | tie16 | tie15
+
+
+def spell_rows(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
+    """The text of the floats ``x``, each followed by a newline where
+    ``row_end`` (0 or 1) is set and by a space elsewhere, as one NUL-padded
+    row of text words per value: (len(x), 3), or (len(x), 4) when a ``repr``
+    spelling needs 25 bytes. The values are spelled :data:`CHUNK_VALUES` at
+    a time."""
+    starts = range(0, len(x), CHUNK_VALUES)
+    pieces = [_spell_piece(x[lo : lo + CHUNK_VALUES], row_end[lo : lo + CHUNK_VALUES]) for lo in starts]
+    if len(pieces) == 1:
+        return pieces[0]
+    text = np.zeros((len(x), max((piece.shape[1] for piece in pieces), default=3)), dtype=_TEXT_WORD)
+    for lo, piece in zip(starts, pieces):
+        text[lo : lo + len(piece), : piece.shape[1]] = piece
+    return text
+
+
+def _spell_piece(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
+    """:func:`spell_rows` of at most :data:`CHUNK_VALUES` values."""
+    bits = x.view(np.uint64)
+    negative = (bits >> _U(63)).astype(np.intp)
+    biased = (bits >> _U(52)) & _U(0x7FF)
+    zero = (bits & _ABS) == 0
+    fast = (biased >= _BIASED_MIN) & (biased < _BIASED_END) & ((bits & _FRAC) != 0)
+    # every other value goes through the arithmetic as 1.5 and is replaced below
+    r, e10, tie = _shortest(np.where(fast, bits & _ABS, np.float64(1.5).view(np.uint64)))
 
     # the digit row: digit 0 in byte 7 of word 0, digits 1..16 in words 1, 2
     lead = r // _U(10**16)
     digits = np.empty((3, len(x)), dtype=np.uint64)
     digits[1] = (r - lead * _U(10**16)) // _U(10**8)
     digits[2] = r % _U(10**8)
-    digits[1:] = _digits8(digits[1:])
+    digits[1:] = digits8(digits[1:])
     # nd runs to the last nonzero digit (frexp finds its byte; -1 for none)
     in_last = digits[2] != 0
     last_byte = (np.frexp(np.where(in_last, digits[2], digits[1]).astype(np.float64))[1] - 1) // 8
@@ -198,15 +235,14 @@ def _spell_chunk(x: np.ndarray, row_end: np.ndarray) -> bytes:
     b[1:] |= a[:2] >> _U(56)
     words = template[:3] | (a & template[3:6]) | (b & template[6:9])
 
-    slow = np.flatnonzero(~(fast | zero) | tie17 | tie16 | tie15)
+    slow = np.flatnonzero(~(fast | zero) | tie)
     spelled = [repr(v) + " \n"[end] for v, end in zip(x[slow].tolist(), row_end[slow].tolist())]
     text = np.zeros((len(x), 3 if max(map(len, spelled), default=0) <= 24 else 4), dtype=np.uint64)
     text[:, :3] = words.T
     if spelled:
         padded = "".join(s.ljust(8 * text.shape[1], "\0") for s in spelled).encode()
         text[slow] = np.frombuffer(padded, dtype=_TEXT_WORD).reshape(len(slow), -1)
-    text = text.astype(_TEXT_WORD, copy=False).view(np.uint8).ravel()
-    return text[text != 0].tobytes()
+    return text.astype(_TEXT_WORD, copy=False)
 
 
 def format_rows(arr: np.ndarray) -> Iterator[str]:
@@ -223,4 +259,4 @@ def format_rows(arr: np.ndarray) -> Iterator[str]:
     for lo in range(0, flat.size, CHUNK_VALUES):
         chunk = flat[lo : lo + CHUNK_VALUES]
         row_end = (np.arange(lo + 1, lo + 1 + chunk.size) % width == 0).astype(np.intp)
-        yield _spell_chunk(chunk, row_end).decode("ascii")
+        yield spell_rows(chunk, row_end).tobytes().translate(None, b"\0").decode("ascii")

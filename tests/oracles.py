@@ -48,8 +48,8 @@ def hofm_dp_oracle(A, degree):
 
 def dataset_text_oracle(dataset) -> str:
     """The dataset text format written a row at a time: the reference for
-    :func:`tensorfm.write_dataset`, which builds the same bytes a field at a
-    time."""
+    :func:`tensorfm.write_dataset`, which builds the same bytes as arrays a
+    chunk of rows at a time."""
     lines = ["#schema " + ",".join(str(c) for c in dataset.schema.cardinalities)]
     for label, active, values in zip(dataset.labels.tolist(), dataset.active.tolist(), dataset.values.tolist()):
         pairs = enumerate(zip(active, values))

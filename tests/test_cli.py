@@ -480,6 +480,14 @@ class TestUnusablePaths:
                                   "--epochs", "1", "--out", "{tmp}/m.txt"],
         "grid --valid <empty>": ["grid", "--train", "{train}", "--valid", "{empty}", "--model", "fm",
                                  "--epochs", "1", "--out", "{tmp}/m.txt"],
+        # a missing output directory is named before any input is read (the inputs are missing too)
+        "synth --out-prefix <missing dir>/p": ["synth", "--samples", "200", "--out-prefix", "{prefix}"],
+        "prep --out-prefix <missing dir>/p": ["prep", "--csv", "{tmp}/in.csv", "--fields", "a", "--label", "y",
+                                              "--out-prefix", "{prefix}"],
+        "interpret --out-prefix <missing dir>/p": ["interpret", "--model", "{tmp}/in.txt", "--data", "{tmp}/in.txt",
+                                                   "--out-prefix", "{prefix}"],
+        "bench-latency --out <missing dir>/m.txt": ["bench-latency", "--data", "{tmp}/in.txt", "--out", "{missing}"],
+        "bench-flops --out <missing dir>/m.txt": ["bench-flops", "--out", "{missing}"],
     }
     OTHER_SCHEMA = {
         "eval --data <other schema>": ["eval", "--model", "{model}", "--data", "{other}"],
@@ -492,6 +500,7 @@ class TestUnusablePaths:
 
     def _argv(self, tmp_path, case):
         paths = {"dir": tmp_path / "dir", "bad": tmp_path / "bad.txt", "missing": tmp_path / "missing" / "m.txt",
+                 "prefix": tmp_path / "missing" / "p",
                  "empty": tmp_path / "empty.txt", "other": tmp_path / "other.txt", "model": tmp_path / "model.txt"}
         train = tmp_path / "train.txt"
         paths["dir"].mkdir()
@@ -510,7 +519,8 @@ class TestUnusablePaths:
     def test_exits_3_naming_the_path(self, tmp_path, capsys, case):
         argv, path = self._argv(tmp_path, case)
         assert main(argv) == 3
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == ""
         assert err.startswith("error: ") and str(path) in err
         assert ".tmp" not in err  # the path given, not the temporary file beside it
         assert [p.name for p in (tmp_path / "dir").iterdir()] == ["kept.txt"]

@@ -18,7 +18,7 @@ from tensorfm import (
     split,
     write_dataset,
 )
-from tensorfm import data
+from tensorfm import data, floatfmt
 
 from oracles import dataset_text_oracle
 
@@ -213,6 +213,89 @@ class TestTextFormat:
             write_dataset(PartlyWritable(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+
+def _writer_case(case: str) -> Dataset:
+    """A dataset for one :class:`TestWriter` case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    rows, cards = 40, [3, 40, 1, 7]
+    if case.endswith(" fields"):
+        cards = rng.integers(1, 300, size=int(case.split()[0])).tolist()
+        rows = 5 if len(cards) > 1000 else 40
+    elif case == "int32 indices":
+        cards, rows = [2**31, 10**8 + 1, 10**7 + 1, 3], data.CHUNK_LINES + 20
+    elif case in ("several chunks", "all unit"):
+        rows = 3 * data.CHUNK_LINES + 7
+    elif case == "no rows":
+        rows = 0
+    active = np.stack([rng.integers(0, c, size=rows) for c in cards], axis=1).reshape(rows, len(cards))
+    values = np.where(rng.random(active.shape) < 0.3, rng.uniform(-2, 2, size=active.shape), 1.0)
+    if case == "int32 indices":
+        # every digit count from 1 to 10 in the first chunk; the second has no index of 8 digits or more
+        edges = [0, 9, 10, 99, 10**7 - 1, 10**7, 10**8 - 1, 10**8, 10**9, 1_234_567_890, 2**31 - 1]
+        active[: len(edges), 0] = edges
+        active[data.CHUNK_LINES :, :2] %= 10**7
+    elif case == "several chunks":
+        # multipliers in the second chunk only, in the first and last fields, and in the last row
+        values[:] = 1.0
+        values[data.CHUNK_LINES : 2 * data.CHUNK_LINES, [0, 3]] = rng.uniform(0, 3, size=(data.CHUNK_LINES, 2))
+        values[-1, 1] = 0.5
+    elif case == "repr fallback":
+        special = [-0.0, 5e-324, 2.0**50, 1e300, 1.0000000000000002, 0.1, 0.0, -2.2250738585072014e-308]
+        values.flat[rng.choice(values.size, size=3 * len(special), replace=False)] = special * 3
+    if case == "all unit":
+        values = None
+    return Dataset(build_schema(cards), active, values, rng.integers(0, 2, size=rows))
+
+
+class TestWriter:
+    """write_dataset where the property tests (cardinalities of at most 5,
+    at most 6 rows) do not reach: the bytes equal the row-at-a-time
+    reference, and the file reads back to the same arrays."""
+
+    @pytest.mark.parametrize("case", ["10 fields", "120 fields", "1001 fields", "int32 indices", "several chunks",
+                                      "repr fallback", "all unit", "no rows"])
+    def test_bytes_equal_the_reference_and_read_back(self, tmp_path, case):
+        ds = _writer_case(case)
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        assert path.read_bytes() == dataset_text_oracle(ds).encode()
+        back = read_dataset(path)
+        assert back.schema.cardinalities == ds.schema.cardinalities
+        for got, want in ((back.active, ds.active), (back.values, ds.values), (back.labels, ds.labels)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()  # -0.0 included
+
+    def test_values_spelled_in_several_steps(self, tmp_path, monkeypatch):
+        # a chunk's values spelled three at a time: steps whose spellings
+        # fill three words (24 bytes) and four (25 bytes) are merged
+        monkeypatch.setattr(floatfmt, "CHUNK_VALUES", 3)
+        ds = _writer_case("repr fallback")
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        assert path.read_bytes() == dataset_text_oracle(ds).encode()
+
+    def test_click_log_write_peaks_below_the_token_string_writer(self, tmp_path):
+        # 20k rows of a 39-field click-log shape (m = 98,784), with a
+        # multiplier on three of four cells of five count fields
+        rng = np.random.default_rng(21)
+        cards = [10] * 13 + [50] * 6 + np.rint(np.geomspace(30, 30_000, 20)).astype(int).tolist()
+        active = np.stack([rng.integers(0, c, size=20_000) for c in cards], axis=1)
+        values = np.ones(active.shape)
+        values[:, :5] = np.where(rng.random((20_000, 5)) < 0.75, rng.uniform(0.5, 1.5, (20_000, 5)).round(3), 1.0)
+        ds = Dataset(build_schema(cards), active, values, rng.integers(0, 2, size=20_000))
+        write_dataset(ds, tmp_path / "warm.txt")  # floatfmt builds its layout table once per process
+        tracemalloc.start()
+        try:
+            write_dataset(ds, tmp_path / "ds.txt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The writer that built a Python string per token peaked at 1.05 MB
+        # here. The (N, n) global indices (6.2 MB), the whole text (5.1 MB)
+        # or a token table sized by the vocabulary (1.6 MB at 16 bytes a
+        # feature) would each take the peak past it.
+        assert peak < 1.05e6, f"peak {peak / 1e6:.2f} MB"
+        assert "global_indices" not in ds.__dict__
 
 
 class TestChunkedRead:
