@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset
 from .errors import ConfigError, MetricError
 from .params import ModelBundle, canonical_args
-from .scoring import KERNELS, interaction_orders, score_dataset
+from .scoring import KERNELS, SCORE_BATCH, interaction_orders, score_dataset
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,7 @@ def time_inference(
     bundle: ModelBundle,
     dataset: Dataset,
     repeats: int = 5,
-    batch_size: int = 4096,
+    batch_size: int = SCORE_BATCH,
 ) -> LatencyReport:
     """Wall-clock scoring latency per instance, median of ``repeats`` passes.
 

@@ -401,7 +401,7 @@ COMMANDS = {
         ("kinds", _str_list, ["tensorfm:1:2", "tensorfm:4:3", "fwfm"], "comma-separated kind[:rank[:order]] tokens"),
         ("k", int, 8, "embedding size"),
         ("repeats", _int_at_least(3), 5, "timing repeats, at least 3 (median reported)"),
-        ("batch_size", _int_at_least(1), 4096, "scoring batch size"),
+        ("batch_size", _int_at_least(1), scoring.SCORE_BATCH, "scoring batch size"),
         ("out", str, REQUIRED, "output CSV file"),
     )),
     "interpret": (cmd_interpret, "learned interaction strengths vs. mutual information reports", (

@@ -21,7 +21,10 @@ they are safe to call concurrently.
 
 from __future__ import annotations
 
+import contextvars
 import itertools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -468,16 +471,76 @@ def forward_batch(bundle: ModelBundle, gidx: np.ndarray, vals: np.ndarray | None
     return cache
 
 
-def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = 4096) -> np.ndarray:
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+# score_dataset's default rows per batch; each worker holds one batch at a time.
+SCORE_BATCH = 2048
+# The most threads score_dataset runs on: one per core this process may use.
+WORKERS = _usable_cores()
+
+
+def score_dataset(bundle: ModelBundle, dataset: Dataset, batch_size: int = SCORE_BATCH) -> np.ndarray:
+    """The (rows,) scores of every row of ``dataset``, ``batch_size`` rows
+    at a time.
+
+    Batch i is rows [i·batch_size, (i+1)·batch_size). With W = min(WORKERS,
+    batches) workers, the calling thread scores batches 0, W, 2W, ... and
+    W-1 helper threads the others, each batch into its own slice of the
+    result. A batch is never split, so every score is the one a single
+    thread computes, bit for bit, whatever W is; one batch or one core runs
+    no thread at all.
+
+    Helpers run in a copy of the caller's context, so a ``np.errstate`` the
+    caller set holds in them too. Once any worker fails, the others stop at
+    their next batch; every helper is joined before this returns or raises,
+    and a helper's exception is raised here.
+    """
     dataset.require_schema(bundle.schema)
     if batch_size < 1:
         raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     vals = None if dataset.unit_values else dataset.values
     out = np.empty(len(dataset))
-    for lo in range(0, len(dataset), batch_size):
-        hi = min(lo + batch_size, len(dataset))
-        batch_vals = None if vals is None else vals[lo:hi]
-        out[lo:hi] = forward_batch(bundle, dataset.global_indices[lo:hi], batch_vals).scores
+    starts = range(0, len(dataset), batch_size)
+    workers = max(1, min(WORKERS, len(starts)))
+    failed = threading.Event()
+
+    def run(first: int) -> None:
+        for lo in starts[first::workers]:
+            if failed.is_set():
+                return
+            rows = slice(lo, lo + batch_size)
+            out[rows] = forward_batch(bundle, dataset.global_indices[rows], None if vals is None else vals[rows]).scores
+
+    errors: list[BaseException | None] = [None] * workers
+
+    def helper(first: int) -> None:
+        try:
+            run(first)
+        except BaseException as exc:  # raised again in the caller
+            errors[first] = exc
+            failed.set()
+
+    helpers = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper, first))
+            thread.start()
+            helpers.append(thread)
+        run(0)
+    except BaseException:
+        failed.set()
+        raise
+    finally:
+        for thread in helpers:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     return out
 
 

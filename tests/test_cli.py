@@ -11,7 +11,7 @@ import pytest
 
 import tensorfm
 from tensorfm import auc, logloss, read_dataset, score_dataset
-from tensorfm import cli
+from tensorfm import cli, scoring
 from tensorfm.cli import main
 from tensorfm.params import load_bundle, save_bundle
 
@@ -140,18 +140,22 @@ class TestGridCommand:
         assert "RuntimeWarning" not in proc.stderr
         assert proc.stderr == ("" if code == 0 else "error: training loss became non-finite in epoch 1; last completed epoch: 0\n")
 
-    def test_eval_of_a_diverged_model_is_numeric_error(self, synth_files, tmp_path, capsys):
+    def test_eval_of_a_diverged_model_is_numeric_error(self, synth_files, tmp_path, capsys, monkeypatch):
         # One batch, no validation set: training ends before the overflow shows.
         model = tmp_path / "m.txt"
         assert main(["train", "--train", f"{synth_files}.train.txt", "--model", "fm", "--lr", "1e160",
                      "--batch-size", "5000", "--epochs", "1", "--out", str(model)]) == 0
         capsys.readouterr()
-        # the suite turns a numpy RuntimeWarning into an exception
-        rc = main(["eval", "--model", str(model), "--data", f"{synth_files}.test.txt"])
-        assert rc == 4
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"error: {model}: non-finite score for row 0 of {synth_files}.test.txt")
+        # the suite turns a numpy RuntimeWarning into an exception, in a scoring thread too;
+        # the test file is one scoring batch, the training file two, one of them a helper's
+        monkeypatch.setattr(scoring, "WORKERS", 2)
+        assert len(read_dataset(f"{synth_files}.train.txt")) > scoring.SCORE_BATCH
+        for part in ("test", "train"):
+            rc = main(["eval", "--model", str(model), "--data", f"{synth_files}.{part}.txt"])
+            assert rc == 4
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"error: {model}: non-finite score for row 0 of {synth_files}.{part}.txt")
 
     @pytest.mark.parametrize("keep, message", [("1", "AUC is undefined"), ("", "{valid}: no data rows")],
                              ids=["one-class", "empty"])

@@ -3,6 +3,8 @@
 import copy
 import itertools
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from tensorfm import (
     score_naive_oracle,
     sigmoid,
 )
+from tensorfm import scoring
+from tensorfm.params import KINDS
 from tensorfm.scoring import interaction_tensors, oracle_interaction_sum
 
 from oracles import symmetrize
@@ -334,6 +338,75 @@ class TestScoreDataset:
         dataset = Dataset(schema, np.zeros((4, 2), dtype=np.int64), np.ones((4, 2)))
         with pytest.raises(ConfigError, match="batch size"):
             score_dataset(init("fm", schema, k=2, seed=0), dataset, batch_size=batch_size)
+
+    @pytest.mark.parametrize("multipliers", [True, False], ids=["multipliers", "unit"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scores_are_the_same_bits_for_any_worker_count(self, monkeypatch, kind, multipliers):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        rng = np.random.default_rng(3)
+        schema = build_schema([3, 4, 2, 5])
+        bundle = init(kind, schema, k=3, d=3, r_vec=2, init_scale=0.8, seed=2)
+        bundle.blocks["linear.w"][:] = rng.normal(size=schema.m)
+        # rows: three 4-row batches, the last one short; exactly one batch; none
+        for n_rows, batches in [(10, 3), (4, 1), (0, 0)]:
+            active = np.stack([rng.integers(0, c, size=n_rows) for c in schema.cardinalities], axis=1)
+            values = rng.uniform(0.5, 1.5, size=active.shape) if multipliers else None
+            dataset = Dataset(schema, active, values)
+            monkeypatch.setattr(scoring, "WORKERS", 1)
+            serial = score_dataset(bundle, dataset, batch_size=4)
+            assert serial.shape == (n_rows,) and started == []
+            for workers in (2, 8):  # 8: more workers than batches
+                monkeypatch.setattr(scoring, "WORKERS", workers)
+                assert np.array_equal(score_dataset(bundle, dataset, batch_size=4), serial), (n_rows, workers)
+                assert len(started) == max(min(workers, batches) - 1, 0), (n_rows, workers)
+                started.clear()
+
+    def test_a_helper_failure_is_raised_in_the_caller(self, monkeypatch):
+        schema = build_schema([3, 4])
+        active = np.zeros((12, 2), dtype=np.int64)
+        active[4, 0] = 2  # marks the second 4-row batch, a helper's
+        forward = scoring.forward_batch
+
+        def failing(bundle, gidx, vals):
+            if gidx[0, 0] == 2:
+                raise RuntimeError("second batch")
+            return forward(bundle, gidx, vals)
+
+        monkeypatch.setattr(scoring, "forward_batch", failing)
+        monkeypatch.setattr(scoring, "WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="second batch"):
+            score_dataset(init("fm", schema, k=2, seed=0), Dataset(schema, active), batch_size=4)
+        assert threading.active_count() == threads
+
+    def test_helpers_stop_once_the_callers_share_fails(self, monkeypatch):
+        schema = build_schema([3, 4])
+        active = np.zeros((60, 2), dtype=np.int64)
+        active[0, 0] = 2  # marks the first one-row batch, the caller's
+        forward = scoring.forward_batch
+        helper_batches = []
+
+        def failing(bundle, gidx, vals):
+            if gidx[0, 0] == 2:
+                raise RuntimeError("first batch")
+            helper_batches.append(len(gidx))
+            time.sleep(0.02)  # a helper that does not stop takes 0.6 s over its 30 batches
+            return forward(bundle, gidx, vals)
+
+        monkeypatch.setattr(scoring, "forward_batch", failing)
+        monkeypatch.setattr(scoring, "WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="first batch"):
+            score_dataset(init("fm", schema, k=2, seed=0), Dataset(schema, active), batch_size=1)
+        assert threading.active_count() == threads
+        assert len(helper_batches) < 30
 
 
 def random_bundle(rng):
