@@ -371,31 +371,61 @@ def read_dataset(path: str | Path) -> Dataset:
         except (ValueError, SchemaError) as exc:
             raise DataError(f"{path}: bad schema header: {exc}") from exc
 
-        n = schema.n
-        chunks, lines, first = [], [], 2
+        rows = _Rows(path, schema)
+        lines, first = [], 2
         try:
             for line in fh:
                 lines.append(line)
                 if len(lines) == CHUNK_LINES:
-                    chunks.append(_parse_chunk(path, n, lines, first))
+                    rows.append(_parse_chunk(path, schema.n, lines, first))
                     first += len(lines)
                     lines = []
         except UnicodeDecodeError:
-            _parse_lines(path, n, lines, first)  # a fault in the lines read so far comes first
+            _parse_lines(path, schema.n, lines, first)  # a fault in the lines read so far comes first
             raise
-        chunks.append(_parse_chunk(path, n, lines, first))  # the rest, perhaps no line
+        rows.append(_parse_chunk(path, schema.n, lines, first))  # the rest, perhaps no line
 
-    active, values, labels, linenos = zip(*chunks)
-    if all(v is None for v in values):
-        values = None  # no ':value' token: the dataset stores no multiplier array
-    else:
-        values = np.concatenate([np.broadcast_to(1.0, a.shape) if v is None else v for a, v in zip(active, values)])
-    active, labels, linenos = (np.concatenate(arrays) for arrays in (active, labels, linenos))
-    bad = (active < 0) | (active >= np.asarray(schema.cardinalities))
-    if bad.any():
-        row, j = np.argwhere(bad)[0]
-        raise DataError(f"{path}:{linenos[row]}: feature index {active[row, j]} out of range for field {j}")
-    return Dataset(schema, active, values, labels, provenance=str(path))
+    if rows.out_of_range:
+        raise DataError(rows.out_of_range)
+    return Dataset(schema, rows.active, rows.values, rows.labels, provenance=str(path))
+
+
+class _Rows:
+    """The instances read so far, in one array per :class:`Dataset` column
+    (``active``, ``values``, ``labels``), each grown in place
+    (``ndarray.resize``, a ``realloc``) as chunks arrive, so the rows are
+    never held twice. ``values`` stays None until a
+    chunk has a ``:value`` token. ``out_of_range`` is the message of the
+    first feature index out of its field's range; the reader raises it once
+    every line has parsed, so a malformed line anywhere comes first."""
+
+    def __init__(self, path: Path, schema: FieldSchema):
+        self.path, self.cards = path, np.asarray(schema.cardinalities)
+        self.active = np.empty((0, schema.n), dtype=np.int32)
+        self.labels = np.empty(0, dtype=np.int8)
+        self.values: np.ndarray | None = None
+        self.out_of_range = ""
+
+    def append(self, chunk: tuple[np.ndarray | None, ...]) -> None:
+        active, values, labels, linenos = chunk
+        if not self.out_of_range:
+            bad = (active < 0) | (active >= self.cards)
+            if bad.any():
+                row, j = np.argwhere(bad)[0]
+                self.out_of_range = f"{self.path}:{linenos[row]}: feature index {active[row, j]} out of range for field {j}"
+        if values is not None and self.values is None:
+            self.values = np.ones(self.active.shape)
+        if self.values is not None:
+            _extend(self.values, np.broadcast_to(1.0, active.shape) if values is None else values)
+        _extend(self.active, active)
+        _extend(self.labels, labels)
+
+
+def _extend(arr: np.ndarray, rows: np.ndarray) -> None:
+    """Append ``rows`` to ``arr`` in place, growing its first axis."""
+    n_rows = len(arr)
+    arr.resize((n_rows + len(rows), *arr.shape[1:]), refcheck=False)
+    arr[n_rows:] = rows
 
 
 def _parse_chunk(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray | None, ...]:

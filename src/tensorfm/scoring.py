@@ -99,11 +99,37 @@ def cp_order_batch(G: np.ndarray, segments: np.ndarray, firsts: np.ndarray) -> n
     return np.add.reduceat(np.multiply.reduceat(G, segments, axis=2).sum(axis=1), firsts, axis=1)
 
 
+def cp_rows(G: np.ndarray) -> np.ndarray:
+    """The factor-stack products ``G`` (B, k, stack columns) copied into
+    contiguous coordinate-major rows, (stack columns, k, B): row [c, i] holds
+    every batch row's coordinate-i product with stack column c."""
+    return np.ascontiguousarray(G.transpose(2, 1, 0))
+
+
 def cp_tables(rows: np.ndarray, span: FactorSpan) -> np.ndarray:
-    """The (order, rank, B·k) view of one CP order's tables in the
-    factor-stack products laid out as contiguous (stack columns, B·k) rows;
-    ``[b]`` is mode b's, and each of its rank rows is contiguous."""
+    """The (order, rank, k·B) view of one CP order's tables in the
+    factor-stack products laid out as :func:`cp_rows`; ``[b]`` is mode b's,
+    and each of its rank rows is contiguous."""
+    rows = rows.reshape(len(rows), -1)
     return rows[span.first : span.first + span.order * span.rank].reshape(span.rank, span.order, -1).swapaxes(0, 1)
+
+
+def cp_order_rows(rows: np.ndarray, spans, firsts: np.ndarray) -> np.ndarray:
+    """Every CP order's term, (orders, B), from the factor-stack products
+    laid out as :func:`cp_rows`, by the arithmetic of :func:`cp_order_batch`
+    in its order, so with its bits: each rank column's product of its modes
+    in mode order, summed over the k coordinates one coordinate row after
+    another (a middle-axis sum: never numpy's pairwise sum), then over each
+    order's rank columns (they start at ``firsts``) by the same segmented
+    sum."""
+    _, k, batch = rows.shape
+    products = np.empty((firsts[-1] + spans[-1].rank, k * batch))
+    for span, first in zip(spans, firsts):
+        g, out = cp_tables(rows, span), products[first : first + span.rank]
+        np.multiply(g[0], g[1], out=out)
+        for table in g[2:]:
+            out *= table
+    return np.add.reduceat(products.reshape(-1, k, batch).sum(axis=1), firsts, axis=0)
 
 
 def _leave_one_out(g: np.ndarray, out: np.ndarray) -> None:
@@ -174,19 +200,19 @@ def _tucker_rest(g: np.ndarray, core: np.ndarray, upstream: np.ndarray, out: np.
     return (weighted.T @ khatri_rao).reshape(core.shape)
 
 
-def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, upstream: np.ndarray, grads) -> np.ndarray:
-    """Two GEMMs from ``rest``, d score / d G of the factor-stack tables (CP:
-    the product of the order's other tables; Tucker: the core contracted with
-    them): return d_a, a (B, n, k) view, and put every factor block's
-    gradient in ``grads``."""
+def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, grads) -> np.ndarray:
+    """Two GEMMs from ``rest``, upstream × d score / d G of the factor-stack
+    tables as coordinate-major (stack columns, k, B) rows (CP: the product of
+    the order's other tables; Tucker: the core contracted with them): put
+    every factor block's gradient in ``grads`` and return upstream ×
+    d score / d A, a (B, n, k) view of a coordinate-major (k, B, n) array,
+    so each coordinate's (B, n) block is contiguous."""
     batch, n, k = A.shape
-    rest = rest.reshape(batch * k, -1)
-    d_a = (rest @ bundle.factor_stack.T).reshape(batch, k, n).transpose(0, 2, 1)
-    weighted = np.ascontiguousarray(A.transpose(0, 2, 1))
-    weighted *= upstream[:, None, None]
-    stack_grad = weighted.reshape(batch * k, n).T @ rest
+    rest = rest.reshape(len(rest), -1)
+    fields = np.ascontiguousarray(A.transpose(1, 2, 0)).reshape(n, -1)  # (n, k·B), field-major
+    stack_grad = fields @ rest.T
     grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
-    return d_a
+    return (rest.T @ bundle.factor_stack.T).reshape(k, batch, n).transpose(1, 2, 0)
 
 
 def hofm_table_batch(A: np.ndarray, degree: int) -> list[np.ndarray]:
@@ -271,9 +297,10 @@ class Kernel:
         return (), None
 
     def d_a(self, bundle, A, state, upstream, grads):
-        """d score / d A per row before ``upstream`` (None without embeddings),
-        which the caller only reads, so it may be a view of ``state``; the
-        kind's own blocks' upstream-weighted gradients go in ``grads``."""
+        """upstream[b] × d score_b / d A[b], (B, n, k), with the upstream
+        weight inside (None without embeddings); the caller only reads it,
+        and ``state`` is left as it is. The kind's own blocks'
+        upstream-weighted gradients go in ``grads``."""
         return None
 
     def tensor(self, bundle, order):
@@ -294,7 +321,9 @@ class _FM(Kernel):
         return (0.5 * ((field_sum**2).sum(axis=1) - (A * A).sum(axis=(1, 2))),), field_sum
 
     def d_a(self, bundle, A, field_sum, upstream, grads):
-        return field_sum[:, None, :] - A
+        d_a = field_sum[:, None, :] - A
+        d_a *= upstream[:, None, None]
+        return d_a
 
     def tensor(self, bundle, order):
         return materialize_distinct(bundle.schema.n, order)
@@ -334,7 +363,9 @@ class _HOFM(_FM):
         pairs += total[:half]
         if n % 2:
             d_a[-1] = total[-1]
-        return np.ascontiguousarray(d_a.reshape(n, batch, k).transpose(1, 0, 2))
+        d_a = np.ascontiguousarray(d_a.reshape(n, batch, k).transpose(1, 0, 2))
+        d_a *= upstream[:, None, None]
+        return d_a
 
     def flops(self, n, k, d, r_vec):
         # n - 1 internal nodes: n//2 leaf pairs (a + b, ab) at 2k each, and
@@ -360,7 +391,7 @@ class _FwFM(Kernel):
         weighted = rows * upstream[:, None, None]
         ds_full = 0.5 * (weighted.reshape(-1, n).T @ rows.reshape(-1, n))
         grads["pair.upper"] = (ds_full + ds_full.T)[bundle.schema.pair_index]
-        return sa.transpose(0, 2, 1)
+        return (sa * upstream[:, None, None]).transpose(0, 2, 1)
 
     def tensor(self, bundle, order):
         return bundle.dense_s / 2.0
@@ -372,21 +403,38 @@ class _FwFM(Kernel):
 
 
 class _CP(Kernel):
-    """tensorfm: the state is the factor-stack tables G."""
+    """tensorfm: the state is the factor-stack tables, as :func:`cp_rows`
+    when :meth:`on_rows` and as G (B, k, stack columns) otherwise; both
+    give every term the same bits."""
+
+    @staticmethod
+    def on_rows(bundle, A) -> bool:
+        """Whether the batch ``A`` takes the rows layout: from :data:`CP_ROWS`
+        rows on (a smaller batch, such as every single-instance
+        :func:`score`, is not worth the copy), unless the model has one rank
+        column in all (d=2, rank 1). Its (B, k, 1) sum over k in
+        :func:`cp_order_batch` is numpy's pairwise sum along a contiguous
+        axis, which a middle-axis sum does not reproduce."""
+        return len(A) >= CP_ROWS and len(bundle.cp_segments) > 1
 
     def terms(self, bundle, A):
         G = cp_mode_products(A, bundle.factor_stack)
-        return cp_order_batch(G, bundle.cp_segments, bundle.cp_firsts).T, G
+        if not self.on_rows(bundle, A):
+            return cp_order_batch(G, bundle.cp_segments, bundle.cp_firsts).T, G
+        rows = cp_rows(G)
+        del G  # only the rows are kept
+        return cp_order_rows(rows, bundle.factor_spans, bundle.cp_firsts), rows
 
-    def d_a(self, bundle, A, G, upstream, grads):
-        # the leave-one-out runs over contiguous (stack column, B·k) rows;
-        # rest goes back to G's layout because handing a GEMM the transposed
-        # rows changes the last bits of its result at small B·k (OpenBLAS)
-        rows = np.ascontiguousarray(G.reshape(-1, G.shape[2]).T)
+    def d_a(self, bundle, A, rows, upstream, grads):
+        # rest in the rows' layout: the leave-one-out over contiguous rows,
+        # then each batch row's upstream weight, multiplied in once
+        if not self.on_rows(bundle, A):
+            rows = cp_rows(rows)
         rest = np.empty_like(rows)
         for span in bundle.factor_spans:
             _leave_one_out(cp_tables(rows, span), cp_tables(rest, span))
-        return _factor_gradients(bundle, A, np.ascontiguousarray(rest.T), upstream, grads)
+        rest *= upstream
+        return _factor_gradients(bundle, A, rest, grads)
 
     def tensor(self, bundle, order):
         return materialize_tensor([bundle.blocks[name] for name in bundle.factor_spans[order - 2].factors])
@@ -405,10 +453,13 @@ class _Tucker(Kernel):
         return [tucker_order_batch(order_tables(G, s), bundle.blocks[s.core]) for s in bundle.factor_spans], G
 
     def d_a(self, bundle, A, G, upstream, grads):
-        rest = np.empty_like(G)
+        # rest in the coordinate-major rows of _factor_gradients, written
+        # through its (B, k, stack columns) view
+        rest = np.empty(G.shape[::-1])
         for s in bundle.factor_spans:
-            grads[s.core] = _tucker_rest(order_tables(G, s), bundle.blocks[s.core], upstream, order_tables(rest, s))
-        return _factor_gradients(bundle, A, rest, upstream, grads)
+            grads[s.core] = _tucker_rest(order_tables(G, s), bundle.blocks[s.core], upstream, order_tables(rest.T, s))
+        rest *= upstream
+        return _factor_gradients(bundle, A, rest, grads)
 
     def tensor(self, bundle, order):
         span, blocks = bundle.factor_spans[order - 2], bundle.blocks
@@ -419,6 +470,10 @@ class _Tucker(Kernel):
         # contraction r^l (lk + 2)
         return sum(2 * n * k * r * order + (r**order) * (order * k + 2) for order, r in zip(range(2, d + 1), r_vec))
 
+
+# The batch size from which the CP kernel works on cp_rows: the measured
+# crossover of the two forward paths' cost per batch (README).
+CP_ROWS = 24
 
 KERNELS = {
     "lr": Kernel(),

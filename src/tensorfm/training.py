@@ -82,6 +82,9 @@ def backward_from_cache(
     block of the bundle, under the same names and in the same order. The
     ``linear.w`` and ``embeddings`` gradients are :class:`RowGradient`
     over the rows the batch touches, each row's value summed in batch order.
+    The kind's ``Kernel.d_a`` has the upstream weight inside, so the
+    embedding scatter multiplies it by the instance multipliers only, and
+    not at all when they are all 1.
     """
     if cache.gidx is None:
         raise ConfigError("backward pass needs the forward cache")
@@ -98,8 +101,8 @@ def backward_from_cache(
         remap = np.empty(m, dtype=np.intp)
         remap[rows] = np.arange(n_rows)
         index = remap.take(index)
-    # (B, n) weight of each active feature: its row's upstream times its
-    # multiplier (None: every multiplier is 1, so the upstream itself)
+    # (B, n) linear weight of each active feature: its row's upstream times
+    # its multiplier (None: every multiplier is 1, so the upstream itself)
     w = np.repeat(upstream[:, None], gidx.shape[1], axis=1) if vals is None else upstream[:, None] * vals
 
     grads = {
@@ -108,13 +111,13 @@ def backward_from_cache(
     }
     d_a = KERNELS[bundle.kind].d_a(bundle, cache.A, cache.state, upstream, grads)
     if d_a is not None:
-        # Scatter d_a times w into the embedding rows one coordinate at a
-        # time: d_a is read, never written (a kernel may return a view of its
-        # state), no (B, n, k) index array is built, and each bin sums in
-        # row order.
+        # Scatter d_a times the multipliers into the embedding rows one
+        # coordinate at a time: d_a is read, never written, no (B, n, k)
+        # index array is built, and each bin sums in row order.
         d_emb = np.empty((n_rows, d_a.shape[2]))
         for h in range(d_emb.shape[1]):
-            d_emb[:, h] = np.bincount(index, weights=(d_a[:, :, h] * w).ravel(), minlength=n_rows)
+            weights = d_a[:, :, h] if vals is None else d_a[:, :, h] * vals
+            d_emb[:, h] = np.bincount(index, weights=weights.ravel(), minlength=n_rows)
         grads["embeddings"] = RowGradient(rows, d_emb)
     return {name: grads[name] for name in bundle.blocks}
 

@@ -135,7 +135,8 @@ def backward_dense_oracle(bundle, cache, upstream):
     if d_a is not None:
         d_emb = np.empty((m, d_a.shape[2]))
         for h in range(d_emb.shape[1]):
-            d_emb[:, h] = np.bincount(flat_gidx, weights=(d_a[:, :, h] * w).ravel(), minlength=m)
+            weights = d_a[:, :, h] if vals is None else d_a[:, :, h] * vals  # d_a holds the upstream
+            d_emb[:, h] = np.bincount(flat_gidx, weights=weights.ravel(), minlength=m)
         grads["embeddings"] = d_emb
     return {name: grads[name] for name in bundle.blocks}
 

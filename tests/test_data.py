@@ -297,6 +297,31 @@ class TestWriter:
         assert peak < 1.05e6, f"peak {peak / 1e6:.2f} MB"
         assert "global_indices" not in ds.__dict__
 
+    def test_click_log_read_holds_the_indices_once(self, tmp_path):
+        # 20k rows of a 39-field click-log shape with unit multipliers: 3.1 MB
+        # of int32 indices. A reader that kept every chunk until one
+        # concatenation peaked at 8.3 MB here.
+        rng = np.random.default_rng(22)
+        cards = [10] * 13 + [50] * 6 + np.rint(np.geomspace(30, 30_000, 20)).astype(int).tolist()
+        active = np.stack([rng.integers(0, c, size=20_000) for c in cards], axis=1)
+        ds = Dataset(build_schema(cards), active, None, rng.integers(0, 2, size=20_000))
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            with open(path) as fh:  # one chunk's lines and its parse: the scratch
+                fh.readline()
+                data._parse_chunk(path, len(cards), [fh.readline() for _ in range(data.CHUNK_LINES)], 2)
+            scratch = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            got = read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got.active, ds.active) and np.array_equal(got.labels, ds.labels)
+        assert got.unit_values and got.values.strides == (0, 0)
+        assert peak <= got.active.nbytes + scratch, f"peak {peak / 1e6:.2f} MB, scratch {scratch / 1e6:.2f} MB"
+
 
 class TestChunkedRead:
     """Files longer than one chunk of ``CHUNK_LINES`` lines, with indices of

@@ -167,7 +167,7 @@ def test_hofm_tree_equals_the_per_field_dynamic_program(shape, k, n_rows, scale,
     bundle = tfm.init("hofm", tfm.build_schema([1] * n), k=k, d=d, seed=0)
     kernel = KERNELS["hofm"]
     (terms,), levels = kernel.terms(bundle, A)
-    d_a = kernel.d_a(bundle, A, levels, None, {})
+    d_a = kernel.d_a(bundle, A, levels, np.ones(n_rows), {})
     want_terms, want_d_a = hofm_dp_oracle(A, d)
     abs_terms, abs_d_a = hofm_dp_oracle(np.abs(A), d)
     assert (np.abs(terms - want_terms) <= 1e-13 * abs_terms).all()

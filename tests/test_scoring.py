@@ -245,6 +245,27 @@ class TestScoreTensorFmCp:
             assert rel_err(score(bundle, inst), score_naive_oracle(bundle, inst)) < 1e-9
 
 
+class TestCpForwardPaths:
+    """From ``scoring.CP_ROWS`` rows on, the CP kernel scores a batch on
+    coordinate-major rows, and below it on the (B, k, stack columns) tables;
+    both give every score the same bits, at every batch size. k=8: a sum
+    over the 8 coordinates along a contiguous axis (numpy's pairwise sum)
+    would differ from the tables' sequential one."""
+
+    @pytest.mark.parametrize("unit", [True, False])
+    @pytest.mark.parametrize("n", [39, 100])
+    @pytest.mark.parametrize("d,rank", [(2, 1), (2, 3), (3, 3), (4, 4)])
+    def test_every_batch_size_and_score_give_the_same_bits(self, d, rank, n, unit):
+        rng = np.random.default_rng(n + d)
+        schema = build_schema(rng.integers(2, 60, size=n).tolist())
+        bundle = init("tensorfm", schema, k=8, d=d, r_vec=rank, init_scale=0.3, seed=d)
+        active = np.stack([rng.integers(0, c, size=2100) for c in schema.cardinalities], axis=1)
+        ds = Dataset(schema, active, None if unit else rng.uniform(0.5, 1.5, size=active.shape))
+        want = np.array([score(bundle, ds.instance(i)) for i in range(len(ds))])
+        for batch_size in (1, scoring.CP_ROWS - 1, scoring.CP_ROWS, 1024, 2048):
+            assert np.array_equal(score_dataset(bundle, ds, batch_size), want), batch_size
+
+
 class TestScoreTensorFmTucker:
     def test_zero_core_reduces_to_linear(self):
         schema = build_schema([3, 2, 4])

@@ -1,11 +1,17 @@
 """Loss, analytic gradients, AdaGrad semantics, and the training loop."""
 
 import copy
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tensorfm
 from tensorfm import (
     ConfigError,
     DataError,
@@ -386,6 +392,50 @@ class TestTouchedRows:
         for name in want.blocks:
             assert np.array_equal(got.blocks[name], want.blocks[name]), name
             assert np.array_equal(got_acc[name], want_acc[name]), name
+
+
+# Trains each kind of THREAD_KINDS in a fresh interpreter and prints the
+# SHA-256 of its trained blocks, as JSON.
+_TRAIN_AND_DIGEST = """
+import hashlib, json, sys
+import tensorfm as tfm
+spec = tfm.SyntheticSpec(n_signal=4, cardinality=6, order=4, n_noise=96, n_samples=8000, seed=11)
+ds = tfm.generate_synthetic(spec)
+config = tfm.TrainConfig(learning_rate=0.05, epochs=2, batch_size=1024, seed=11)
+digests = {}
+for kind, d, rank in json.loads(sys.argv[1]):
+    bundle, _ = tfm.train(tfm.init(kind, ds.schema, k=8, d=d, r_vec=rank, seed=11), ds, None, config)
+    h = hashlib.sha256()
+    for arr in bundle.blocks.values():
+        h.update(arr.tobytes())
+    digests[f"{kind} d={d} r={rank}"] = h.hexdigest()
+print(json.dumps(digests))
+"""
+
+# (kind, d, rank)
+THREAD_KINDS = [("fm", 2, None), ("hofm", 3, None), ("tensorfm", 4, 4), ("tensorfm-tucker", 3, 3)]
+
+
+def test_training_is_the_same_at_one_and_two_blas_threads():
+    """At n=100 and batch 1024, two epochs train to the same bits whether
+    OpenBLAS runs one thread or two.
+
+    fwfm and tensorfm d=2 r=50 are left out: their trained blocks already
+    change with the thread count. A GEMM that reduces over the batch's B·k
+    coordinate rows into a wide output (fwfm's (100, 8192) @ (8192, 100)
+    pair gradient, the 100-column factor-stack gradient) sums in an order
+    that depends on how OpenBLAS splits it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tensorfm.__file__).parents[1])}
+    runs = []
+    for threads in ("1", "2"):
+        env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRAIN_AND_DIGEST, json.dumps(THREAD_KINDS)],
+            capture_output=True, text=True, env=env, check=True,
+        )  # fmt: skip
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == len(THREAD_KINDS)
+    assert runs[0] == runs[1]
 
 
 class TestGridSearch:
