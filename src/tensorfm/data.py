@@ -122,7 +122,7 @@ class Dataset:
                 raise SchemaError("labels array must be one label per instance")
 
         cards = np.asarray(schema.cardinalities, dtype=np.int64)
-        if n_rows and (active.min() < 0 or (active >= cards[None, :]).any()):
+        if n_rows and (active.min() < 0 or (active.max(axis=0) >= cards).any()):
             raise SchemaError("active feature index out of range for its field")
         bad = ~np.isin(labels, (0, 1))
         if bad.any():
@@ -493,9 +493,9 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
     if (labels > 1).any() or (fields != np.arange(n)).any():
         return None
 
-    # Values: the third piece of a token, parsed by float() as line by line.
-    # Of the spellings float() reads from these bytes, only those with a
-    # point lacking a digit on either side ('.5', '5.') are not _FLOAT's.
+    # Values: the third piece of a token, read as float() reads it line by
+    # line. Of the spellings float() reads from these bytes, only those with
+    # a point lacking a digit on either side ('.5', '5.') are not _FLOAT's.
     dots = np.flatnonzero(buf == ord("."))
     if (buf[np.concatenate([dots - 1, dots + 1])] - ord("0") > 9).any():  # a non-digit wraps above 9
         return None
@@ -503,14 +503,11 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
     values = None
     if len(has_value):
         value_pieces = head[:, 1:].ravel()[has_value] + 2
-        try:
-            parsed = [float(text[a:b]) for a, b in zip(starts[value_pieces].tolist(), ends[value_pieces].tolist())]
-        except ValueError:
+        parsed = floatfmt.read_floats(buf, starts[value_pieces], ends[value_pieces])
+        if parsed is None:  # not a float, or not a finite one
             return None
         values = np.ones(rows * n, dtype=np.float64)
         values[has_value] = parsed
-        if not np.isfinite(values).all():
-            return None
         values = values.reshape(rows, n)
     return np.ascontiguousarray(active), values, labels.astype(np.int8)
 

@@ -32,12 +32,35 @@ NUL-padded row of three uint64 words (four when a ``repr`` spelling needs
 exponent, digit count, sign and separator). :func:`spell_rows` returns
 these rows, which the dataset writer lays into its lines, and
 :func:`format_rows` packs them without their padding.
+
+:func:`read_floats` is the inverse: it reads the tokens of a byte array a
+whole array at a time, each to the float that ``float()`` reads from it.
+A token ``[-]I.F`` of at most :data:`READ_BYTES` bytes, which covers every
+decimal spelling ``repr`` writes, is read from the three text words that
+end at its last byte:
+
+- Bytes before the token are masked off, the point is found by a byte
+  compare and made a ``0``, and every remaining byte must be a digit. The
+  three words are then joined into the number X of their 24 digits, which
+  must be below 10**19 to fit 64 bits, by :func:`digits8`'s lane
+  arithmetic run backwards (:func:`join8`). With k = len(F),
+  X = I * 10**(k+1) + F, so the mantissa D = I * 10**k + F is
+  X - 9 * 10**k * (X // 10**(k+1)).
+- For D < 2**53 the float D / 10**k is exact (both operands are, and the
+  division rounds once: Clinger's fast path). Otherwise the quotient x is
+  within about two units in the last place of D * 10**-k, and it is moved
+  to the float whose half-unit interval holds D * 10**-k by exact integer
+  arithmetic (:func:`_nearest`), the writer's read-back test.
+- Every other token (an exponent, a sign '+', a long or unusual spelling,
+  or one that the arithmetic leaves undecided) is read by ``float()``, as
+  the writer spells such values with ``repr``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Iterator
 
 import numpy as np
@@ -260,3 +283,151 @@ def format_rows(arr: np.ndarray) -> Iterator[str]:
         chunk = flat[lo : lo + CHUNK_VALUES]
         row_end = (np.arange(lo + 1, lo + 1 + chunk.size) % width == 0).astype(np.intp)
         yield spell_rows(chunk, row_end).tobytes().translate(None, b"\0").decode("ascii")
+
+
+# ---------------------------------------------------------------------------
+# reading
+# ---------------------------------------------------------------------------
+
+# The bytes of a token the array reader reads: every decimal spelling repr
+# writes (-4 <= e10 < 16) has at most 23, its sign included.
+READ_BYTES = 24
+_POINTS = _U(0x2E2E_2E2E_2E2E_2E2E)  # "........"
+_LOW7, _HIGH1, _LOW1 = _U(0x7F7F_7F7F_7F7F_7F7F), _U(0x8080_8080_8080_8080), _U(0x0101_0101_0101_0101)
+_ABOVE9 = _U(0x7676_7676_7676_7676)  # added to a byte below 0x80, sets its top bit if it is above 9
+# Byte 7 of (1 << 8 * j) * _AFTER[w] is the count of window bytes after
+# byte j of word w: 23 - 8 * w - j.
+_AFTER = np.array([int.from_bytes(bytes(16 - 8 * w + b for b in range(8)), "little") for w in range(3)],
+                  dtype=np.uint64)
+# (base, lane bits, mask) of the joins of 1-digit, 2-digit and 4-digit lanes
+_JOINS = [(_U(10), _U(8), _U(0x00FF_00FF_00FF_00FF)), (_U(100), _U(16), _U(0x0000_FFFF_0000_FFFF)),
+          (_U(10_000), _U(32), _M32)]
+_P10 = np.array([10**j for j in range(20)], dtype=np.uint64)
+_NINE_P10 = _P10 * _U(9)  # wraps from 9 * 10**19 on, where X // 10**(k+1) is 0
+_P10_FLOAT = np.array([float(10**j) for j in range(23)])  # the exact powers of ten
+# What float() reads as the loadtxt behind the line-by-line model reader
+# does: no '_', no whitespace, no inf or nan.
+_DECIMAL = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def join8(d: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`digits8`: for each uint64 whose bytes are
+    eight digit values (0-9), most significant in the lowest byte, the
+    number they spell. Adjacent 1-digit lanes are joined into 2-digit
+    lanes, those into 4-digit and those into 8-digit ones, in place."""
+    low = np.empty_like(d)
+    for base, lane, mask in _JOINS:
+        np.right_shift(d, lane, out=low)  # each lane's right neighbour, in its place
+        d *= base
+        d += low
+        d &= mask
+    return d
+
+
+@functools.cache
+def _masks() -> tuple[np.ndarray, np.ndarray]:
+    """The masks of the reader's three-word window as 24-byte items,
+    read-only: item ``n`` of the first keeps the last n bytes (a token of
+    n bytes), and item ``n * READ_BYTES + k``, xored into those, makes the
+    bytes before them and the point with k bytes after it ``0``."""
+    keep = np.zeros((READ_BYTES + 1, READ_BYTES), dtype=np.uint8)
+    fill = np.zeros((READ_BYTES + 1, READ_BYTES, READ_BYTES), dtype=np.uint8)
+    for n in range(READ_BYTES + 1):
+        keep[n, READ_BYTES - n :] = 0xFF
+        fill[n, :, : READ_BYTES - n] = ord("0")
+        for k in range(n):
+            fill[n, k, READ_BYTES - 1 - k] = ord(".") ^ ord("0")
+    tables = keep.view(f"V{READ_BYTES}")[:, 0], fill.reshape(-1, READ_BYTES).view(f"V{READ_BYTES}")[:, 0]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _nearest(x: np.ndarray, digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For positive normal floats x within about two units in the last
+    place of digits * 10**-k (k <= 22), as a quotient of two correctly
+    rounded operations is: the float nearest that decimal, and whether it
+    was found. With x = m * 2**e and F = -(k + e), scaling by
+    10**k * 2**F makes x the integer m * 5**k, the decimal digits * 2**F
+    and the gap between floats 5**k; their difference delta is below
+    2**53 in magnitude, so wrapping uint64 arithmetic gives it exactly.
+    The answer is x moved by s = delta / 5**k rounded, in units in the last
+    place. It is kept when the distance left, delta - s * 5**k, is at most
+    (5**k - 1) / 2, below half a gap (the float quotient may round a
+    distance of almost half a gap the wrong way), and when m - s stays in
+    x's binade and is not its power of two, whose gap below is half as
+    wide. No decimal lies halfway: that distance, 5**k / 2, is no integer."""
+    bits = x.view(np.uint64)
+    m = (bits & _FRAC) | (_ONE << _U(52))
+    shift = (1075 - k) - (bits >> _U(52)).astype(np.int64)  # F
+    f = _POW5[k]
+    delta = (m * f - (digits << shift.astype(np.uint64))).view(np.int64)
+    steps = np.rint(delta / f).astype(np.int64)
+    delta -= steps * f.view(np.int64)
+    moved = m.view(np.int64) - steps
+    found = (np.abs(delta) <= _HALF5[k].view(np.int64)) & (shift >= 0) & (shift < 64)
+    found &= (moved > 2**52) & (moved < 2**53)
+    return (bits.view(np.int64) - steps).view(np.float64), found
+
+
+def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The floats spelled by the tokens ``buf[starts[i]:ends[i]]`` of the
+    uint8 array ``buf``, each bit for bit as ``float()`` reads it; None if
+    a token is not the decimal spelling of a finite float. A token whose
+    last :data:`READ_BYTES` bytes would start before ``buf`` is read by
+    ``float()``."""
+    if len(buf) < READ_BYTES:  # too short for one window: read it padded
+        pad = np.zeros(READ_BYTES, dtype=np.uint8)
+        return read_floats(np.concatenate([pad, buf]), starts + READ_BYTES, ends + READ_BYTES)
+    keep, fill = _masks()
+    negative = buf[starts] == ord("-")
+    size = ends - starts - negative  # the token's bytes after its sign
+    fast = (ends >= READ_BYTES) & (size <= READ_BYTES)
+    size = np.minimum(size, READ_BYTES)
+    windows = np.ndarray((len(buf) - READ_BYTES + 1,), f"V{READ_BYTES}", buffer=buf, strides=(1,))
+    words = windows[np.maximum(ends - READ_BYTES, 0)].view(_TEXT_WORD).reshape(-1, 3)
+    words &= keep[size].view(_TEXT_WORD).reshape(-1, 3)
+
+    # k, the bytes after the point: its byte of `flags` is 1 (or several
+    # points give some other k, which leaves a '.' to fail the digit test)
+    flags = words ^ _POINTS
+    scratch = flags & _LOW7
+    scratch += _LOW7
+    flags |= scratch  # the top bit of each byte that is not '.'
+    np.invert(flags, out=flags)
+    flags >>= _U(7)
+    flags &= _LOW1
+    for w in range(3):
+        flags[:, w] *= _AFTER[w]
+    flags >>= _U(56)
+    k = (flags[:, 0] + flags[:, 1] + flags[:, 2]).astype(np.intp)
+    fast &= (k >= 1) & (k <= size - 2)  # a digit on either side of the point
+    words ^= fill[np.minimum(size * READ_BYTES + k, len(fill) - 1)].view(_TEXT_WORD).reshape(-1, 3)
+
+    words -= _ZEROS8
+    np.add(words, _ABOVE9, out=scratch)  # the lowest byte that is not a digit keeps its top bit here
+    scratch |= words
+    scratch &= _HIGH1
+    fast &= (scratch[:, 0] | scratch[:, 1] | scratch[:, 2]) == 0
+    del flags, scratch
+    join8(words)
+    fast &= words[:, 0] < _U(1000)  # X < 10**19 < 2**64
+    x = words[:, 0] * _U(10**16)
+    x += words[:, 1] * _U(10**8)
+    x += words[:, 2]
+    digits = x - (x // _P10.take(k + 1, mode="clip")) * _NINE_P10.take(k, mode="clip")
+
+    values = digits.astype(np.float64)
+    values /= _P10_FLOAT.take(k, mode="clip")
+    check = np.flatnonzero(fast & (digits >= _U(2**53)))
+    values[check], fast[check] = _nearest(values[check], digits[check], k[check])
+    values.view(np.uint64)[:] |= negative.astype(np.uint64) << _U(63)
+    slow = np.flatnonzero(~fast)
+    for i, lo, hi in zip(slow.tolist(), starts[slow].tolist(), ends[slow].tolist()):
+        token = buf[lo:hi].tobytes()
+        if not _DECIMAL.fullmatch(token):
+            return None
+        values[i] = float(token)
+        if not math.isfinite(values[i]):
+            return None
+    return values

@@ -39,13 +39,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import floatfmt
 from .data import FieldSchema, atomic_open, build_schema, open_text
 from .errors import ConfigError, ModelIOError, NumericError, SchemaError
-from .floatfmt import format_rows
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
 HIGHER_ORDER_KINDS = ("hofm", "tensorfm", "tensorfm-tucker")
@@ -324,7 +324,7 @@ _BLANK, _EOF = "<blank>", "<end-of-file>"
 
 def _write_block(fh, name: str, arr: np.ndarray) -> None:
     fh.write(f"block {name} {'x'.join(map(str, arr.shape))}\n")
-    fh.writelines(format_rows(arr))  # a vector is one row
+    fh.writelines(floatfmt.format_rows(arr))  # a vector is one row
 
 
 def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
@@ -349,31 +349,47 @@ def save_bundle(bundle: ModelBundle, path: str | Path) -> None:
 def load_bundle(path: str | Path) -> ModelBundle:
     """Read a model file: its header gives the :func:`block_layout` that the
     blocks must follow; a ``kind fwfm-lowrank`` file loads as ``tensorfm``
-    with d=2."""
+    with d=2. A file in the form :func:`save_bundle` writes is read a chunk
+    at a time by :func:`floatfmt.read_floats`; any other file, faults
+    included, by the line reader, which raises every :class:`ModelIOError`."""
+    model = _read_canonical(path)
+    kind, schema, k, d, r_vec, blocks = _read_lines(path) if model is None else model
+    return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
+
+
+def _read_header(path: str | Path, lines: Iterator[str]) -> tuple:
+    """``(kind, schema, k, d, r_vec, layout)`` from the first six of the
+    model file's ``lines``, stripped and with a blank line as :data:`_BLANK`."""
+    first = next(lines)
+    if not first.startswith("tensorfm-model "):
+        raise ModelIOError(f"{path}: not a model file")
+    version = first.split(maxsplit=1)[1]
+    if version != FORMAT_VERSION:
+        raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
+
+    header = []  # the values of the header lines save_bundle writes, in its order
+    for key in ("kind", "cardinalities", "k", "d", "r_vec"):
+        line = next(lines)
+        if not line.startswith(key + " "):
+            raise ModelIOError(f"{path}: expected the header line {key!r}, got {line!r}")
+        header.append(line[len(key) + 1 :])
+    kind, cardinalities, k, d, ranks = header
+    try:
+        schema = build_schema([int(c) for c in cardinalities.split(",")])
+        r_vec = tuple(int(r) for r in ranks.split(",")) if ranks != "-" else ()
+        k, d = int(k), int(d)
+        layout = block_layout(kind, schema, k, d, r_vec)
+    except (ValueError, SchemaError, ConfigError) as exc:
+        raise ModelIOError(f"{path}: bad header field: {exc}") from exc
+    return kind, schema, k, d, r_vec, layout
+
+
+def _read_lines(path: str | Path) -> tuple:
+    """The line reader: ``(kind, schema, k, d, r_vec, blocks)`` of any
+    model file the format allows, each block parsed by ``np.loadtxt``."""
     with open_text(path, ModelIOError, "model file") as fh:
         lines = itertools.chain((line.strip() or _BLANK for line in fh), [_EOF])
-        first = next(lines)
-        if not first.startswith("tensorfm-model "):
-            raise ModelIOError(f"{path}: not a model file")
-        version = first.split(maxsplit=1)[1]
-        if version != FORMAT_VERSION:
-            raise ModelIOError(f"{path}: format version {version!r}, this build reads {FORMAT_VERSION!r}")
-
-        header = []  # the values of the header lines save_bundle writes, in its order
-        for key in ("kind", "cardinalities", "k", "d", "r_vec"):
-            line = next(lines)
-            if not line.startswith(key + " "):
-                raise ModelIOError(f"{path}: expected the header line {key!r}, got {line!r}")
-            header.append(line[len(key) + 1 :])
-        kind, cardinalities, k, d, ranks = header
-        try:
-            schema = build_schema([int(c) for c in cardinalities.split(",")])
-            r_vec = tuple(int(r) for r in ranks.split(",")) if ranks != "-" else ()
-            k, d = int(k), int(d)
-            layout = block_layout(kind, schema, k, d, r_vec)
-        except (ValueError, SchemaError, ConfigError) as exc:
-            raise ModelIOError(f"{path}: bad header field: {exc}") from exc
-
+        kind, schema, k, d, r_vec, layout = _read_header(path, lines)
         line = next(lines)
         blocks: dict[str, np.ndarray] = {}
         for name, shape in layout:
@@ -399,4 +415,109 @@ def load_bundle(path: str | Path) -> ModelBundle:
             line = next(lines)
         if line != "end":
             raise ModelIOError(f"{path}: expected 'end' after block {name!r}, got {line!r}")
-    return ModelBundle(kind, schema, blocks, k=k, d=d, r_vec=r_vec)
+    return kind, schema, k, d, r_vec, blocks
+
+
+# Bytes of a model file the array reader reads at a time: its scratch is
+# a few hundred kB whatever the model's size.
+READ_CHUNK = 1 << 16
+
+
+def _read_canonical(path: str | Path) -> tuple | None:
+    """``(kind, schema, k, d, r_vec, blocks)`` of a model file in the form
+    :func:`save_bundle` writes: ASCII, ``\\n`` line ends, a header that
+    fits in the first chunk, every block line and ``end`` as written,
+    values separated by single spaces and each spelled as ``float()``
+    reads it, and nothing after ``end``. None for any other file, faults
+    included, which the line reader then reads or reports. The file is
+    read :data:`READ_CHUNK` bytes at a time."""
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
+        text = _Chunks(fh)
+        if not text.fill():
+            return None
+        newlines = text.seps[text.buf[text.seps] == ord("\n")][:6]
+        head = text.buf[text.pos : newlines[-1] + 1].tobytes() if len(newlines) == 6 else b""
+        if not head.isascii() or b"\r" in head:  # the line reader would split or decode it otherwise
+            return None
+        try:
+            lines = (line.strip() or _BLANK for line in head.decode().split("\n"))
+            kind, schema, k, d, r_vec, layout = _read_header(path, lines)
+        except ModelIOError:
+            return None
+        text.skip(len(head))
+        blocks = {}
+        for name, shape in layout:
+            blocks[name] = values = np.empty(shape)
+            if not text.line(f"block {name} {'x'.join(map(str, shape))}\n".encode()):
+                return None
+            if not (text.values(values.reshape(-1), shape[-1]) if shape[-1] else text.line(b"\n")):
+                return None
+        if not text.line(b"end\n") or text.pos < text.end or text.fill():
+            return None
+    return kind, schema, k, d, r_vec, blocks
+
+
+class _Chunks:
+    """A binary file read :data:`READ_CHUNK` bytes at a time into one
+    reused buffer, after :data:`floatfmt.READ_BYTES` bytes of padding so
+    that every token has a full window before it. ``pos`` is the first
+    unread byte, ``seps`` holds the separators (bytes up to ``' '``) read
+    so far in the buffer and ``sep`` indexes the first at or after ``pos``."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.buf = np.zeros(floatfmt.READ_BYTES + READ_CHUNK, dtype=np.uint8)
+        self.pos = self.end = floatfmt.READ_BYTES
+        self.seps, self.sep = np.empty(0, dtype=np.intp), 0
+
+    def fill(self) -> bool:
+        """Move the unread bytes to the front and read more after them;
+        False if the file has no more."""
+        pad, rest = floatfmt.READ_BYTES, self.end - self.pos
+        self.buf[pad : pad + rest] = self.buf[self.pos : self.end]
+        got = self.fh.readinto(memoryview(self.buf)[pad + rest :])
+        self.pos, self.end = pad, pad + rest + got
+        self.seps = np.flatnonzero(self.buf[pad : self.end] <= ord(" ")) + pad
+        self.sep = 0
+        return got > 0
+
+    def skip(self, count: int) -> None:
+        self.pos += count
+        self.sep = int(np.searchsorted(self.seps, self.pos))
+
+    def line(self, expected: bytes) -> bool:
+        """Read ``expected`` if the next bytes are it."""
+        if self.end - self.pos < len(expected):
+            self.fill()
+        if self.buf[self.pos : self.pos + len(expected)].tobytes() != expected:
+            return False
+        self.skip(len(expected))
+        return True
+
+    def values(self, out: np.ndarray, width: int) -> bool:
+        """Read the floats of ``out`` if the next bytes are they, in rows of
+        ``width``: single spaces between them and a newline after each row."""
+        done = 0
+        while done < len(out):
+            if self.sep == len(self.seps) and not self.fill():
+                return False
+            ends = self.seps[self.sep : self.sep + len(out) - done]
+            starts = np.empty_like(ends)
+            starts[0] = self.pos
+            starts[1:] = ends[:-1] + 1
+            values = floatfmt.read_floats(self.buf, starts, ends)
+            seps = self.buf[ends]
+            row_ends = np.flatnonzero(seps != ord(" "))
+            if values is None or not np.array_equal(row_ends, np.arange(width - 1 - done % width, len(ends), width)):
+                return False
+            if not (seps[row_ends] == ord("\n")).all():
+                return False
+            out[done : done + len(ends)] = values
+            done += len(ends)
+            self.sep += len(ends)
+            self.pos = int(ends[-1]) + 1
+        return True

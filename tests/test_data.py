@@ -64,6 +64,24 @@ class TestDatasetValidation:
         with pytest.raises(SchemaError):
             Dataset(schema, np.array([[0, 2]]), labels=np.array([0]))
 
+    def test_range_check_holds_no_array_of_the_indices_size(self):
+        # 20k rows of 39 fields: an (N, n) bool comparison, 780 kB, took the
+        # construction's peak to 913 kB
+        cards = [10] * 13 + [50] * 26
+        active = np.random.default_rng(5).integers(0, 10, size=(20_000, 39), dtype=np.int32)
+        labels = np.zeros(20_000, dtype=np.int8)
+        tracemalloc.start()
+        try:
+            Dataset(build_schema(cards), active, labels=labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < active.size, f"peak {peak / 1e3:.0f} kB"
+        active = active.copy()  # the dataset froze the first
+        active[123, 20] = 50
+        with pytest.raises(SchemaError, match="out of range"):
+            Dataset(build_schema(cards), active, labels=labels)
+
     def test_bad_label_rejected(self):
         schema = build_schema([2, 2])
         with pytest.raises(DataError):
@@ -108,6 +126,22 @@ class TestTextFormat:
         np.testing.assert_array_equal(back.active, ds.active)
         np.testing.assert_array_equal(back.labels, ds.labels)
         assert (back.values == ds.values).all()  # bit-exact, no tolerance
+
+    def test_multipliers_are_read_with_their_bits_by_the_array_parse(self, tmp_path):
+        rng = np.random.default_rng(8)
+        rows = 600
+        values = rng.integers(0, 2**64 - 1, (rows, 3), dtype=np.uint64, endpoint=True).view(np.float64)
+        values[~np.isfinite(values)] = 5e-324
+        values[:, 0] = rng.normal(0.0, 0.1, rows)  # 17-digit decimal spellings
+        values[::7, 1] = -0.0
+        schema = build_schema([4, 7, 2])
+        active = np.stack([rng.integers(0, c, size=rows) for c in schema.cardinalities], axis=1)
+        ds = Dataset(schema, active, values, rng.integers(0, 2, size=rows))
+        path = tmp_path / "ds.txt"
+        write_dataset(ds, path)
+        parsed = data._parse_canonical("".join(path.read_text().splitlines(keepends=True)[1:]), schema.n)
+        assert parsed is not None and np.array_equal(parsed[1].view(np.uint64), values.view(np.uint64))
+        assert np.array_equal(read_dataset(path).values.view(np.uint64), values.view(np.uint64))
 
     def test_writer_matches_row_by_row_text_across_chunks(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -5,7 +5,13 @@ cores) with rows split across chunks; a million random bit patterns; the
 neighbours of the array path's domain boundaries, of every power of ten
 from 1e-12 to 1e15, of 1e-4 and of 1e16; the powers of two from 2**-40 to
 2**50; exact decimals halfway between two strings of 15, 16 or 17 digits;
-signed zeros, subnormals and the largest float."""
+signed zeros, subnormals and the largest float.
+
+The reader, ``read_floats``: every token is read with the bits ``float()``
+reads from it. Covered: the ``repr`` spellings of the writer's cases above;
+random decimals of up to 40 digits; decimals exactly halfway between two
+floats, which round to even; the spellings a model file may hold beside
+``repr``'s; and tokens that are not finite floats, which it refuses."""
 
 import io
 
@@ -118,3 +124,63 @@ def test_zeros_subnormals_and_extremes_are_written_as_repr():
 def test_empty_rows_and_scalars(shape):
     arr = np.full(shape, 0.25)
     assert_written_as_repr(arr)
+
+
+def read_tokens(tokens):
+    """``read_floats`` of the tokens, joined by single spaces."""
+    buf = np.frombuffer(" ".join(tokens).encode() + b"\n", dtype=np.uint8)
+    ends = np.flatnonzero(buf <= ord(" "))
+    return floatfmt.read_floats(buf, np.concatenate([[0], ends[:-1] + 1]), ends)
+
+
+def assert_read_as_float(tokens):
+    got = read_tokens(tokens)
+    assert got is not None, "a token was refused"
+    want = np.array([float(t) for t in tokens])
+    wrong = np.flatnonzero(got.view(np.uint64) != want.view(np.uint64))
+    assert not len(wrong), f"read differently from float(): {[(tokens[i], got[i]) for i in wrong[:5]]}"
+
+
+def test_repr_spellings_are_read_as_float():
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**64 - 1, 100_000, dtype=np.uint64, endpoint=True)
+    biased = rng.integers(1023 - 40, 1023 + 60, 100_000).astype(np.uint64)
+    near = (rng.integers(0, 2**52, 100_000, dtype=np.uint64)) | (biased << np.uint64(52))
+    edges = [2.0**-36, 2.0**46, 1e-4, 1e16, 2.0**53] + [float(f"1e{j}") for j in range(-12, 23)]
+    special = [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-05, 1e16]
+    values = np.concatenate([bits.view(np.float64), near.view(np.float64), neighbours(edges),
+                             neighbours([2.0**j for j in range(-40, 60)], count=1), neighbours(special, count=1),
+                             np.random.default_rng(22).normal(0.0, 0.1, 50_000)])
+    assert_read_as_float([repr(v) for v in values[np.isfinite(values)].tolist()])
+
+
+@PROPERTY
+@given(st.lists(st.from_regex(r"-?[0-9]{1,20}\.[0-9]{1,22}", fullmatch=True), min_size=1, max_size=200))
+def test_random_decimals_are_read_as_float(tokens):
+    assert_read_as_float(tokens)
+
+
+def test_decimals_halfway_between_floats_round_to_even():
+    rng = np.random.default_rng(23)
+    whole = rng.integers(2**52, 2**53, 2_000, dtype=np.int64).tolist()
+    # halfway between floats one apart, and between floats two apart
+    tokens = [f"{m}.5" for m in whole] + [f"{2 * m + 1}.0" for m in whole]
+    eighths = [(2 * m + 1) * 125 for m in whole]  # halfway between floats 2**-2 apart, in three decimal places
+    tokens += [f"{q // 1000}.{q % 1000:03d}" for q in eighths]
+    assert_read_as_float(tokens + ["-" + t for t in tokens])
+
+
+def test_other_spellings_are_read_as_float():
+    assert_read_as_float(["1e-3", "+1.5", "1.", ".5", "1E5", "0.10", "-0.0", "00.5", "7", "-12", "1.5e+300",
+                          "123456789012345678901234567890.5", "0." + "0" * 30 + "1", "9007199254740993.0"])
+
+
+@pytest.mark.parametrize("token", ["abc", "1_0.5", "nan", "inf", "-inf", "1e999", "", "-", "1.2.3", "0x1p3",
+                                   "1e", "++1", "0.5\x00", "\u00bd"])
+def test_tokens_that_are_not_finite_floats_are_refused(token):
+    assert read_tokens(["0.25", token, "0.5"]) is None
+
+
+def test_tokens_near_the_start_of_the_buffer():
+    assert_read_as_float(["0.5"])  # a buffer shorter than a window
+    assert_read_as_float(["12345.678", "0.25", "3.0"])  # windows that would start before the buffer

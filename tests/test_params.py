@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfm import (
     ConfigError,
@@ -617,3 +619,112 @@ class TestAtomicSave:
             save_bundle(bundle, path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+
+def _bits_equal(got, want):
+    return list(got) == list(want) and all(
+        got[name].shape == arr.shape and np.array_equal(got[name].view(np.uint64), arr.view(np.uint64))
+        for name, arr in want.items())
+
+
+def _rounded(digits):
+    """Floats that need at most ``digits`` significant digits."""
+    return st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: float(f"{x:.{digits - 1}e}"))
+
+
+# values the reader must return bit for bit: the writer's repr fallbacks
+# (zeros, subnormals, powers of two, the extremes) and spellings of 15, 16
+# and 17 significant digits, in and around the array path's range
+SPECIAL_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-05, 1e16, 1.7976931348623157e308, -1.7976931348623157e308,
+                     2.2250738585072014e-308, 2.0**-1074 * 12345, 0.1, 1e22, 1e23]),
+    st.integers(-1074, 1023).map(lambda j: 2.0**j),
+    st.floats(0, 2.2250738585072014e-308, exclude_min=True),  # subnormals
+    _rounded(15), _rounded(16),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1.0, 1.0),
+)
+
+
+class TestArrayReader:
+    """The array path of ``load_bundle`` reads every file ``save_bundle``
+    writes, with the bits the line reader (``np.loadtxt``) reads, and leaves
+    every other file to the line reader."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.lists(SPECIAL_VALUES, min_size=1, max_size=60), st.randoms(use_true_random=False))
+    def test_saved_values_load_with_the_same_bits(self, tmp_path_factory, values, rnd):
+        path = tmp_path_factory.mktemp("m") / "m.txt"
+        bundle = init("tensorfm", SCHEMA, k=3, d=3, r_vec=2, init_scale=0.5, seed=rnd.randrange(100))
+        blocks = list(bundle.blocks.values())
+        for value in values:
+            arr = rnd.choice(blocks)
+            arr.flat[rnd.randrange(arr.size)] = value
+        save_bundle(bundle, path)
+
+        def refuse(path):
+            raise AssertionError("the line reader read a file save_bundle wrote")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(params_module, "_read_lines", refuse)
+            back = load_bundle(path)
+        assert _bits_equal(back.blocks, bundle.blocks)
+
+    def test_every_kind_loads_by_the_array_path_as_by_the_line_reader(self, tmp_path):
+        one_field_fwfm = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=7)  # a blank pair.upper line
+        paths = sorted(FIXTURES.glob("*.model.txt"))
+        for i, bundle in enumerate([*TestSaveLoad()._bundles(), one_field_fwfm]):
+            paths.append(tmp_path / f"m{i}.txt")
+            save_bundle(bundle, paths[-1])
+        for path in paths:
+            want = params_module._read_lines(path)
+            got = params_module._read_canonical(path)
+            assert got is not None and got[:5] == want[:5] and _bits_equal(got[5], want[5]), path.name
+
+    @pytest.mark.parametrize("token", ["1e-3", "+1.5", "1.", ".5", "1E5", "0.10", "-0.0", "5e-324"])
+    def test_other_spellings_load_as_the_line_reader_loads_them(self, tmp_path, token):
+        path = tmp_path / "m.txt"
+        save_bundle(init("fm", SCHEMA, k=3, init_scale=0.5, seed=0), path)
+        lines = path.read_text().splitlines(keepends=True)
+        row = lines.index(f"block embeddings {SCHEMA.m}x3\n") + 2
+        lines[row] = " ".join([token] + lines[row].split(" ")[1:])
+        path.write_text("".join(lines))
+        back = load_bundle(path)
+        assert _bits_equal(back.blocks, params_module._read_lines(path)[5])
+        assert back.blocks["embeddings"][1, 0] == float(token)
+
+    @pytest.mark.parametrize("edit", ["crlf", "no_newline_after_end", "trailing_space", "text_after_end"])
+    def test_other_layouts_go_to_the_line_reader(self, tmp_path, edit):
+        path = tmp_path / "m.txt"
+        save_bundle(init("tensorfm", SCHEMA, k=3, d=3, r_vec=2, init_scale=0.5, seed=0), path)
+        text = path.read_bytes()
+        path.write_bytes({
+            "crlf": text.replace(b"\n", b"\r\n"),
+            "no_newline_after_end": text[:-1],
+            "trailing_space": text.replace(b"\nblock linear.w", b" \nblock linear.w"),  # after a row
+            "text_after_end": text + b"\n",
+        }[edit])
+        assert params_module._read_canonical(path) is None
+        assert _bits_equal(load_bundle(path).blocks, params_module._read_lines(path)[5])
+
+    def test_loading_holds_a_fixed_scratch_whatever_the_model_size(self, tmp_path):
+        # The benchmark's serve model (m=98,572, untrained linear weights)
+        # loaded with a 7.9 MB peak by the line reader; the line reader also
+        # holds a whole line of text, so it peaked 8.5 MB above its blocks on
+        # the same model with trained linear weights (one 2 MB line).
+        cards = [2528] * 38 + [98_572 - 38 * 2528]
+        for cardinalities, trained in [([50] * 39, True), (cards, True), (cards, False)]:
+            bundle = init("tensorfm", build_schema(cardinalities), k=8, d=3, r_vec=3, seed=0)
+            if trained:
+                bundle.blocks["linear.w"][:] = np.random.default_rng(0).normal(size=bundle.schema.m)
+            save_bundle(bundle, tmp_path / "m.txt")
+            tracemalloc.start()
+            try:
+                back = load_bundle(tmp_path / "m.txt")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            scratch = peak - sum(arr.nbytes for arr in back.blocks.values())
+            assert scratch <= 1.0e6, f"m={bundle.schema.m}: {scratch / 1e6:.2f} MB beyond the blocks"
+            if not trained:
+                assert peak <= 7.9e6, f"peak {peak / 1e6:.2f} MB"
