@@ -341,11 +341,10 @@ def _chunk_text(prefixes: np.ndarray, ends: np.ndarray, labels: np.ndarray, acti
 # Lines of a dataset body parsed or written at once: bounds the scratch arrays and token lists.
 CHUNK_LINES = 512
 
-# Class of each byte in canonical text: 0 not allowed, 1 a delimiter (space,
-# ':' or newline), 2 anything else a label, index or float repr is made of.
-_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
-_BYTE_CLASS[np.frombuffer(b" :\n", dtype=np.uint8)] = 1
-_BYTE_CLASS[np.frombuffer(b"0123456789.+-e", dtype=np.uint8)] = 2
+# Class of each byte in canonical text, as a bytes.translate table: 0 not
+# allowed, 1 a delimiter (space, ':' or newline), 2 anything else a label,
+# index or float repr is made of.
+_BYTE_CLASS = bytes(1 if b in b" :\n" else 2 if b in b"0123456789.+-e" else 0 for b in range(256))
 
 # Longest label, field or index piece the array parse reads: 10**9 - 1 fits in int32.
 _MAX_DIGITS = 9
@@ -450,12 +449,14 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
         return None
     if not text.endswith("\n"):
         text += "\n"  # a last line without its newline
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    cls = _BYTE_CLASS.take(buf)
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    cls = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
     if not cls.all():
         return None
     # Pieces are the runs between delimiters; each ends at its delimiter.
     ends = np.flatnonzero(cls == 1).astype(np.int32)
+    del cls
     starts = np.empty_like(ends)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
@@ -478,17 +479,22 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
 
     # Label, field and index pieces as columns [label | fields | indices],
     # read one digit position at a time from the piece's end.
-    digit_pieces = np.concatenate([head, head[:, 1:] + 1], axis=1)
-    digit_ends, digit_lengths = ends[digit_pieces], lengths[digit_pieces]
+    at = np.concatenate([head, head[:, 1:] + 1], axis=1)  # the pieces
+    digit_lengths = lengths[at]
     if digit_lengths.max() > _MAX_DIGITS:
         return None
-    number = np.zeros(digit_pieces.shape, dtype=np.int32)
+    at[:] = ends[at]  # then the byte after each, moved back a byte per place
+    number = np.zeros(at.shape, dtype=np.int32)
+    digit = np.empty(at.shape, dtype=np.uint8)
     for place in range(int(digit_lengths.max())):
-        digit = buf.take(digit_ends - 1 - place, mode="clip") - ord("0")  # a non-digit wraps above 9
+        at -= 1
+        buf.take(at, out=digit, mode="clip")
+        digit -= ord("0")  # a non-digit wraps above 9
         digit *= digit_lengths > place
         if (digit > 9).any():
             return None
         number += digit * np.int32(10**place)
+    del at, digit, digit_lengths
     labels, fields, active = number[:, 0], number[:, 1 : n + 1], number[:, n + 1 :]
     if (labels > 1).any() or (fields != np.arange(n)).any():
         return None

@@ -6,14 +6,16 @@ float, and of those the one nearest to it. For a float x = m * 2**e (m the
 53-bit integer of its bits) in [2**-36, 2**46) that is not a power of two,
 that string is found here with exact uint64 arithmetic:
 
-- For p = 17, 16 and 15 significant digits, ``k = p - 1 - e10`` (e10 the
-  decimal exponent) lies in [1, 27], so 5**k fits in 64 bits, and
-  ``F = -(k + e)`` lies in [1, 63]. Then x * 10**k = m * 5**k / 2**F, whose
-  floor q and remainder R come from one 128-bit product in two words.
-- Rounding q to nearest gives r, and r * 10**-k reads back as x exactly when
-  its distance from x * 10**k, R or 2**F - R in units of 2**-F, is at most
-  (5**k - 1) / 2: half the gap 2**e between x and its neighbours, scaled by
-  10**k * 2**F. 5**k is odd, so the distance never equals the bound.
+- For p = 17 significant digits, ``k = 16 - e10`` (e10 the decimal
+  exponent) lies in [3, 27], so 5**k fits in 64 bits, and ``F = -(k + e)``
+  lies in [1, 61]. Then x * 10**k = m * 5**k / 2**F, whose floor q and
+  remainder R come from one 128-bit product in two words.
+- A decimal of 17 or fewer digits, v * 10**-k, reads back as x exactly when
+  its distance from x * 10**k, in units of 2**-F, is at most (5**k - 1) / 2:
+  half the gap 2**e between x and its neighbours, scaled by 10**k * 2**F.
+  5**k is odd, so the distance never equals the bound. The 16- and
+  15-digit roundings of x are q with its last one or two digits rounded
+  off, so q and R decide all three lengths (:func:`_shortest`).
 - If any string of 15 or fewer digits reads back, the rounded 15-digit
   string is that string padded with zeros, since the read-back interval is
   narrower than half a unit in the 15th digit. At 16 and 17 digits the
@@ -77,6 +79,9 @@ _HALF5 = _POW5 >> _ONE  # (5**k - 1) / 2, the widest distance that still reads b
 _E10_MIN, _E10_MAX = -11, 13  # the decimal exponents of [2**-36, 2**46)
 _BIASED_MIN, _BIASED_END = 1023 - 36, 1023 + 46  # its biased binary exponents
 _ZEROS8 = _U(0x3030_3030_3030_3030)  # "00000000"
+# the magnitudes of [2**-36, 2**46) are _FAST_LOW + [0, _FAST_SPAN)
+_FAST_LOW, _FAST_SPAN = _U(_BIASED_MIN << 52), _U((_BIASED_END - _BIASED_MIN) << 52)
+_ONE_HALF = np.float64(1.5).view(np.uint64)
 
 # Digit j of a value sits at byte 7 + j of its three-word digit row. A
 # template puts the digits before the decimal point at byte shift + j
@@ -116,18 +121,19 @@ def _template(row: list) -> tuple[bytes, int]:
 
 @functools.cache
 def _templates() -> np.ndarray:
-    """Every layout's :func:`_template` as one column: nine text words, then
-    the shift. Column ``4 * s + 2 * negative + row_end`` holds spelling s,
+    """Every layout's :func:`_template` as one row: nine text words (the
+    constant bytes, mask A and mask B of each of the three words), then the
+    shift. Row ``4 * s + 2 * negative + row_end`` holds spelling s,
     ``(e10 - _E10_MIN) * 17 + nd - 1`` for nd significant digits, and the
-    last spelling (from column :data:`_ZERO`) is zero's. Built on first
-    use and read-only."""
+    last spelling (from row :data:`_ZERO`) is zero's. Built on first use
+    and read-only."""
     spellings = [_spelling(e10, nd) for e10 in range(_E10_MIN, _E10_MAX + 1) for nd in range(1, 18)]
     spellings.append(["0", ".", "0"])
     signs, seps = ((), ("-",)), (" ", "\n")
     entries = [_template([*sign, *chars, sep]) for chars in spellings for sign in signs for sep in seps]
     words = np.frombuffer(b"".join(planes for planes, _ in entries), dtype=_TEXT_WORD).reshape(len(entries), 9)
-    shifts = np.array([[shift for _, shift in entries]], dtype=np.uint64)
-    table = np.ascontiguousarray(np.vstack([words.T, shifts]))
+    shifts = np.array([[shift] for _, shift in entries], dtype=np.uint64)
+    table = np.hstack([words, shifts])
     table.flags.writeable = False
     return table
 
@@ -161,50 +167,70 @@ _SPLITS = [(_U(10_486), _U(20), _U(0x0000_007F_0000_007F), _U(100), _U(16)),
            (_U(103), _U(10), _U(0x000F_000F_000F_000F), _U(10), _U(8))]
 
 
-def _rounding(m_low, m_high, e, e10, p):
-    """For p significant digits: the floor q of m * 2**e * 10**k, whether it
-    rounds up, whether the rounding reads back and whether it is an exact
-    tie. The 128-bit product m * 5**k is formed from 32-bit limbs; every
-    operand is uint64, so nothing is promoted to float."""
-    k = p - 1 - e10
-    f = _POW5[k]
-    shift = (-(k + e)).astype(np.uint64)
+def _product(m_low, m_high, biased, e10):
+    """For 17 significant digits, k = 16 - e10 and F = -(k + e): the floor
+    q and remainder R of m * 5**k / 2**F = x * 10**k, F and the read-back
+    bound (5**k - 1) / 2. The 128-bit product m * 5**k is formed from
+    32-bit limbs; every operand is uint64, so nothing is promoted to
+    float."""
+    f = _POW5.take(16 - e10)
+    shift = (e10 + (1075 - 16)).view(np.uint64)
+    shift -= biased
     f_low, f_high = f & _M32, f >> _U(32)
     low = m_low * f_low
     mid = m_low * f_high + m_high * f_low + (low >> _U(32))  # below 2**63 + 2**54
     lo = (mid << _U(32)) | (low & _M32)
     hi = m_high * f_high + (mid >> _U(32))
     q = (hi << (_U(64) - shift)) | (lo >> shift)
-    unit = _ONE << shift
-    rem, half = lo & (unit - _ONE), unit >> _ONE
-    up = rem > half
-    return q, up, np.where(up, unit - rem, rem) <= _HALF5[k], rem == half
+    return q, lo & ((_ONE << shift) - _ONE), shift, f >> _ONE
 
 
 def _shortest(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For the bits of positive floats in [2**-36, 2**46) that are not
     powers of two: the shortest rounding that reads back, as 17 digits r
     with trailing zeros, its decimal exponent e10, and whether any of the
-    roundings tried was an exact tie."""
-    m = (bits & _FRAC) | (_ONE << _U(52))
+    roundings tried was an exact tie.
+
+    One product gives the 17-digit floor q and remainder R, so x * 10**k
+    is q + R / 2**F. Scaled by 10**k * 2**F, a 17-digit integer v below it
+    is (q - v) * 2**F + R away and one above it (v - q) * 2**F - R, so v
+    reads back exactly when q - ((H - R) >> F) <= v <= q + ((H + R) >> F),
+    with H the bound. H and R are below 2**62, so these are exact in
+    int64, and a negative H - R makes every v below q fail. The 16- and
+    15-digit roundings are the multiples t and t + 10**s of 10**s (s = 1,
+    2) around q; the nearer is t + 10**s when q - t + (R > 0) > 10**s / 2,
+    and it reads back exactly when either does."""
+    m = bits & _FRAC
+    m |= _ONE << _U(52)
     m_low, m_high = m & _M32, m >> _U(32)
-    e = (bits >> _U(52)).astype(np.int64) - 1075
+    biased = bits >> _U(52)
     e10 = np.floor(np.log10(bits.view(np.float64))).astype(np.int64)
+    q, rem, shift, bound = _product(m_low, m_high, biased, e10)
     # log10 rounds up to the next integer just below some powers of ten:
     # the 17-digit floor must lie in [1e16, 1e17)
-    q17, up17, _, tie17 = _rounding(m_low, m_high, e, e10, 17)
-    off = (q17 >= _U(10**17)).astype(np.int64) - (q17 < _U(10**16))
-    if off.any():
-        e10 += off
-        q17, up17, _, tie17 = _rounding(m_low, m_high, e, e10, 17)
-    q16, up16, ok16, tie16 = _rounding(m_low, m_high, e, e10, 16)
-    q15, up15, ok15, tie15 = _rounding(m_low, m_high, e, e10, 15)
-    # the shortest rounding that reads back, scaled to 17 digits
-    r = np.where(ok15, (q15 + up15) * _U(100), np.where(ok16, (q16 + up16) * _U(10), q17 + up17))
+    if ((q - _U(10**16)) >= _U(9 * 10**16)).any():
+        e10 += (q >= _U(10**17)).astype(np.int64) - (q < _U(10**16))
+        q, rem, shift, bound = _product(m_low, m_high, biased, e10)
+    half = _ONE << (shift - _ONE)
+    tie = rem == half
+    r = q + (rem > half)  # 17 digits, rounded to nearest
+    q, rem, shift, bound = q.view(np.int64), rem.view(np.int64), shift.view(np.int64), bound.view(np.int64)
+    least = q - ((bound - rem) >> shift)  # the 17-digit integers that read back
+    most = q + ((bound + rem) >> shift)
+    exact = rem == 0
+    ahead = q + ~exact  # q, one more if R > 0
+    for size in (10, 100):  # 16 digits, then 15, which wins where both read back
+        t = q // size * size
+        nearest = t + size * (ahead - t > size // 2)
+        ok = t >= least
+        ok |= t + size <= most
+        r = np.where(ok, nearest.view(np.uint64), r)
+    some = np.flatnonzero(exact)  # an exact tie at 16 or 15 digits needs R = 0
+    tie[some] |= (q[some] % 10 == 5) | (q[some] % 100 == 50)
     carry = r == _U(10**17)  # rounded up to the next power of ten
     r[carry] = _U(10**16)
     e10 += carry
-    return r, e10, tie17 | tie16 | tie15
+    return r, e10, tie
 
 
 def spell_rows(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
@@ -226,46 +252,60 @@ def spell_rows(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
 def _spell_piece(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
     """:func:`spell_rows` of at most :data:`CHUNK_VALUES` values."""
     bits = x.view(np.uint64)
-    negative = (bits >> _U(63)).astype(np.intp)
-    biased = (bits >> _U(52)) & _U(0x7FF)
-    zero = (bits & _ABS) == 0
-    fast = (biased >= _BIASED_MIN) & (biased < _BIASED_END) & ((bits & _FRAC) != 0)
+    magnitude = bits & _ABS
+    zero = magnitude == 0
+    fast = (magnitude - _FAST_LOW) < _FAST_SPAN  # below the range the difference wraps
+    fast &= (bits & _FRAC) != 0
     # every other value goes through the arithmetic as 1.5 and is replaced below
-    r, e10, tie = _shortest(np.where(fast, bits & _ABS, np.float64(1.5).view(np.uint64)))
+    r, e10, tie = _shortest(np.where(fast, magnitude, _ONE_HALF))
 
     # the digit row: digit 0 in byte 7 of word 0, digits 1..16 in words 1, 2
-    lead = r // _U(10**16)
+    high = r // _U(10**8)
+    lead = high // _U(10**8)
     digits = np.empty((3, len(x)), dtype=np.uint64)
-    digits[1] = (r - lead * _U(10**16)) // _U(10**8)
-    digits[2] = r % _U(10**8)
+    np.subtract(high, lead * _U(10**8), out=digits[1])
+    np.subtract(r, high * _U(10**8), out=digits[2])
     digits[1:] = digits8(digits[1:])
-    # nd runs to the last nonzero digit (frexp finds its byte; -1 for none)
+    # nd runs to the last nonzero digit, found by the exponent of its word
+    # as a float (0 for none: its byte is then -1)
     in_last = digits[2] != 0
-    last_byte = (np.frexp(np.where(in_last, digits[2], digits[1]).astype(np.float64))[1] - 1) // 8
-    nd = last_byte + np.where(in_last, 10, 2)
-    digits[0] = (lead | _U(0x30)) << _U(56)
+    top = np.where(in_last, digits[2], digits[1]).astype(np.float64).view(np.int64) >> 52
+    layout = np.maximum(top - 1023, -8) >> 3  # the byte of the top set bit
+    layout += np.where(in_last, 10, 2)  # nd
+    lead |= _U(0x30)
+    np.left_shift(lead, _U(56), out=digits[0])
     digits[1:] |= _ZEROS8
 
-    layout = ((e10 - _E10_MIN) * 17 + nd - 1) * 4
-    layout[zero] = _ZERO
-    layout += 2 * negative + row_end
-    template = np.take(_templates(), layout, axis=1)
-    # the digit row moved down by `shift` bits (A), and A moved up a byte (B)
-    shift = template[9]
-    a = digits >> shift
-    a[:2] |= digits[1:] << (_U(64) - shift)
-    b = a << _U(8)
-    b[1:] |= a[:2] >> _U(56)
-    words = template[:3] | (a & template[3:6]) | (b & template[6:9])
-
+    layout += 17 * e10 - (_E10_MIN * 17 + 1)
+    layout[zero] = _ZERO // 4
+    layout <<= 2
+    layout += (bits >> _U(62)).view(np.int64) & 2  # negative
+    layout += row_end
+    template = _templates().take(layout, axis=0, mode="clip")
+    # each text word: the digit row moved down by `shift` bits under mask
+    # A, and that moved up a byte under mask B, built a word at a time
+    shift = template[:, 9].copy()
+    spill = _U(64) - shift
     slow = np.flatnonzero(~(fast | zero) | tie)
     spelled = [repr(v) + " \n"[end] for v, end in zip(x[slow].tolist(), row_end[slow].tolist())]
-    text = np.zeros((len(x), 3 if max(map(len, spelled), default=0) <= 24 else 4), dtype=np.uint64)
-    text[:, :3] = words.T
+    text = np.empty((len(x), 3 if max(map(len, spelled), default=0) <= 24 else 4), dtype=_TEXT_WORD)
+    text[:, 3:] = 0
+    carry = _U(0)
+    for w in range(3):
+        a = digits[w] >> shift
+        if w < 2:
+            a |= digits[w + 1] << spill
+        b = a << _U(8)
+        b |= carry
+        carry = a >> _U(56)
+        a &= template[:, 3 + w]
+        b &= template[:, 6 + w]
+        a |= b
+        np.bitwise_or(a, template[:, w], out=text[:, w])
     if spelled:
         padded = "".join(s.ljust(8 * text.shape[1], "\0") for s in spelled).encode()
         text[slow] = np.frombuffer(padded, dtype=_TEXT_WORD).reshape(len(slow), -1)
-    return text.astype(_TEXT_WORD, copy=False)
+    return text
 
 
 def format_rows(arr: np.ndarray) -> Iterator[str]:
@@ -281,8 +321,9 @@ def format_rows(arr: np.ndarray) -> Iterator[str]:
     flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
     for lo in range(0, flat.size, CHUNK_VALUES):
         chunk = flat[lo : lo + CHUNK_VALUES]
-        row_end = (np.arange(lo + 1, lo + 1 + chunk.size) % width == 0).astype(np.intp)
-        yield spell_rows(chunk, row_end).tobytes().translate(None, b"\0").decode("ascii")
+        row_end = np.zeros(len(chunk), dtype=np.intp)
+        row_end[width - 1 - lo % width :: width] = 1
+        yield _spell_piece(chunk, row_end).tobytes().translate(None, b"\0").decode("ascii")
 
 
 # ---------------------------------------------------------------------------

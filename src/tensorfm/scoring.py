@@ -99,11 +99,28 @@ def cp_order_batch(G: np.ndarray, segments: np.ndarray, firsts: np.ndarray) -> n
     return np.add.reduceat(np.multiply.reduceat(G, segments, axis=2).sum(axis=1), firsts, axis=1)
 
 
+def _batch_last(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """``np.ascontiguousarray(a.transpose(axes))`` for a batch ``a`` whose
+    batch axis 0 goes last, with the same bits. The copy reads ``a`` down its
+    batch axis. When a batch row spans an even number of 64-byte cache
+    lines, that walk falls in at most half of the L1 cache's sets, and a
+    whole-array copy evicts each line before the other destination rows
+    that share it have read it; such a batch is copied
+    :data:`TRANSPOSE_ROWS` rows at a time into one array. Other shapes copy
+    faster whole (README)."""
+    if a.strides[0] % 128:
+        return np.ascontiguousarray(a.transpose(axes))
+    out = np.empty([a.shape[i] for i in axes], dtype=a.dtype)
+    for lo in range(0, len(a), TRANSPOSE_ROWS):
+        out[..., lo : lo + TRANSPOSE_ROWS] = a[lo : lo + TRANSPOSE_ROWS].transpose(axes)
+    return out
+
+
 def cp_rows(G: np.ndarray) -> np.ndarray:
     """The factor-stack products ``G`` (B, k, stack columns) copied into
     contiguous coordinate-major rows, (stack columns, k, B): row [c, i] holds
     every batch row's coordinate-i product with stack column c."""
-    return np.ascontiguousarray(G.transpose(2, 1, 0))
+    return _batch_last(G, (2, 1, 0))
 
 
 def cp_tables(rows: np.ndarray, span: FactorSpan) -> np.ndarray:
@@ -209,7 +226,7 @@ def _factor_gradients(bundle: ModelBundle, A: np.ndarray, rest: np.ndarray, grad
     so each coordinate's (B, n) block is contiguous."""
     batch, n, k = A.shape
     rest = rest.reshape(len(rest), -1)
-    fields = np.ascontiguousarray(A.transpose(1, 2, 0)).reshape(n, -1)  # (n, k·B), field-major
+    fields = _batch_last(A, (1, 2, 0)).reshape(n, -1)  # (n, k·B), field-major
     stack_grad = fields @ rest.T
     grads.update((name, stack_grad[:, cols]) for name, cols in bundle.factor_columns.items())
     return (rest.T @ bundle.factor_stack.T).reshape(k, batch, n).transpose(1, 2, 0)
@@ -470,6 +487,9 @@ class _Tucker(Kernel):
         # contraction r^l (lk + 2)
         return sum(2 * n * k * r * order + (r**order) * (order * k + 2) for order, r in zip(range(2, d + 1), r_vec))
 
+
+# Batch rows per block of _batch_last's copy (README).
+TRANSPOSE_ROWS = 64
 
 # The batch size from which the CP kernel works on cp_rows: the measured
 # crossover of the two forward paths' cost per batch (README).

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from tensorfm import MetricError, NumericError
+from tensorfm import MetricError, NumericError, floatfmt
 from tensorfm.scoring import KERNELS, interaction_tensors
 from tensorfm.training import ADAGRAD_EPSILON
 
@@ -64,6 +64,51 @@ def model_block_text_oracle(name: str, arr) -> str:
     rows = arr.reshape(math.prod(arr.shape[:-1]), -1)  # a vector is one row
     lines = (" ".join(map(repr, row.tolist())) + "\n" for row in rows)
     return f"block {name} {'x'.join(map(str, arr.shape))}\n" + "".join(lines)
+
+
+def _rounding_oracle(m_low, m_high, e, e10, p):
+    """For p significant digits: the floor q of m * 2**e * 10**k, whether it
+    rounds up, whether the rounding reads back and whether it is an exact
+    tie, from the 128-bit product m * 5**k of this length."""
+    U = np.uint64
+    k = p - 1 - e10
+    f = floatfmt._POW5[k]
+    shift = (-(k + e)).astype(np.uint64)
+    f_low, f_high = f & floatfmt._M32, f >> U(32)
+    low = m_low * f_low
+    mid = m_low * f_high + m_high * f_low + (low >> U(32))
+    lo = (mid << U(32)) | (low & floatfmt._M32)
+    hi = m_high * f_high + (mid >> U(32))
+    q = (hi << (U(64) - shift)) | (lo >> shift)
+    unit = U(1) << shift
+    rem, half = lo & (unit - U(1)), unit >> U(1)
+    up = rem > half
+    return q, up, np.where(up, unit - rem, rem) <= floatfmt._HALF5[k], rem == half
+
+
+def shortest_three_products_oracle(bits):
+    """The reference for ``tensorfm.floatfmt._shortest``, which forms one
+    128-bit product per value: the 17-, 16- and 15-digit roundings each
+    from its own product, the shortest that reads back taken, as 17 digits
+    r with trailing zeros, with its decimal exponent e10 and whether any of
+    the three was an exact tie."""
+    U = np.uint64
+    m = (bits & floatfmt._FRAC) | (U(1) << U(52))
+    m_low, m_high = m & floatfmt._M32, m >> U(32)
+    e = (bits >> U(52)).astype(np.int64) - 1075
+    e10 = np.floor(np.log10(bits.view(np.float64))).astype(np.int64)
+    q17, up17, _, tie17 = _rounding_oracle(m_low, m_high, e, e10, 17)
+    off = (q17 >= U(10**17)).astype(np.int64) - (q17 < U(10**16))
+    if off.any():
+        e10 += off
+        q17, up17, _, tie17 = _rounding_oracle(m_low, m_high, e, e10, 17)
+    q16, up16, ok16, tie16 = _rounding_oracle(m_low, m_high, e, e10, 16)
+    q15, up15, ok15, tie15 = _rounding_oracle(m_low, m_high, e, e10, 15)
+    r = np.where(ok15, (q15 + up15) * U(100), np.where(ok16, (q16 + up16) * U(10), q17 + up17))
+    carry = r == U(10**17)
+    r[carry] = U(10**16)
+    e10 += carry
+    return r, e10, tie17 | tie16 | tie15
 
 
 def learned_strength_grouped_oracle(bundle, train_set, order):

@@ -1,6 +1,7 @@
 """Schema construction, dataset IO, splitting, and synthetic generation."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +356,29 @@ class TestWriter:
         assert np.array_equal(got.active, ds.active) and np.array_equal(got.labels, ds.labels)
         assert got.unit_values and got.values.strides == (0, 0)
         assert peak <= got.active.nbytes + scratch, f"peak {peak / 1e6:.2f} MB, scratch {scratch / 1e6:.2f} MB"
+
+    def test_click_log_chunk_parse_holds_no_index_per_byte(self):
+        # One 512-line chunk of a 39-field click log with multipliers (130 kB
+        # of text). Classifying its bytes through an intp index array (8
+        # bytes a byte), with a fresh intp index per digit place, peaked at
+        # 2.83 MB; the parse now peaks at 2.21 MB.
+        rng = np.random.default_rng(23)
+        cards = [10] * 13 + [50] * 6 + np.rint(np.geomspace(30, 30_000, 20)).astype(int).tolist()
+        rows = data.CHUNK_LINES
+        active = np.stack([rng.integers(0, c, size=rows) for c in cards], axis=1)
+        values = np.ones(active.shape)
+        values[:, :5] = np.where(rng.random((rows, 5)) < 0.75, rng.uniform(0.5, 1.5, (rows, 5)).round(3), 1.0)
+        ds = Dataset(build_schema(cards), active, values, rng.integers(0, 2, size=rows))
+        lines = dataset_text_oracle(ds).splitlines(keepends=True)[1:]
+        data._parse_chunk(Path("ds.txt"), len(cards), lines, 2)  # warm up
+        tracemalloc.start()
+        try:
+            got = data._parse_chunk(Path("ds.txt"), len(cards), lines, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got[0], active) and np.array_equal(got[1], values)
+        assert peak < 2.5e6, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestChunkedRead:

@@ -5,7 +5,10 @@ cores) with rows split across chunks; a million random bit patterns; the
 neighbours of the array path's domain boundaries, of every power of ten
 from 1e-12 to 1e15, of 1e-4 and of 1e16; the powers of two from 2**-40 to
 2**50; exact decimals halfway between two strings of 15, 16 or 17 digits;
-signed zeros, subnormals and the largest float.
+signed zeros, subnormals and the largest float. Its one-product rounding
+gives the digits, exponents and tie flags of one product per length
+(``tests/oracles.py``) on random bit patterns and on decimals of 14 to 16
+significant digits, which reach the ties and near-ties of 15 and 16.
 
 The reader, ``read_floats``: every token is read with the bits ``float()``
 reads from it. Covered: the ``repr`` spellings of the writer's cases above;
@@ -24,7 +27,7 @@ from hypothesis.extra import numpy as hnp
 from tensorfm import floatfmt
 from tensorfm.params import _write_block
 
-from oracles import model_block_text_oracle
+from oracles import model_block_text_oracle, shortest_three_products_oracle
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -124,6 +127,45 @@ def test_zeros_subnormals_and_extremes_are_written_as_repr():
 def test_empty_rows_and_scalars(shape):
     arr = np.full(shape, 0.25)
     assert_written_as_repr(arr)
+
+
+# The bits of [2**-36, 2**46), where _shortest does the arithmetic; it
+# takes no power of two.
+LOW_BITS, HIGH_BITS = int(np.float64(2.0**-36).view(np.uint64)), int(np.float64(2.0**46).view(np.uint64))
+
+
+def assert_shortest_as_oracle(values):
+    bits = np.abs(np.asarray(values, dtype=np.float64)).view(np.uint64)
+    bits = bits[(bits >= LOW_BITS) & (bits < HIGH_BITS) & ((bits & np.uint64(2**52 - 1)) != 0)]
+    got, want = floatfmt._shortest(bits), shortest_three_products_oracle(bits)
+    for name, g, w in zip(("digits", "e10", "tie"), got, want):
+        wrong = np.flatnonzero(g != w)
+        assert not len(wrong), f"{name} differs for {bits[wrong[:5]].view(np.float64).tolist()}"
+
+
+def rounded_decimals(rng, count):
+    """Normal values spelled with 14, 15 or 16 significant digits and read
+    back: floats at or near the ties of 15 and 16 digits."""
+    values = rng.normal(size=count) * 10.0 ** rng.integers(-11, 14, count)
+    return np.array([float(f"{v:.{p}e}") for v, p in zip(values.tolist(), rng.integers(13, 16, count).tolist())])
+
+
+@PROPERTY
+@given(st.lists(st.integers(LOW_BITS, HIGH_BITS - 1), min_size=1, max_size=200),
+       st.lists(st.tuples(st.integers(10**13, 10**16 - 1), st.integers(-26, 0)), min_size=1, max_size=200))
+def test_one_product_rounds_as_three(patterns, decimals):
+    # decimals of 14 to 16 significant digits, each read as a float
+    decimal_values = [float(f"{digits}e{exp}") for digits, exp in decimals]
+    assert_shortest_as_oracle(np.concatenate([np.array(patterns, dtype=np.uint64).view(np.float64), decimal_values]))
+
+
+def test_one_product_rounds_as_three_on_many_values():
+    rng = np.random.default_rng(25)
+    patterns = rng.integers(LOW_BITS, HIGH_BITS, 200_000, dtype=np.uint64).view(np.float64)
+    scaled = np.concatenate([rng.normal(size=50_000) * scale for scale in (1e-5, 0.01, 1.0)])
+    places = np.concatenate([rng.normal(size=50_000).round(3), rng.normal(size=50_000).round(7)])
+    ties = np.concatenate([exact_ties(rng, digits) for digits in (16, 17, 18)])
+    assert_shortest_as_oracle(np.concatenate([patterns, scaled, places, ties, rounded_decimals(rng, 60_000)]))
 
 
 def read_tokens(tokens):

@@ -524,3 +524,11 @@ class TestFieldPermutationEquivariance:
                 permuted.blocks[name][:] = arr[perm]
         p_inst = Instance(inst.active[perm], inst.values[perm], inst.label)
         assert rel_err(score(permuted, p_inst), score(bundle, inst)) < 1e-12
+
+
+@pytest.mark.parametrize("shape, axes", [((130, 4, 4), (1, 2, 0)), ((130, 4, 4), (2, 1, 0)),  # blocked
+                                         ((130, 3, 3), (1, 2, 0)), ((130, 5, 3), (2, 1, 0))])  # whole
+def test_batch_last_copies_the_transpose(shape, axes):
+    a = np.random.default_rng(0).normal(size=shape)
+    got = scoring._batch_last(a, axes)
+    assert got.flags.c_contiguous and np.array_equal(got, a.transpose(axes))
