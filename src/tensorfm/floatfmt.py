@@ -281,7 +281,7 @@ def _spell_piece(x: np.ndarray, row_end: np.ndarray) -> np.ndarray:
     layout <<= 2
     layout += (bits >> _U(62)).view(np.int64) & 2  # negative
     layout += row_end
-    template = _templates().take(layout, axis=0, mode="clip")
+    template = _templates().take(layout, axis=0)
     # each text word: the digit row moved down by `shift` bits under mask
     # A, and that moved up a byte under mask B, built a word at a time
     shift = template[:, 9].copy()
