@@ -203,15 +203,20 @@ def open_text(path: str | Path, error: type[TensorFMError], what: str) -> Iterat
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
+_TEMP_IDS = itertools.count()  # next() on it is atomic, so no two opens share a temporary file
+
+
 @contextlib.contextmanager
 def atomic_open(path: str | Path) -> Iterator[IO[str]]:
     """Write UTF-8 text, line endings as given, to a temporary file beside
     ``path`` and move it over ``path`` when the block completes. If the
     block raises, the temporary file is removed and whatever was at
     ``path`` stays as it was; a failed system call is reported as an
-    ``OSError`` naming ``path``, not the temporary file."""
+    ``OSError`` naming ``path``, not the temporary file. Each call has a
+    temporary file of its own, so writes to one path from several threads
+    leave one of them whole."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{next(_TEMP_IDS)}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as fh:
             yield fh

@@ -41,12 +41,13 @@ A token ``[-]I.F`` of at most :data:`READ_BYTES` bytes, which covers every
 decimal spelling ``repr`` writes, is read from the three text words that
 end at its last byte:
 
-- Bytes before the token are masked off, the point is found by a byte
-  compare and made a ``0``, and every remaining byte must be a digit. The
-  three words are then joined into the number X of their 24 digits, which
-  must be below 10**19 to fit 64 bits, by :func:`digits8`'s lane
-  arithmetic run backwards (:func:`join8`). With k = len(F),
-  X = I * 10**(k+1) + F, so the mantissa D = I * 10**k + F is
+- The points are found by one byte compare over all the tokens' bytes.
+  Two table masks, gathered into one scratch array, clear the bytes
+  before the token and turn its digits into their values and its point
+  into ``0``; every byte must then be 0-9. The three words are joined into
+  the number X of their 24 digits, which must be below 10**19 to fit 64
+  bits, by multiply-and-shift lane joins (:func:`join8`). With
+  k = len(F), X = I * 10**(k+1) + F, so the mantissa D = I * 10**k + F is
   X - 9 * 10**k * (X // 10**(k+1)).
 - For D < 2**53 the float D / 10**k is exact (both operands are, and the
   division rounds once: Clinger's fast path). Otherwise the quotient x is
@@ -333,52 +334,71 @@ def format_rows(arr: np.ndarray) -> Iterator[str]:
 # The bytes of a token the array reader reads: every decimal spelling repr
 # writes (-4 <= e10 < 16) has at most 23, its sign included.
 READ_BYTES = 24
-_POINTS = _U(0x2E2E_2E2E_2E2E_2E2E)  # "........"
-_LOW7, _HIGH1, _LOW1 = _U(0x7F7F_7F7F_7F7F_7F7F), _U(0x8080_8080_8080_8080), _U(0x0101_0101_0101_0101)
+_HIGH1 = _U(0x8080_8080_8080_8080)
 _ABOVE9 = _U(0x7676_7676_7676_7676)  # added to a byte below 0x80, sets its top bit if it is above 9
-# Byte 7 of (1 << 8 * j) * _AFTER[w] is the count of window bytes after
-# byte j of word w: 23 - 8 * w - j.
-_AFTER = np.array([int.from_bytes(bytes(16 - 8 * w + b for b in range(8)), "little") for w in range(3)],
-                  dtype=np.uint64)
-# (base, lane bits, mask) of the joins of 1-digit, 2-digit and 4-digit lanes
-_JOINS = [(_U(10), _U(8), _U(0x00FF_00FF_00FF_00FF)), (_U(100), _U(16), _U(0x0000_FFFF_0000_FFFF)),
-          (_U(10_000), _U(32), _M32)]
+# (multiplier, lane bits, mask) of the joins of 1-digit, 2-digit and
+# 4-digit lanes: times base * 2**lane + 1, each lane's neighbour above it
+# holds the pair's number, which the shift moves into the lane's place
+_JOINS = [(_U(10 << 8 | 1), _U(8), _U(0x00FF_00FF_00FF_00FF)),
+          (_U(100 << 16 | 1), _U(16), _U(0x0000_FFFF_0000_FFFF)), (_U(10_000 << 32 | 1), _U(32), _M32)]
 _P10 = np.array([10**j for j in range(20)], dtype=np.uint64)
+_P10_NEXT = _P10[1:]  # 10**(k+1) for k, up to 10**19, by which X // 10**(k+1) is 0
 _NINE_P10 = _P10 * _U(9)  # wraps from 9 * 10**19 on, where X // 10**(k+1) is 0
 _P10_FLOAT = np.array([float(10**j) for j in range(23)])  # the exact powers of ten
 # What float() reads as the loadtxt behind the line-by-line model reader
-# does: no '_', no whitespace, no inf or nan.
-_DECIMAL = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# does (no '_', no whitespace, no inf or nan), for tokens joined by spaces.
+# Each token matches one way only, so a refused one costs no backtracking
+# through the tokens before it.
+_DECIMAL = rb"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+_DECIMALS = re.compile(rb"(?:%s )*%s" % (_DECIMAL, _DECIMAL))
 
 
 def join8(d: np.ndarray) -> np.ndarray:
     """The inverse of :func:`digits8`: for each uint64 whose bytes are
     eight digit values (0-9), most significant in the lowest byte, the
     number they spell. Adjacent 1-digit lanes are joined into 2-digit
-    lanes, those into 4-digit and those into 8-digit ones, in place."""
-    low = np.empty_like(d)
-    for base, lane, mask in _JOINS:
-        np.right_shift(d, lane, out=low)  # each lane's right neighbour, in its place
-        d *= base
-        d += low
+    lanes, those into 4-digit and those into 8-digit ones, in place, by one
+    multiply-and-shift each (Lemire's eight-digit parse)."""
+    for multiplier, lane, mask in _JOINS:
+        d *= multiplier
+        d >>= lane
         d &= mask
     return d
+
+
+def find_bytes(compare: np.ufunc, text: np.ndarray, byte: int, limit: int | None = None) -> np.ndarray:
+    """The first ``limit`` (all if None) of ``np.flatnonzero(compare(text,
+    byte))`` for the uint8 vector ``text``, found four bytes at a time when
+    no four aligned bytes hold two matches, as in text whose tokens are
+    three bytes or more: a fifth faster than a byte at a time."""
+    mask = np.empty(-(-len(text) // 4) * 4, dtype=bool)
+    mask[len(text) :] = False
+    compare(text, byte, out=mask[: len(text)])
+    groups = mask.view("<u4")
+    at = np.flatnonzero(groups != 0)[:limit]
+    found = groups[at]
+    if (found & (found - np.uint32(1))).any():  # some group holds two
+        return np.flatnonzero(mask)[:limit]
+    at <<= 2
+    at += found.astype(np.float32).view(np.int32) >> 26  # 15 + the match's byte in its group
+    at -= 15
+    return at
 
 
 @functools.cache
 def _masks() -> tuple[np.ndarray, np.ndarray]:
     """The masks of the reader's three-word window as 24-byte items,
     read-only: item ``n`` of the first keeps the last n bytes (a token of
-    n bytes), and item ``n * READ_BYTES + k``, xored into those, makes the
-    bytes before them and the point with k bytes after it ``0``."""
+    n bytes), and item ``n * READ_BYTES + k``, subtracted from those, turns
+    each digit into its value and the point with k bytes after it into 0."""
     keep = np.zeros((READ_BYTES + 1, READ_BYTES), dtype=np.uint8)
-    fill = np.zeros((READ_BYTES + 1, READ_BYTES, READ_BYTES), dtype=np.uint8)
+    zeros = np.zeros((READ_BYTES + 1, READ_BYTES, READ_BYTES), dtype=np.uint8)
     for n in range(READ_BYTES + 1):
         keep[n, READ_BYTES - n :] = 0xFF
-        fill[n, :, : READ_BYTES - n] = ord("0")
+        zeros[n, :, READ_BYTES - n :] = ord("0")
         for k in range(n):
-            fill[n, k, READ_BYTES - 1 - k] = ord(".") ^ ord("0")
-    tables = keep.view(f"V{READ_BYTES}")[:, 0], fill.reshape(-1, READ_BYTES).view(f"V{READ_BYTES}")[:, 0]
+            zeros[n, k, READ_BYTES - 1 - k] = ord(".")
+    tables = keep.view(f"V{READ_BYTES}")[:, 0], zeros.reshape(-1, READ_BYTES).view(f"V{READ_BYTES}")[:, 0]
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -397,78 +417,121 @@ def _nearest(x: np.ndarray, digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
     (5**k - 1) / 2, below half a gap (the float quotient may round a
     distance of almost half a gap the wrong way), and when m - s stays in
     x's binade and is not its power of two, whose gap below is half as
-    wide. No decimal lies halfway: that distance, 5**k / 2, is no integer."""
+    wide. No decimal lies halfway: that distance, 5**k / 2, is no integer.
+    ``x`` and ``digits`` are overwritten: x with the answer."""
     bits = x.view(np.uint64)
-    m = (bits & _FRAC) | (_ONE << _U(52))
-    shift = (1075 - k) - (bits >> _U(52)).astype(np.int64)  # F
+    shift = (bits >> _U(52)).view(np.int64)
+    shift += k
+    np.subtract(1075, shift, out=shift)  # F
+    m = bits & _FRAC
+    m |= _ONE << _U(52)
     f = _POW5[k]
-    delta = (m * f - (digits << shift.astype(np.uint64))).view(np.int64)
-    steps = np.rint(delta / f).astype(np.int64)
+    digits <<= shift.view(np.uint64)
+    delta = np.subtract(m * f, digits, out=digits).view(np.int64)
+    steps = delta / f
+    np.rint(steps, out=steps)
+    steps = steps.astype(np.int64)
     delta -= steps * f.view(np.int64)
-    moved = m.view(np.int64) - steps
-    found = (np.abs(delta) <= _HALF5[k].view(np.int64)) & (shift >= 0) & (shift < 64)
-    found &= (moved > 2**52) & (moved < 2**53)
-    return (bits.view(np.int64) - steps).view(np.float64), found
+    moved = m.view(np.int64)
+    moved -= steps
+    found = np.abs(delta) <= _HALF5[k].view(np.int64)
+    found &= shift.view(np.uint64) < _U(64)  # 0 <= F < 64
+    moved -= 2**52 + 1
+    found &= moved.view(np.uint64) < _U(2**52 - 1)  # 2**52 < m - s < 2**53
+    bits.view(np.int64)[:] -= steps
+    return x, found
 
 
-def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray | None:
     """The floats spelled by the tokens ``buf[starts[i]:ends[i]]`` of the
-    uint8 array ``buf``, each bit for bit as ``float()`` reads it; None if
-    a token is not the decimal spelling of a finite float. A token whose
-    last :data:`READ_BYTES` bytes would start before ``buf`` is read by
-    ``float()``."""
+    uint8 array ``buf``, in order, each bit for bit as ``float()`` reads it,
+    written to the float64 vector ``out`` (a new one if None) and returned;
+    None if a token is not the decimal spelling of a finite float. A token
+    whose last :data:`READ_BYTES` bytes would start before ``buf`` is read
+    by ``float()``. The scratch is about 80 bytes a token."""
     if len(buf) < READ_BYTES:  # too short for one window: read it padded
         pad = np.zeros(READ_BYTES, dtype=np.uint8)
-        return read_floats(np.concatenate([pad, buf]), starts + READ_BYTES, ends + READ_BYTES)
-    keep, fill = _masks()
+        return read_floats(np.concatenate([pad, buf]), starts + READ_BYTES, ends + READ_BYTES, out)
+    count = len(ends)
+    if out is None:
+        out = np.empty(count)
+    if not count:
+        return out
+    keep, zeros = _masks()
     negative = buf[starts] == ord("-")
-    size = ends - starts - negative  # the token's bytes after its sign
-    fast = (ends >= READ_BYTES) & (size <= READ_BYTES)
-    size = np.minimum(size, READ_BYTES)
+    size = (ends - starts).astype(np.intp, copy=False)
+    size -= negative  # the token's bytes after its sign
+    fast = size <= READ_BYTES
+    fast &= ends >= READ_BYTES
+    np.minimum(size, READ_BYTES, out=size)
+
+    # k, the bytes after the point. One byte compare finds the points; the
+    # i-th is token i's when there are as many as tokens, else each token
+    # takes the last before its end. A point outside its token fails the
+    # test of k, and a second one in it the digit test.
+    first = int(starts[0])
+    points = find_bytes(np.equal, buf[first : ends[-1]], ord("."))
+    if len(points) != count:
+        points = np.concatenate([[-READ_BYTES], points])  # before every token: k too large
+        points = points[np.searchsorted(points, ends - first) - 1]
+    k = np.subtract(ends, points, out=points)
+    k -= first + 1
+    fast &= k >= 1
+    fast &= k <= size - 2  # a digit on either side of the point
+
+    # the window of each token's last READ_BYTES bytes as three text words;
+    # the masks make it the token's digit values, with the bytes before
+    # the token and the point 0
+    at = np.subtract(ends, READ_BYTES, dtype=np.intp)
+    np.maximum(at, 0, out=at)
     windows = np.ndarray((len(buf) - READ_BYTES + 1,), f"V{READ_BYTES}", buffer=buf, strides=(1,))
-    words = windows[np.maximum(ends - READ_BYTES, 0)].view(_TEXT_WORD).reshape(-1, 3)
-    words &= keep[size].view(_TEXT_WORD).reshape(-1, 3)
+    words = windows[at].view(_TEXT_WORD).reshape(-1, 3)
+    del at
+    work = np.empty_like(words)  # the masks, then scratch
+    masks = work.view(f"V{READ_BYTES}").reshape(-1)
+    words &= keep.take(size, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
+    size *= READ_BYTES
+    size += k
+    words -= zeros.take(size, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
+    np.add(words, _ABOVE9, out=work)  # the lowest byte that is not a digit keeps its top bit here
+    work |= words
+    work &= _HIGH1
+    work[:, 0] |= work[:, 1]
+    work[:, 0] |= work[:, 2]
+    fast &= work[:, 0] == 0
 
-    # k, the bytes after the point: its byte of `flags` is 1 (or several
-    # points give some other k, which leaves a '.' to fail the digit test)
-    flags = words ^ _POINTS
-    scratch = flags & _LOW7
-    scratch += _LOW7
-    flags |= scratch  # the top bit of each byte that is not '.'
-    np.invert(flags, out=flags)
-    flags >>= _U(7)
-    flags &= _LOW1
-    for w in range(3):
-        flags[:, w] *= _AFTER[w]
-    flags >>= _U(56)
-    k = (flags[:, 0] + flags[:, 1] + flags[:, 2]).astype(np.intp)
-    fast &= (k >= 1) & (k <= size - 2)  # a digit on either side of the point
-    words ^= fill[np.minimum(size * READ_BYTES + k, len(fill) - 1)].view(_TEXT_WORD).reshape(-1, 3)
-
-    words -= _ZEROS8
-    np.add(words, _ABOVE9, out=scratch)  # the lowest byte that is not a digit keeps its top bit here
-    scratch |= words
-    scratch &= _HIGH1
-    fast &= (scratch[:, 0] | scratch[:, 1] | scratch[:, 2]) == 0
-    del flags, scratch
+    # X, the number of the 24 digits: X = I * 10**(k+1) + F for the digits
+    # I before the point and F after it, so D = I * 10**k + F is
+    # X - 9 * 10**k * (X // 10**(k+1))
     join8(words)
     fast &= words[:, 0] < _U(1000)  # X < 10**19 < 2**64
-    x = words[:, 0] * _U(10**16)
-    x += words[:, 1] * _U(10**8)
-    x += words[:, 2]
-    digits = x - (x // _P10.take(k + 1, mode="clip")) * _NINE_P10.take(k, mode="clip")
+    digits = np.multiply(words[:, 0], _U(10**16), out=size.view(np.uint64))
+    words[:, 1] *= _U(10**8)
+    digits += words[:, 1]
+    digits += words[:, 2]
+    del words
+    scratch = work.reshape(-1)
+    scale, nines = scratch[:count], scratch[count : 2 * count]
+    np.floor_divide(digits, _P10_NEXT.take(k, mode="clip", out=scale), out=scale)
+    scale *= _NINE_P10.take(k, mode="clip", out=nines)
+    digits -= scale
 
-    values = digits.astype(np.float64)
-    values /= _P10_FLOAT.take(k, mode="clip")
+    np.divide(digits, _P10_FLOAT.take(k, mode="clip", out=scale.view(np.float64)), out=out)
+    del work, masks, scratch, scale, nines
     check = np.flatnonzero(fast & (digits >= _U(2**53)))
-    values[check], fast[check] = _nearest(values[check], digits[check], k[check])
-    values.view(np.uint64)[:] |= negative.astype(np.uint64) << _U(63)
+    near = out[check], digits[check], k[check]
+    del size, digits, points, k
+    out[check], fast[check] = _nearest(*near)
+    del near
+    sign = out.view(np.uint64)
+    sign |= np.left_shift(negative, _U(63), dtype=np.uint64)
     slow = np.flatnonzero(~fast)
-    for i, lo, hi in zip(slow.tolist(), starts[slow].tolist(), ends[slow].tolist()):
-        token = buf[lo:hi].tobytes()
-        if not _DECIMAL.fullmatch(token):
+    if len(slow):
+        tokens = [buf[lo:hi].tobytes() for lo, hi in zip(starts[slow].tolist(), ends[slow].tolist())]
+        if not _DECIMALS.fullmatch(b" ".join(tokens)):
             return None
-        values[i] = float(token)
-        if not math.isfinite(values[i]):
+        out[slow] = list(map(float, tokens))
+        if not np.isfinite(out[slow]).all():
             return None
-    return values
+    return out

@@ -418,19 +418,21 @@ def _read_lines(path: str | Path) -> tuple:
     return kind, schema, k, d, r_vec, blocks
 
 
-# Bytes of a model file the array reader reads at a time: its scratch is
-# a few hundred kB whatever the model's size.
-READ_CHUNK = 1 << 16
+# Tokens of a model file each floatfmt.read_floats call reads (all of a
+# block's that are left, when fewer). Its scratch is about 80 bytes a
+# token, and the buffer holds READ_TOKENS * READ_BYTES bytes: that many of
+# the writer's longest tokens with their separators.
+READ_TOKENS = 6144
 
 
 def _read_canonical(path: str | Path) -> tuple | None:
     """``(kind, schema, k, d, r_vec, blocks)`` of a model file in the form
     :func:`save_bundle` writes: ASCII, ``\\n`` line ends, a header that
-    fits in the first chunk, every block line and ``end`` as written,
+    fits in the buffer, every block line and ``end`` as written,
     values separated by single spaces and each spelled as ``float()``
     reads it, and nothing after ``end``. None for any other file, faults
     included, which the line reader then reads or reports. The file is
-    read :data:`READ_CHUNK` bytes at a time."""
+    read a buffer at a time and its values :data:`READ_TOKENS` at a time."""
     try:
         fh = open(path, "rb")
     except OSError:
@@ -439,8 +441,8 @@ def _read_canonical(path: str | Path) -> tuple | None:
         text = _Chunks(fh)
         if not text.fill():
             return None
-        newlines = text.seps[text.buf[text.seps] == ord("\n")][:6]
-        head = text.buf[text.pos : newlines[-1] + 1].tobytes() if len(newlines) == 6 else b""
+        newlines = np.flatnonzero(text.buf[text.pos : text.end] == ord("\n"))[:6]
+        head = text.buf[text.pos : text.pos + newlines[-1] + 1].tobytes() if len(newlines) == 6 else b""
         if not head.isascii() or b"\r" in head:  # the line reader would split or decode it otherwise
             return None
         try:
@@ -462,15 +464,16 @@ def _read_canonical(path: str | Path) -> tuple | None:
 
 
 class _Chunks:
-    """A binary file read :data:`READ_CHUNK` bytes at a time into one
-    reused buffer, after :data:`floatfmt.READ_BYTES` bytes of padding so
-    that every token has a full window before it. ``pos`` is the first
-    unread byte, ``seps`` holds the separators (bytes up to ``' '``) read
-    so far in the buffer and ``sep`` indexes the first at or after ``pos``."""
+    """A binary file read into one reused buffer of room for
+    :data:`READ_TOKENS` tokens, after :data:`floatfmt.READ_BYTES` bytes of
+    padding so that every token has a full window before it. ``pos`` is
+    the first unread byte, ``seps`` holds the first ``2 * READ_TOKENS``
+    separators (bytes up to ``' '``) from the buffer's front and ``sep``
+    indexes the first at or after ``pos``."""
 
     def __init__(self, fh):
         self.fh = fh
-        self.buf = np.zeros(floatfmt.READ_BYTES + READ_CHUNK, dtype=np.uint8)
+        self.buf = np.zeros(floatfmt.READ_BYTES * (1 + READ_TOKENS), dtype=np.uint8)
         self.pos = self.end = floatfmt.READ_BYTES
         self.seps, self.sep = np.empty(0, dtype=np.intp), 0
 
@@ -481,7 +484,8 @@ class _Chunks:
         self.buf[pad : pad + rest] = self.buf[self.pos : self.end]
         got = self.fh.readinto(memoryview(self.buf)[pad + rest :])
         self.pos, self.end = pad, pad + rest + got
-        self.seps = np.flatnonzero(self.buf[pad : self.end] <= ord(" ")) + pad
+        del self.seps  # freed before the scan
+        self.seps = floatfmt.find_bytes(np.less_equal, self.buf[pad : self.end], ord(" "), 2 * READ_TOKENS) + pad
         self.sep = 0
         return got > 0
 
@@ -500,24 +504,28 @@ class _Chunks:
 
     def values(self, out: np.ndarray, width: int) -> bool:
         """Read the floats of ``out`` if the next bytes are they, in rows of
-        ``width``: single spaces between them and a newline after each row."""
+        ``width``: single spaces between them and a newline after each row.
+        They are read :data:`READ_TOKENS` at a time, each straight into its
+        slice of ``out``."""
         done = 0
         while done < len(out):
-            if self.sep == len(self.seps) and not self.fill():
+            count = min(READ_TOKENS, len(out) - done)
+            if len(self.seps) - self.sep < count:
+                self.fill()
+            ends = self.seps[self.sep : self.sep + count]
+            if not len(ends):
                 return False
-            ends = self.seps[self.sep : self.sep + len(out) - done]
             starts = np.empty_like(ends)
             starts[0] = self.pos
             starts[1:] = ends[:-1] + 1
-            values = floatfmt.read_floats(self.buf, starts, ends)
             seps = self.buf[ends]
-            row_ends = np.flatnonzero(seps != ord(" "))
-            if values is None or not np.array_equal(row_ends, np.arange(width - 1 - done % width, len(ends), width)):
+            seps[width - 1 - done % width :: width] ^= ord("\n") ^ ord(" ")  # each row's newline, as a space
+            if not (seps == ord(" ")).all():
                 return False
-            if not (seps[row_ends] == ord("\n")).all():
+            if floatfmt.read_floats(self.buf, starts, ends, out[done : done + len(ends)]) is None:
                 return False
-            out[done : done + len(ends)] = values
             done += len(ends)
             self.sep += len(ends)
             self.pos = int(ends[-1]) + 1
+            del ends, starts, seps  # before the next fill
         return True

@@ -1,6 +1,8 @@
 """Schema construction, dataset IO, splitting, and synthetic generation."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -248,6 +250,25 @@ class TestTextFormat:
             write_dataset(PartlyWritable(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
+
+    def test_writes_to_one_path_from_two_threads_leave_one_file_whole(self, tmp_path):
+        schema = build_schema([50] * 10)
+        rng = np.random.default_rng(0)
+        datasets = [Dataset(schema, rng.integers(0, 50, size=(2000, 10)), labels=rng.integers(0, 2, size=2000),
+                            values=rng.normal(size=(2000, 10))) for _ in range(2)]
+        wants = set()
+        for i, ds in enumerate(datasets):
+            write_dataset(ds, tmp_path / f"want{i}.txt")
+            wants.add((tmp_path / f"want{i}.txt").read_bytes())
+        path = tmp_path / "ds.txt"
+        for _ in range(10):
+            barrier = threading.Barrier(2)
+            with ThreadPoolExecutor(2) as pool:
+                writes = [pool.submit(lambda ds: (barrier.wait(), write_dataset(ds, path)), ds) for ds in datasets]
+                for write in writes:
+                    write.result()
+            assert path.read_bytes() in wants
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.txt", "want0.txt", "want1.txt"]
 
 
 def _writer_case(case: str) -> Dataset:

@@ -223,6 +223,12 @@ def test_tokens_that_are_not_finite_floats_are_refused(token):
     assert read_tokens(["0.25", token, "0.5"]) is None
 
 
+def test_a_refused_token_after_many_read_by_float_is_refused_at_once():
+    # tokens that float() reads, each of which a looser pattern could split
+    # several ways, before one it refuses
+    assert read_tokens(["12345"] * 60 + ["1e-3"] * 60 + ["nan"]) is None
+
+
 def test_tokens_near_the_start_of_the_buffer():
     assert_read_as_float(["0.5"])  # a buffer shorter than a window
     assert_read_as_float(["12345.678", "0.25", "3.0"])  # windows that would start before the buffer

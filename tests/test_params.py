@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -624,6 +626,22 @@ class TestAtomicSave:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
 
+    def test_saves_to_one_path_from_two_threads_leave_one_file_whole(self, tmp_path):
+        bundles = [init("fm", build_schema([500] * 10), k=8, init_scale=0.5, seed=seed) for seed in (0, 1)]
+        wants = set()
+        for i, bundle in enumerate(bundles):
+            save_bundle(bundle, tmp_path / f"want{i}.txt")
+            wants.add((tmp_path / f"want{i}.txt").read_bytes())
+        path = tmp_path / "m.txt"
+        for _ in range(10):
+            barrier = threading.Barrier(2)
+            with ThreadPoolExecutor(2) as pool:
+                saves = [pool.submit(lambda b: (barrier.wait(), save_bundle(b, path)), b) for b in bundles]
+                for save in saves:
+                    save.result()
+            assert path.read_bytes() in wants
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "want0.txt", "want1.txt"]
+
     def test_non_finite_block_is_not_written(self, tmp_path):
         # the reader rejects such a file, so the writer must not produce it
         path = tmp_path / "m.txt"
@@ -697,6 +715,23 @@ class TestArrayReader:
             got = params_module._read_canonical(path)
             assert got is not None and got[:5] == want[:5] and _bits_equal(got[5], want[5]), path.name
 
+    @pytest.mark.parametrize("tokens", [4, 7, 16, 50])
+    def test_every_kind_loads_alike_when_calls_and_buffers_split_its_rows(self, tmp_path, monkeypatch, tokens):
+        # buffers of 96 to 1,200 bytes, each above the largest header here
+        # (79 bytes), split tokens, rows and block lines across buffer fills
+        # and rows across read_floats calls
+        monkeypatch.setattr(params_module, "READ_TOKENS", tokens)
+        rng = np.random.default_rng(tokens)
+        one_field_fwfm = init("fwfm", build_schema([3]), k=2, init_scale=0.5, seed=7)  # a zero-width pair.upper
+        for i, bundle in enumerate([*TestSaveLoad()._bundles(), one_field_fwfm]):
+            for arr in bundle.blocks.values():  # both signs, |x| from about 1e-5 to 1e6
+                arr[...] = rng.normal(size=arr.shape) * 10.0 ** rng.integers(-4, 6, size=arr.shape)
+            path = tmp_path / f"m{i}.txt"
+            save_bundle(bundle, path)
+            got, want = params_module._read_canonical(path), params_module._read_lines(path)
+            assert got is not None and got[:5] == want[:5] and _bits_equal(got[5], want[5]), bundle.kind
+            assert _bits_equal(got[5], bundle.blocks), bundle.kind
+
     @pytest.mark.parametrize("token", ["1e-3", "+1.5", "1.", ".5", "1E5", "0.10", "-0.0", "5e-324"])
     def test_other_spellings_load_as_the_line_reader_loads_them(self, tmp_path, token):
         path = tmp_path / "m.txt"
@@ -727,10 +762,14 @@ class TestArrayReader:
         # The benchmark's serve model (m=98,572, untrained linear weights)
         # loaded with a 7.9 MB peak by the line reader; the line reader also
         # holds a whole line of text, so it peaked 8.5 MB above its blocks on
-        # the same model with trained linear weights (one 2 MB line).
+        # the same model with trained linear weights (one 2 MB line). An
+        # untrained lr model is all 0.0 tokens, four bytes each, which a
+        # reader sized in bytes rather than tokens would take 16k at a time.
         cards = [2528] * 38 + [98_572 - 38 * 2528]
-        for cardinalities, trained in [([50] * 39, True), (cards, True), (cards, False)]:
-            bundle = init("tensorfm", build_schema(cardinalities), k=8, d=3, r_vec=3, seed=0)
+        cases = [("tensorfm", [50] * 39, True), ("tensorfm", cards, True), ("tensorfm", cards, False),
+                 ("lr", cards, False)]
+        for kind, cardinalities, trained in cases:
+            bundle = init(kind, build_schema(cardinalities), k=8, d=3, r_vec=3, seed=0)
             if trained:
                 bundle.blocks["linear.w"][:] = np.random.default_rng(0).normal(size=bundle.schema.m)
             save_bundle(bundle, tmp_path / "m.txt")
@@ -741,6 +780,6 @@ class TestArrayReader:
             finally:
                 tracemalloc.stop()
             scratch = peak - sum(arr.nbytes for arr in back.blocks.values())
-            assert scratch <= 1.0e6, f"m={bundle.schema.m}: {scratch / 1e6:.2f} MB beyond the blocks"
+            assert scratch <= 1.0e6, f"{kind}, m={bundle.schema.m}: {scratch / 1e6:.2f} MB beyond the blocks"
             if not trained:
                 assert peak <= 7.9e6, f"peak {peak / 1e6:.2f} MB"
