@@ -507,14 +507,14 @@ def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
     # Values: the third piece of a token, read as float() reads it line by
     # line. Of the spellings float() reads from these bytes, only those with
     # a point lacking a digit on either side ('.5', '5.') are not _FLOAT's.
-    dots = np.flatnonzero(buf == ord("."))
+    dots = floatfmt.find_bytes(np.equal, buf, ord("."))
     if (buf[np.concatenate([dots - 1, dots + 1])] - ord("0") > 9).any():  # a non-digit wraps above 9
         return None
     has_value = np.flatnonzero(count[:, 1:].ravel() == 3)
     values = None
     if len(has_value):
         value_pieces = head[:, 1:].ravel()[has_value] + 2
-        parsed = floatfmt.read_floats(buf, starts[value_pieces], ends[value_pieces])
+        parsed = floatfmt.read_floats(buf, starts[value_pieces], ends[value_pieces], points=dots)
         if parsed is None:  # not a float, or not a finite one
             return None
         values = np.ones(rows * n, dtype=np.float64)

@@ -442,17 +442,20 @@ def _nearest(x: np.ndarray, digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
     return x, found
 
 
-def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray | None:
+def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray | None = None,
+                points: np.ndarray | None = None) -> np.ndarray | None:
     """The floats spelled by the tokens ``buf[starts[i]:ends[i]]`` of the
     uint8 array ``buf``, in order, each bit for bit as ``float()`` reads it,
     written to the float64 vector ``out`` (a new one if None) and returned;
-    None if a token is not the decimal spelling of a finite float. A token
-    whose last :data:`READ_BYTES` bytes would start before ``buf`` is read
-    by ``float()``. The scratch is about 80 bytes a token."""
+    None if a token is not the decimal spelling of a finite float. A caller
+    that has found the positions of the ``'.'`` bytes from the first token
+    to the last passes them as ``points``. A token whose last
+    :data:`READ_BYTES` bytes would start before ``buf`` is read by
+    ``float()``. The scratch is about 70 bytes a token."""
     if len(buf) < READ_BYTES:  # too short for one window: read it padded
         pad = np.zeros(READ_BYTES, dtype=np.uint8)
-        return read_floats(np.concatenate([pad, buf]), starts + READ_BYTES, ends + READ_BYTES, out)
+        points = None if points is None else points + READ_BYTES
+        return read_floats(np.concatenate([pad, buf]), starts + READ_BYTES, ends + READ_BYTES, out, points)
     count = len(ends)
     if out is None:
         out = np.empty(count)
@@ -471,12 +474,15 @@ def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     # takes the last before its end. A point outside its token fails the
     # test of k, and a second one in it the digit test.
     first = int(starts[0])
-    points = find_bytes(np.equal, buf[first : ends[-1]], ord("."))
+    if points is None:
+        points = find_bytes(np.equal, buf[first : ends[-1]], ord("."))
+        points += first
     if len(points) != count:
-        points = np.concatenate([[-READ_BYTES], points])  # before every token: k too large
-        points = points[np.searchsorted(points, ends - first) - 1]
-    k = np.subtract(ends, points, out=points)
-    k -= first + 1
+        points = np.concatenate([[first - READ_BYTES], points])  # before every token: k too large
+        points = points[np.searchsorted(points, ends) - 1]
+    k = np.subtract(ends, points, dtype=np.intp)
+    del points
+    k -= 1
     fast &= k >= 1
     fast &= k <= size - 2  # a digit on either side of the point
 
@@ -507,6 +513,7 @@ def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     join8(words)
     fast &= words[:, 0] < _U(1000)  # X < 10**19 < 2**64
     digits = np.multiply(words[:, 0], _U(10**16), out=size.view(np.uint64))
+    del size
     words[:, 1] *= _U(10**8)
     digits += words[:, 1]
     digits += words[:, 2]
@@ -521,7 +528,7 @@ def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
     del work, masks, scratch, scale, nines
     check = np.flatnonzero(fast & (digits >= _U(2**53)))
     near = out[check], digits[check], k[check]
-    del size, digits, points, k
+    del digits, k  # before _nearest's scratch
     out[check], fast[check] = _nearest(*near)
     del near
     sign = out.view(np.uint64)

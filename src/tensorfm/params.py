@@ -419,7 +419,7 @@ def _read_lines(path: str | Path) -> tuple:
 
 
 # Tokens of a model file each floatfmt.read_floats call reads (all of a
-# block's that are left, when fewer). Its scratch is about 80 bytes a
+# block's that are left, when fewer). Its scratch is about 70 bytes a
 # token, and the buffer holds READ_TOKENS * READ_BYTES bytes: that many of
 # the writer's longest tokens with their separators.
 READ_TOKENS = 6144

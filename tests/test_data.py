@@ -1,8 +1,6 @@
 """Schema construction, dataset IO, splitting, and synthetic generation."""
 
-import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +22,7 @@ from tensorfm import (
 from tensorfm import data, floatfmt
 
 from oracles import dataset_text_oracle
+from racing import race
 
 
 class TestBuildSchema:
@@ -251,24 +250,19 @@ class TestTextFormat:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["ds.txt"]
 
-    def test_writes_to_one_path_from_two_threads_leave_one_file_whole(self, tmp_path):
+    def test_writes_to_one_path_from_four_threads_leave_one_file_whole(self, tmp_path):
         schema = build_schema([50] * 10)
         rng = np.random.default_rng(0)
         datasets = [Dataset(schema, rng.integers(0, 50, size=(2000, 10)), labels=rng.integers(0, 2, size=2000),
-                            values=rng.normal(size=(2000, 10))) for _ in range(2)]
+                            values=rng.normal(size=(2000, 10))) for _ in range(4)]
         wants = set()
         for i, ds in enumerate(datasets):
             write_dataset(ds, tmp_path / f"want{i}.txt")
             wants.add((tmp_path / f"want{i}.txt").read_bytes())
         path = tmp_path / "ds.txt"
-        for _ in range(10):
-            barrier = threading.Barrier(2)
-            with ThreadPoolExecutor(2) as pool:
-                writes = [pool.submit(lambda ds: (barrier.wait(), write_dataset(ds, path)), ds) for ds in datasets]
-                for write in writes:
-                    write.result()
-            assert path.read_bytes() in wants
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.txt", "want0.txt", "want1.txt"]
+        race([lambda ds=ds: write_dataset(ds, path) for ds in datasets], rounds=5)
+        assert path.read_bytes() in wants
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.txt"] + [f"want{i}.txt" for i in range(4)]
 
 
 def _writer_case(case: str) -> Dataset:

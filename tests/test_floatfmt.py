@@ -223,6 +223,19 @@ def test_tokens_that_are_not_finite_floats_are_refused(token):
     assert read_tokens(["0.25", token, "0.5"]) is None
 
 
+TOKEN_TEXT = st.lists(st.sampled_from(["0.5", "-12.25", "3.0", "1e-05", "7", ".5", ""]), max_size=80).map(
+    lambda tokens: " ".join(tokens).replace("  ", "\n").encode())
+
+
+@PROPERTY
+@given(st.one_of(st.binary(max_size=300), TOKEN_TEXT), st.integers(0, 7), st.sampled_from([None, 1, 3, 40]))
+def test_find_bytes_finds_what_flatnonzero_finds(raw, offset, limit):
+    text = np.frombuffer(raw, dtype=np.uint8)[offset:]
+    for compare, byte in ((np.less_equal, ord(" ")), (np.equal, ord("."))):
+        want = np.flatnonzero(compare(text, byte))[:limit]
+        assert np.array_equal(floatfmt.find_bytes(compare, text, byte, limit), want)
+
+
 def test_a_refused_token_after_many_read_by_float_is_refused_at_once():
     # tokens that float() reads, each of which a looser pattern could split
     # several ways, before one it refuses
