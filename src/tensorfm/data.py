@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import errno
+import io
 import itertools
 import math
 import os
@@ -190,17 +191,60 @@ class Dataset:
 
 
 @contextlib.contextmanager
-def open_text(path: str | Path, error: type[TensorFMError], what: str) -> Iterator[IO[str]]:
-    """Open ``path`` to read UTF-8 text, line endings left as they are. A
-    missing file, or bytes read in the block that are not UTF-8, raise
-    ``error`` naming the path."""
+def open_text(path: str | Path, error: type[TensorFMError], what: str, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` to read UTF-8 text, line endings left as they are, or
+    its bytes when ``binary`` is set. A missing file, or bytes read in the
+    block that are not UTF-8, raise ``error`` naming the path."""
     if not Path(path).exists():
         raise error(f"{what} not found: {path}")
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, "rb") if binary else open(path, encoding="utf-8", newline="") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise error(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+class ByteBuffer:
+    """A binary file read through one reused uint8 buffer, after ``pad``
+    zero bytes that let a reader look that far back from any byte.
+    ``buf[pos:end]`` holds the bytes read and not yet taken. ``marks``
+    holds, in order from index ``mark``, the positions in
+    ``buf[pos:scanned]`` of the bytes that ``compare(byte, value)``
+    selects: a :meth:`fill` keeps the marks of the bytes it moves and scans
+    only bytes that no scan has reached, up to ``limit`` marks (all if
+    None), so each byte of the file goes through the scan at most once."""
+
+    def __init__(self, fh, size: int, pad: int, compare: np.ufunc, value: int, limit: int | None = None):
+        self.fh, self.pad, self.compare, self.value, self.limit = fh, pad, compare, value, limit
+        self.buf = np.zeros(pad + size, dtype=np.uint8)
+        self.pos = self.end = self.scanned = pad
+        self.marks, self.mark = np.empty(0, dtype=np.intp), 0
+
+    def fill(self, grow: bool = False) -> bool:
+        """Move the untaken bytes and their marks to the front, read more
+        after them and scan; with ``grow``, a buffer that they fill is
+        doubled first. False if the file has no more."""
+        pad, rest, shift, old = self.pad, self.end - self.pos, self.pos - self.pad, self.buf
+        if grow and pad + rest == len(old):
+            self.buf = np.zeros(2 * len(old) - pad, dtype=np.uint8)
+        self.buf[pad : pad + rest] = old[self.pos : self.end]
+        self.marks = self.marks[self.mark :] - shift
+        self.mark, self.scanned = 0, self.scanned - shift
+        got = self.fh.readinto(memoryview(self.buf)[pad + rest :])
+        self.pos, self.end = pad, pad + rest + got
+        want = None if self.limit is None else self.limit - len(self.marks)
+        if self.scanned < self.end and want != 0:
+            found = floatfmt.find_bytes(self.compare, self.buf[self.scanned : self.end], self.value, want)
+            found += self.scanned
+            self.scanned = int(found[-1]) + 1 if want is not None and len(found) == want else self.end
+            self.marks = np.concatenate([self.marks, found])
+        return got > 0
+
+    def skip(self, count: int) -> None:
+        """Take the next ``count`` bytes."""
+        self.pos += count
+        self.scanned = max(self.scanned, self.pos)
+        self.mark = int(np.searchsorted(self.marks, self.pos))
 
 
 _TEMP_IDS = itertools.count()  # next() on it is atomic, so no two opens share a temporary file
@@ -364,10 +408,17 @@ _FLOAT = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]+)?(?:e[+-]?[0-9]+)?|inf|nan)")
 def read_dataset(path: str | Path) -> Dataset:
     """Read a dataset file: the body in chunks of :data:`CHUNK_LINES` lines,
     each parsed as arrays when it is in the writer's canonical form and line
-    by line otherwise. Every message names the file and line at fault."""
+    by line otherwise. Every message names the file and line at fault. The
+    file is read as bytes through one :class:`ByteBuffer`, which finds the
+    newlines that end the chunks; only a chunk that is parsed line by line
+    is decoded."""
     path = Path(path)
-    with open_text(path, DataError, "dataset file") as fh:
-        header = fh.readline().strip()
+    with open_text(path, DataError, "dataset file", binary=True) as fh:
+        text = ByteBuffer(fh, READ_BUFFER_BYTES, 0, np.equal, ord("\n"))
+        head = next(_line_chunks(text, 1), None)
+        lines = _text_lines(head.tobytes().decode() if head is not None else "")
+        del head  # a view of the buffer, which may grow
+        header = lines[0].strip() if lines else ""
         if not header.startswith("#schema "):
             raise DataError(f"{path}: missing '#schema' header line")
         try:
@@ -376,22 +427,46 @@ def read_dataset(path: str | Path) -> Dataset:
             raise DataError(f"{path}: bad schema header: {exc}") from exc
 
         rows = _Rows(path, schema)
-        lines, first = [], 2
-        try:
-            for line in fh:
-                lines.append(line)
-                if len(lines) == CHUNK_LINES:
-                    rows.append(_parse_chunk(path, schema.n, lines, first))
-                    first += len(lines)
-                    lines = []
-        except UnicodeDecodeError:
-            _parse_lines(path, schema.n, lines, first)  # a fault in the lines read so far comes first
-            raise
-        rows.append(_parse_chunk(path, schema.n, lines, first))  # the rest, perhaps no line
+        if len(lines) > 1:  # a lone '\r' ended the header
+            rows.append(_parse_lines(path, schema.n, lines[1:], 2))
+        first = 1 + len(lines)
+        for chunk in _line_chunks(text, CHUNK_LINES):
+            parsed, count = _parse_chunk(path, schema.n, chunk, first)
+            rows.append(parsed)
+            first += count
+            del chunk, parsed  # not held through the next fill and parse
 
     if rows.out_of_range:
         raise DataError(rows.out_of_range)
     return Dataset(schema, rows.active, rows.values, rows.labels, provenance=str(path))
+
+
+# Bytes of the dataset reader's buffer at first; it doubles while a chunk
+# of CHUNK_LINES lines does not fit.
+READ_BUFFER_BYTES = 1 << 16
+
+
+def _line_chunks(text: ByteBuffer, lines: int) -> Iterator[np.ndarray]:
+    """The rest of the file, ``lines`` newline-ended lines at a time (fewer
+    in the last chunk, whose last line may lack its newline), as views of
+    ``text.buf``, each valid until the next is drawn."""
+    while True:
+        while len(text.marks) - text.mark < lines and text.fill(grow=True):
+            pass
+        ends = text.marks[text.mark : text.mark + lines]
+        stop = int(ends[-1]) + 1 if len(ends) == lines else text.end
+        if stop == text.pos:
+            return
+        chunk = text.buf[text.pos : stop]
+        text.skip(stop - text.pos)
+        yield chunk
+
+
+def _text_lines(text: str) -> list[str]:
+    """The lines of ``text`` as a file opened in text mode with
+    ``newline=""`` yields them: split after each ``\n``, ``\r\n`` and
+    lone ``\r``, line ends kept."""
+    return list(io.StringIO(text, newline=""))
 
 
 class _Rows:
@@ -432,31 +507,39 @@ def _extend(arr: np.ndarray, rows: np.ndarray) -> None:
     arr[n_rows:] = rows
 
 
-def _parse_chunk(path: Path, n: int, lines: list[str], first: int) -> tuple[np.ndarray | None, ...]:
-    """``(active, values, labels, linenos)`` of the instances in ``lines``,
-    the first of which is line ``first`` of the file; ``values`` is None
-    when no token has a ``:value``."""
-    parsed = _parse_canonical("".join(lines), n)
-    if parsed is None:
-        return _parse_lines(path, n, lines, first)
-    return (*parsed, np.arange(first, first + len(parsed[2])))
+def _parse_chunk(path: Path, n: int, chunk: np.ndarray, first: int) -> tuple[tuple[np.ndarray | None, ...], int]:
+    """``(active, values, labels, linenos)`` of the instances in the bytes
+    ``chunk``, whose first line is line ``first`` of the file, with
+    ``values`` None when no token has a ``:value``, and the number of its
+    lines. A chunk that is not canonical is decoded and parsed line by
+    line; one that is not UTF-8 raises ``UnicodeDecodeError`` once the
+    lines before its first undecodable byte have parsed."""
+    parsed = _parse_canonical(chunk, n)
+    if parsed is not None:
+        return (*parsed, np.arange(first, first + len(parsed[2]))), len(parsed[2])
+    raw = chunk.tobytes()
+    try:
+        lines = _text_lines(raw.decode())
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        _parse_lines(path, n, _text_lines(before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1].decode()), first)
+        raise
+    return _parse_lines(path, n, lines, first), len(lines)
 
 
-def _parse_canonical(text: str, n: int) -> tuple[np.ndarray | None, ...] | None:
-    """Parse ``text`` as arrays if it is in the form :func:`write_dataset`
-    writes: ASCII, one instance per line, fields in order 0..n-1, single
-    spaces, label, field and index pieces of at most 9 digits, labels 0 or 1
-    and finite values. Return ``(active, values, labels)``, equal to what
-    :func:`_parse_lines` returns for the same lines (``values`` None when
-    no token has a ``:value``), or ``None`` if ``text`` holds anything
-    else, faults included."""
-    if not text.isascii() or len(text) >= 2**31 - 1:  # positions are int32
+def _parse_canonical(buf: np.ndarray, n: int) -> tuple[np.ndarray | None, ...] | None:
+    """Parse the uint8 vector ``buf`` as arrays if it is in the form
+    :func:`write_dataset` writes: ASCII, one instance per line, fields in
+    order 0..n-1, single spaces, label, field and index pieces of at most 9
+    digits, labels 0 or 1 and finite values. Return ``(active, values,
+    labels)``, equal to what :func:`_parse_lines` returns for the same
+    lines (``values`` None when no token has a ``:value``), or ``None`` if
+    ``buf`` holds anything else, faults included."""
+    if len(buf) >= 2**31 - 1:  # positions are int32
         return None
-    if not text.endswith("\n"):
-        text += "\n"  # a last line without its newline
-    raw = text.encode("ascii")
-    buf = np.frombuffer(raw, dtype=np.uint8)
-    cls = np.frombuffer(raw.translate(_BYTE_CLASS), dtype=np.uint8)
+    if not len(buf) or buf[-1] != ord("\n"):
+        buf = np.append(buf, np.uint8(ord("\n")))  # a last line without its newline
+    cls = np.frombuffer(buf.tobytes().translate(_BYTE_CLASS), dtype=np.uint8)
     if not cls.all():
         return None
     # Pieces are the runs between delimiters; each ends at its delimiter.

@@ -41,12 +41,14 @@ A token ``[-]I.F`` of at most :data:`READ_BYTES` bytes, which covers every
 decimal spelling ``repr`` writes, is read from the three text words that
 end at its last byte:
 
-- The points are found by one byte compare over all the tokens' bytes.
-  Two table masks, gathered into one scratch array, clear the bytes
-  before the token and turn its digits into their values and its point
-  into ``0``; every byte must then be 0-9. The three words are joined into
-  the number X of their 24 digits, which must be below 10**19 to fit 64
-  bits, by multiply-and-shift lane joins (:func:`join8`). With
+- Each point is looked for after the token's first digit, and found by
+  one byte compare over all the tokens' bytes unless every token has it
+  there. Two table masks, gathered for a third of the tokens at a time
+  into one scratch array, clear the bytes before the token and turn its
+  digits into their values and its point into ``0``; every byte must be
+  0-9. The three words are joined into the number X of their 24 digits,
+  which must be below 10**19 to fit 64 bits, by multiply-and-shift lane
+  joins (:func:`join8`). With
   k = len(F), X = I * 10**(k+1) + F, so the mantissa D = I * 10**k + F is
   X - 9 * 10**k * (X // 10**(k+1)).
 - For D < 2**53 the float D / 10**k is exact (both operands are, and the
@@ -370,35 +372,81 @@ def find_bytes(compare: np.ufunc, text: np.ndarray, byte: int, limit: int | None
     """The first ``limit`` (all if None) of ``np.flatnonzero(compare(text,
     byte))`` for the uint8 vector ``text``, found four bytes at a time when
     no four aligned bytes hold two matches, as in text whose tokens are
-    three bytes or more: a fifth faster than a byte at a time."""
-    mask = np.empty(-(-len(text) // 4) * 4, dtype=bool)
+    three bytes or more: a fifth faster than a byte at a time. With a
+    limit, the text is compared :data:`SCAN_BYTES` bytes per match wanted
+    at a time (64 kB at least), stopping at the block that holds the last
+    match wanted, and no position is built far past it, so the scratch
+    grows with the limit and not with the text."""
+    if limit is None:
+        return _find_block(compare, text, byte, None)
+    step = 4 * -(-max(SCAN_BYTES * limit, 1 << 16) // 4)
+    found, total = [np.empty(0, dtype=np.intp)], 0
+    for lo in range(0, len(text), step):
+        at = _find_block(compare, text[lo : lo + step], byte, limit - total)
+        at += lo
+        found.append(at)
+        total += len(at)
+        if total == limit:
+            break
+    return found[-1] if len(found) == 2 else np.concatenate(found)
+
+
+# Bytes of text that find_bytes compares at once per match it still wants.
+SCAN_BYTES = 32
+# Four-byte groups whose matches find_bytes counts at once, when a block
+# holds more than it wants: at most 255, so a count fits the uint8 it sums.
+_COUNT_GROUPS = 255
+
+
+def _find_block(compare: np.ufunc, text: np.ndarray, byte: int, limit: int | None) -> np.ndarray:
+    """:func:`find_bytes` of one block. When more than ``limit`` of its
+    four-byte groups hold a match, positions are built only up to the run
+    of :data:`_COUNT_GROUPS` groups that holds the ``limit``-th."""
+    groups = -(-len(text) // 4)
+    mask = np.empty(4 * groups, dtype=bool)
     mask[len(text) :] = False
     compare(text, byte, out=mask[: len(text)])
-    groups = mask.view("<u4")
-    at = np.flatnonzero(groups != 0)[:limit]
-    found = groups[at]
-    if (found & (found - np.uint32(1))).any():  # some group holds two
-        return np.flatnonzero(mask)[:limit]
+    words = mask.view("<u4")
+    held = words != 0
+    if limit is not None and np.count_nonzero(held) > limit:
+        runs = np.add.reduceat(held.view(np.uint8), np.arange(0, groups, _COUNT_GROUPS), dtype=np.uint8)
+        held = held[: (int(np.searchsorted(np.cumsum(runs, dtype=np.intp), limit)) + 1) * _COUNT_GROUPS]
+    at = np.flatnonzero(held)
+    searched = 4 * len(held)
+    del held
+    found = words[at]
+    several = found - np.uint32(1)
+    several &= found
+    if several.any():  # some group holds two
+        return np.flatnonzero(mask[:searched])[:limit]
+    del several, words, mask
     at <<= 2
     at += found.astype(np.float32).view(np.int32) >> 26  # 15 + the match's byte in its group
     at -= 15
-    return at
+    return at[:limit]
+
+
+# Bits of a token's size in its entry of the reader's masks.
+_SIZE_BITS = 5
+# Parts of the tokens whose masks read_floats gathers at a time.
+_MASK_PARTS = 3
 
 
 @functools.cache
 def _masks() -> tuple[np.ndarray, np.ndarray]:
     """The masks of the reader's three-word window as 24-byte items,
-    read-only: item ``n`` of the first keeps the last n bytes (a token of
-    n bytes), and item ``n * READ_BYTES + k``, subtracted from those, turns
-    each digit into its value and the point with k bytes after it into 0."""
-    keep = np.zeros((READ_BYTES + 1, READ_BYTES), dtype=np.uint8)
-    zeros = np.zeros((READ_BYTES + 1, READ_BYTES, READ_BYTES), dtype=np.uint8)
+    read-only, both indexed by ``k << _SIZE_BITS | n`` for a token of n
+    bytes with k bytes after its point: that item of the first keeps the
+    last n bytes, and that of the second, subtracted from those, turns each
+    digit into its value and the point into 0."""
+    keep = np.zeros((READ_BYTES, 1 << _SIZE_BITS, READ_BYTES), dtype=np.uint8)
+    zeros = np.zeros_like(keep)
     for n in range(READ_BYTES + 1):
-        keep[n, READ_BYTES - n :] = 0xFF
-        zeros[n, :, READ_BYTES - n :] = ord("0")
+        keep[:, n, READ_BYTES - n :] = 0xFF
+        zeros[:, n, READ_BYTES - n :] = ord("0")
         for k in range(n):
-            zeros[n, k, READ_BYTES - 1 - k] = ord(".")
-    tables = keep.view(f"V{READ_BYTES}")[:, 0], zeros.reshape(-1, READ_BYTES).view(f"V{READ_BYTES}")[:, 0]
+            zeros[k, n, READ_BYTES - 1 - k] = ord(".")
+    tables = tuple(t.reshape(-1, READ_BYTES).view(f"V{READ_BYTES}")[:, 0] for t in (keep, zeros))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -423,20 +471,23 @@ def _nearest(x: np.ndarray, digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
     shift = (bits >> _U(52)).view(np.int64)
     shift += k
     np.subtract(1075, shift, out=shift)  # F
+    found = shift.view(np.uint64) < _U(64)  # 0 <= F < 64
+    digits <<= shift.view(np.uint64)
+    del shift
+    f = _POW5[k]
     m = bits & _FRAC
     m |= _ONE << _U(52)
-    f = _POW5[k]
-    digits <<= shift.view(np.uint64)
-    delta = np.subtract(m * f, digits, out=digits).view(np.int64)
+    delta = np.subtract(np.multiply(m, f, out=m), digits, out=digits).view(np.int64)
+    del m
     steps = delta / f
     np.rint(steps, out=steps)
     steps = steps.astype(np.int64)
-    delta -= steps * f.view(np.int64)
-    moved = m.view(np.int64)
+    delta -= np.multiply(steps, f.view(np.int64), out=f.view(np.int64))
+    del f
+    found &= np.abs(delta, out=delta) <= _HALF5[k].view(np.int64)
+    moved = np.bitwise_and(bits, _FRAC, out=delta.view(np.uint64)).view(np.int64)
     moved -= steps
-    found = np.abs(delta) <= _HALF5[k].view(np.int64)
-    found &= shift.view(np.uint64) < _U(64)  # 0 <= F < 64
-    moved -= 2**52 + 1
+    moved -= 1
     found &= moved.view(np.uint64) < _U(2**52 - 1)  # 2**52 < m - s < 2**53
     bits.view(np.int64)[:] -= steps
     return x, found
@@ -445,13 +496,14 @@ def _nearest(x: np.ndarray, digits: np.ndarray, k: np.ndarray) -> tuple[np.ndarr
 def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.ndarray | None = None,
                 points: np.ndarray | None = None) -> np.ndarray | None:
     """The floats spelled by the tokens ``buf[starts[i]:ends[i]]`` of the
-    uint8 array ``buf``, in order, each bit for bit as ``float()`` reads it,
-    written to the float64 vector ``out`` (a new one if None) and returned;
-    None if a token is not the decimal spelling of a finite float. A caller
+    uint8 array ``buf``, shorter than 2**31 bytes, in order, each bit for
+    bit as ``float()`` reads it, written to the float64 vector ``out`` (a
+    new one if None) and returned; None if a token is not the decimal
+    spelling of a finite float. A caller
     that has found the positions of the ``'.'`` bytes from the first token
     to the last passes them as ``points``. A token whose last
     :data:`READ_BYTES` bytes would start before ``buf`` is read by
-    ``float()``. The scratch is about 70 bytes a token."""
+    ``float()``. The scratch is about 41 bytes a token."""
     if len(buf) < READ_BYTES:  # too short for one window: read it padded
         pad = np.zeros(READ_BYTES, dtype=np.uint8)
         points = None if points is None else points + READ_BYTES
@@ -461,30 +513,36 @@ def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.n
         out = np.empty(count)
     if not count:
         return out
-    keep, zeros = _masks()
     negative = buf[starts] == ord("-")
-    size = (ends - starts).astype(np.intp, copy=False)
-    size -= negative  # the token's bytes after its sign
-    fast = size <= READ_BYTES
-    fast &= ends >= READ_BYTES
-    np.minimum(size, READ_BYTES, out=size)
 
-    # k, the bytes after the point. One byte compare finds the points; the
-    # i-th is token i's when there are as many as tokens, else each token
-    # takes the last before its end. A point outside its token fails the
-    # test of k, and a second one in it the digit test.
+    # k, the bytes after the point. Each token's point is first looked for
+    # after its first digit, where a value below 10 in magnitude has it;
+    # unless every token has it there, one byte compare finds the points,
+    # and the i-th is token i's when there are as many as tokens, else each
+    # token takes the last before its end. A point outside its token fails
+    # the test of k, and a second one in it the digit test.
     first = int(starts[0])
     if points is None:
-        points = find_bytes(np.equal, buf[first : ends[-1]], ord("."))
-        points += first
+        points = starts + 1
+        points += negative
+        if not (buf.take(points, mode="clip") == ord(".")).all():
+            points = find_bytes(np.equal, buf[first : ends[-1]], ord("."))
+            points += first
     if len(points) != count:
         points = np.concatenate([[first - READ_BYTES], points])  # before every token: k too large
         points = points[np.searchsorted(points, ends) - 1]
-    k = np.subtract(ends, points, dtype=np.intp)
+    k = np.subtract(ends, points, dtype=np.int32)
     del points
     k -= 1
+    size = np.subtract(ends, starts, dtype=np.int32)
+    size -= negative  # the token's bytes after its sign
+    fast = size <= READ_BYTES
+    fast &= ends >= READ_BYTES
     fast &= k >= 1
     fast &= k <= size - 2  # a digit on either side of the point
+    entry = np.left_shift(k, _SIZE_BITS, out=k)  # each token's mask entry, in k's place
+    entry |= size
+    del k, size
 
     # the window of each token's last READ_BYTES bytes as three text words;
     # the masks make it the token's digit values, with the bytes before
@@ -494,38 +552,41 @@ def read_floats(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, out: np.n
     windows = np.ndarray((len(buf) - READ_BYTES + 1,), f"V{READ_BYTES}", buffer=buf, strides=(1,))
     words = windows[at].view(_TEXT_WORD).reshape(-1, 3)
     del at
-    work = np.empty_like(words)  # the masks, then scratch
-    masks = work.view(f"V{READ_BYTES}").reshape(-1)
-    words &= keep.take(size, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
-    size *= READ_BYTES
-    size += k
-    words -= zeros.take(size, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
-    np.add(words, _ABOVE9, out=work)  # the lowest byte that is not a digit keeps its top bit here
-    work |= words
-    work &= _HIGH1
-    work[:, 0] |= work[:, 1]
-    work[:, 0] |= work[:, 2]
-    fast &= work[:, 0] == 0
+    keep, zeros = _masks()
+    work = np.empty((-(-count // _MASK_PARTS), 3), dtype=np.uint64)  # the masks, then scratch, of a part
+    for lo in range(0, count, len(work)):
+        part, row = words[lo : lo + len(work)], entry[lo : lo + len(work)]
+        scratch = work[: len(part)]
+        masks = scratch.view(f"V{READ_BYTES}").reshape(-1)
+        part &= keep.take(row, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
+        part -= zeros.take(row, mode="clip", out=masks).view(_TEXT_WORD).reshape(-1, 3)
+        np.add(part, _ABOVE9, out=scratch)  # the lowest byte that is not a digit keeps its top bit here
+        scratch |= part
+        scratch &= _HIGH1
+        scratch[:, 0] |= scratch[:, 1]
+        scratch[:, 0] |= scratch[:, 2]
+        fast[lo : lo + len(part)] &= scratch[:, 0] == 0
+    del work, part, row, scratch, masks
+    k = np.right_shift(entry, _SIZE_BITS, out=entry)
+    del entry
 
     # X, the number of the 24 digits: X = I * 10**(k+1) + F for the digits
     # I before the point and F after it, so D = I * 10**k + F is
     # X - 9 * 10**k * (X // 10**(k+1))
     join8(words)
     fast &= words[:, 0] < _U(1000)  # X < 10**19 < 2**64
-    digits = np.multiply(words[:, 0], _U(10**16), out=size.view(np.uint64))
-    del size
+    digits = words[:, 0] * _U(10**16)
     words[:, 1] *= _U(10**8)
     digits += words[:, 1]
     digits += words[:, 2]
     del words
-    scratch = work.reshape(-1)
-    scale, nines = scratch[:count], scratch[count : 2 * count]
+    scale, nines = np.empty((2, count), dtype=np.uint64)
     np.floor_divide(digits, _P10_NEXT.take(k, mode="clip", out=scale), out=scale)
     scale *= _NINE_P10.take(k, mode="clip", out=nines)
     digits -= scale
 
     np.divide(digits, _P10_FLOAT.take(k, mode="clip", out=scale.view(np.float64)), out=out)
-    del work, masks, scratch, scale, nines
+    del scale, nines
     check = np.flatnonzero(fast & (digits >= _U(2**53)))
     near = out[check], digits[check], k[check]
     del digits, k  # before _nearest's scratch

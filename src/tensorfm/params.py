@@ -44,7 +44,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import floatfmt
-from .data import FieldSchema, atomic_open, build_schema, open_text
+from .data import ByteBuffer, FieldSchema, atomic_open, build_schema, open_text
 from .errors import ConfigError, ModelIOError, NumericError, SchemaError
 
 KINDS = ("lr", "fm", "fwfm", "hofm", "tensorfm", "tensorfm-tucker")
@@ -419,10 +419,15 @@ def _read_lines(path: str | Path) -> tuple:
 
 
 # Tokens of a model file each floatfmt.read_floats call reads (all of a
-# block's that are left, when fewer). Its scratch is about 70 bytes a
+# block's that are left, when fewer). Its scratch is about 41 bytes a
 # token, and the buffer holds READ_TOKENS * READ_BYTES bytes: that many of
 # the writer's longest tokens with their separators.
-READ_TOKENS = 6144
+READ_TOKENS = 9216
+# Separators the reader finds ahead: more than its buffer holds of tokens
+# of 20 bytes or more, such as trained weights and embeddings, so their
+# bytes are scanned once. A buffer of shorter tokens (an untrained model's
+# all-0.0 linear weights) is scanned up to this many at a time.
+SEPARATORS_KEPT = READ_TOKENS * 5 // 4
 
 
 def _read_canonical(path: str | Path) -> tuple | None:
@@ -441,8 +446,9 @@ def _read_canonical(path: str | Path) -> tuple | None:
         text = _Chunks(fh)
         if not text.fill():
             return None
-        newlines = np.flatnonzero(text.buf[text.pos : text.end] == ord("\n"))[:6]
-        head = text.buf[text.pos : text.pos + newlines[-1] + 1].tobytes() if len(newlines) == 6 else b""
+        # the writer's six header lines hold two separators each
+        newlines = [at for at in text.marks[:12].tolist() if text.buf[at] == ord("\n")]
+        head = text.buf[text.pos : newlines[-1] + 1].tobytes() if len(newlines) == 6 else b""
         if not head.isascii() or b"\r" in head:  # the line reader would split or decode it otherwise
             return None
         try:
@@ -463,35 +469,16 @@ def _read_canonical(path: str | Path) -> tuple | None:
     return kind, schema, k, d, r_vec, blocks
 
 
-class _Chunks:
-    """A binary file read into one reused buffer of room for
-    :data:`READ_TOKENS` tokens, after :data:`floatfmt.READ_BYTES` bytes of
-    padding so that every token has a full window before it. ``pos`` is
-    the first unread byte, ``seps`` holds the first ``2 * READ_TOKENS``
-    separators (bytes up to ``' '``) from the buffer's front and ``sep``
-    indexes the first at or after ``pos``."""
+class _Chunks(ByteBuffer):
+    """A model file read through a :class:`ByteBuffer` with room for
+    :data:`READ_TOKENS` of the writer's longest tokens, after
+    :data:`floatfmt.READ_BYTES` bytes of padding so that every token has a
+    full window before it, whose marks are the separators (bytes up to
+    ``' '``), at most :data:`SEPARATORS_KEPT` of them."""
 
     def __init__(self, fh):
-        self.fh = fh
-        self.buf = np.zeros(floatfmt.READ_BYTES * (1 + READ_TOKENS), dtype=np.uint8)
-        self.pos = self.end = floatfmt.READ_BYTES
-        self.seps, self.sep = np.empty(0, dtype=np.intp), 0
-
-    def fill(self) -> bool:
-        """Move the unread bytes to the front and read more after them;
-        False if the file has no more."""
-        pad, rest = floatfmt.READ_BYTES, self.end - self.pos
-        self.buf[pad : pad + rest] = self.buf[self.pos : self.end]
-        got = self.fh.readinto(memoryview(self.buf)[pad + rest :])
-        self.pos, self.end = pad, pad + rest + got
-        del self.seps  # freed before the scan
-        self.seps = floatfmt.find_bytes(np.less_equal, self.buf[pad : self.end], ord(" "), 2 * READ_TOKENS) + pad
-        self.sep = 0
-        return got > 0
-
-    def skip(self, count: int) -> None:
-        self.pos += count
-        self.sep = int(np.searchsorted(self.seps, self.pos))
+        pad = floatfmt.READ_BYTES
+        super().__init__(fh, pad * READ_TOKENS, pad, np.less_equal, ord(" "), SEPARATORS_KEPT)
 
     def line(self, expected: bytes) -> bool:
         """Read ``expected`` if the next bytes are it."""
@@ -510,22 +497,23 @@ class _Chunks:
         done = 0
         while done < len(out):
             count = min(READ_TOKENS, len(out) - done)
-            if len(self.seps) - self.sep < count:
+            if len(self.marks) - self.mark < count:
                 self.fill()
-            ends = self.seps[self.sep : self.sep + count]
+            ends = self.marks[self.mark : self.mark + count]
             if not len(ends):
                 return False
-            starts = np.empty_like(ends)
+            starts = np.empty(len(ends), dtype=np.int32)  # positions in the buffer, < 2**31
             starts[0] = self.pos
             starts[1:] = ends[:-1] + 1
             seps = self.buf[ends]
             seps[width - 1 - done % width :: width] ^= ord("\n") ^ ord(" ")  # each row's newline, as a space
             if not (seps == ord(" ")).all():
                 return False
+            del seps
             if floatfmt.read_floats(self.buf, starts, ends, out[done : done + len(ends)]) is None:
                 return False
             done += len(ends)
-            self.sep += len(ends)
+            self.mark += len(ends)
             self.pos = int(ends[-1]) + 1
-            del ends, starts, seps  # before the next fill
+            del ends, starts  # before the next fill
         return True

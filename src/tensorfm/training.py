@@ -155,7 +155,9 @@ def adagrad_step(
 
     A :class:`RowGradient` updates only its rows when there is no L2 term:
     an untouched row's step would be ``theta - 0.0``. With L2 every row
-    moves, so it is made whole first.
+    moves, so it is made whole first. The rows are gathered with ``take``
+    and written back through :func:`_set_rows`, not by 2-D fancy indexing,
+    which numpy runs on a slower path.
     """
     lr = config.learning_rate
     for name, theta in bundle.blocks.items():
@@ -163,13 +165,30 @@ def adagrad_step(
         l2 = 0.0 if name == "linear.b" else config.l2
         if isinstance(grad, RowGradient) and l2:
             grad = grad.dense(len(theta))
-        rows, g = grad if isinstance(grad, RowGradient) else (..., grad)
+        rows, g = grad if isinstance(grad, RowGradient) else (None, grad)
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in block {name!r}")
         g = g + l2 * theta if l2 else g
-        acc = state[name][rows] + g * g
-        state[name][rows] = acc
-        theta[rows] -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+        if rows is None:
+            acc = state[name]
+            acc += g * g
+            theta -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+        else:
+            acc = state[name].take(rows, axis=0)
+            acc += g * g
+            moved = theta.take(rows, axis=0)
+            moved -= lr * g / (np.sqrt(acc) + ADAGRAD_EPSILON)
+            _set_rows(state[name], rows, acc)
+            _set_rows(theta, rows, moved)
+
+
+def _set_rows(arr: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """``arr[rows] = values``; a C-contiguous ``arr`` of rank 2 or more is
+    written through a 1-D view holding each row as one void item."""
+    if arr.ndim > 1 and arr.flags.c_contiguous:
+        row = np.dtype((np.void, arr.strides[0]))
+        arr, values = arr.view(row).reshape(len(arr)), np.ascontiguousarray(values).view(row).reshape(len(values))
+    arr[rows] = values
 
 
 # ---------------------------------------------------------------------------

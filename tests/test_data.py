@@ -1,10 +1,14 @@
 """Schema construction, dataset IO, splitting, and synthetic generation."""
 
+import io
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfm import (
     ConfigError,
@@ -141,7 +145,8 @@ class TestTextFormat:
         ds = Dataset(schema, active, values, rng.integers(0, 2, size=rows))
         path = tmp_path / "ds.txt"
         write_dataset(ds, path)
-        parsed = data._parse_canonical("".join(path.read_text().splitlines(keepends=True)[1:]), schema.n)
+        body = np.frombuffer(path.read_bytes().split(b"\n", 1)[1], dtype=np.uint8)
+        parsed = data._parse_canonical(body, schema.n)
         assert parsed is not None and np.array_equal(parsed[1].view(np.uint64), values.view(np.uint64))
         assert np.array_equal(read_dataset(path).values.view(np.uint64), values.view(np.uint64))
 
@@ -359,9 +364,11 @@ class TestWriter:
         write_dataset(ds, path)
         tracemalloc.start()
         try:
-            with open(path) as fh:  # one chunk's lines and its parse: the scratch
+            with open(path, "rb") as fh:  # one chunk's lines and its parse: the scratch
                 fh.readline()
-                data._parse_chunk(path, len(cards), [fh.readline() for _ in range(data.CHUNK_LINES)], 2)
+                chunk = b"".join(fh.readline() for _ in range(data.CHUNK_LINES))
+                data._parse_chunk(path, len(cards), np.frombuffer(chunk, dtype=np.uint8), 2)
+                del chunk
             scratch = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
             got = read_dataset(path)
@@ -384,11 +391,11 @@ class TestWriter:
         values = np.ones(active.shape)
         values[:, :5] = np.where(rng.random((rows, 5)) < 0.75, rng.uniform(0.5, 1.5, (rows, 5)).round(3), 1.0)
         ds = Dataset(build_schema(cards), active, values, rng.integers(0, 2, size=rows))
-        lines = dataset_text_oracle(ds).splitlines(keepends=True)[1:]
-        data._parse_chunk(Path("ds.txt"), len(cards), lines, 2)  # warm up
+        chunk = np.frombuffer(dataset_text_oracle(ds).split("\n", 1)[1].encode(), dtype=np.uint8)
+        data._parse_chunk(Path("ds.txt"), len(cards), chunk, 2)  # warm up
         tracemalloc.start()
         try:
-            got = data._parse_chunk(Path("ds.txt"), len(cards), lines, 2)
+            got, _ = data._parse_chunk(Path("ds.txt"), len(cards), chunk, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -467,6 +474,70 @@ class TestChunkedRead:
         for got, want in zip((back.active, back.values, back.labels), line_by_line):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(back.active, ds.active)
+
+
+def line_parser_outcome(path, n):
+    """What the line parser makes of the body of the dataset file ``path``
+    of ``n`` fields (its first line is a valid header): its arrays as bytes with their
+    dtypes, or its ``DataError`` message. In a file that is not UTF-8, the
+    lines before the one holding the first undecodable byte are parsed
+    first."""
+    raw, undecodable = path.read_bytes(), None
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        before = raw[: exc.start]
+        text = before[: max(before.rfind(b"\n"), before.rfind(b"\r")) + 1].decode()
+        undecodable = f"{path}: not UTF-8 text ({exc.reason})"
+    lines = list(io.StringIO(text, newline=""))
+    try:
+        active, values, labels, _ = data._parse_lines(path, n, lines[1:], 2)
+    except DataError as exc:
+        return str(exc)
+    if undecodable:
+        return undecodable
+    values = np.ones(active.shape) if values is None else values
+    return [(a.dtype, a.shape, a.tobytes()) for a in (active, values, labels)]
+
+
+def reader_outcome(path):
+    try:
+        ds = read_dataset(path)
+    except DataError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, np.ascontiguousarray(a).tobytes()) for a in (ds.active, ds.values, ds.labels)]
+
+
+class TestByteReader:
+    """``read_dataset`` reads files as bytes, chunk by chunk, and decodes
+    only the chunks it parses line by line; what it returns or raises is
+    what the line parser makes of the whole file."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 30), st.sampled_from(["non_utf8", "crlf", "blank", "bad_token", "no_final_newline"]),
+           st.integers(1, 5), st.sampled_from([8, 64, 1024]), st.data())
+    def test_one_fault_reads_as_the_line_parser_reads_it(self, tmp_path_factory, rows, fault, chunk, size, draw):
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**31)))
+        schema = build_schema([3, 20, 5])
+        active = np.stack([rng.integers(0, c, size=rows) for c in schema.cardinalities], axis=1)
+        values = np.where(rng.random((rows, 3)) < 0.3, rng.normal(size=(rows, 3)), 1.0)
+        path = tmp_path_factory.mktemp("ds") / "ds.txt"
+        write_dataset(Dataset(schema, active, values, rng.integers(0, 2, size=rows)), path)
+        lines = path.read_bytes().split(b"\n")[:-1]  # the header, then one line per row
+        at = draw.draw(st.integers(1, rows))
+        if fault == "non_utf8":
+            cut = draw.draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + b"\xff" + lines[at][cut:]
+        elif fault == "crlf":
+            lines[at] += b"\r"
+        elif fault == "blank":
+            lines.insert(at, b"")
+        elif fault == "bad_token":
+            lines[at] = lines[at].replace(b" 1:", b" 1:x", 1)
+        text = b"\n".join(lines) + b"\n"
+        path.write_bytes(text[:-1] if fault == "no_final_newline" else text)
+        with patch.object(data, "CHUNK_LINES", chunk), patch.object(data, "READ_BUFFER_BYTES", size):
+            assert reader_outcome(path) == line_parser_outcome(path, schema.n)
 
 
 class TestLoadTabular:

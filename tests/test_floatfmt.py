@@ -17,6 +17,7 @@ floats, which round to even; the spellings a model file may hold beside
 ``repr``'s; and tokens that are not finite floats, which it refuses."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,20 @@ def test_find_bytes_finds_what_flatnonzero_finds(raw, offset, limit):
     for compare, byte in ((np.less_equal, ord(" ")), (np.equal, ord("."))):
         want = np.flatnonzero(compare(text, byte))[:limit]
         assert np.array_equal(floatfmt.find_bytes(compare, text, byte, limit), want)
+
+
+def test_find_bytes_scratch_grows_with_its_limit_not_with_the_text():
+    text = np.frombuffer(b"0.0 " * 1_000_000, dtype=np.uint8)  # 4 MB, a match every four bytes
+    for limit in (16, 4096, 20_000):
+        tracemalloc.start()
+        try:
+            found = floatfmt.find_bytes(np.less_equal, text, ord(" "), limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(found, np.arange(3, 4 * limit, 4))
+        # building every position first held 8 MB here, and a compare of the whole text 4 MB
+        assert peak <= 0.15e6 + 64 * limit, f"limit {limit}: peak {peak / 1e6:.2f} MB"
 
 
 def test_a_refused_token_after_many_read_by_float_is_refused_at_once():

@@ -33,6 +33,7 @@ from tensorfm import (
     write_dataset,
 )
 import tensorfm.params as params_module
+from tensorfm import floatfmt
 from tensorfm.cli import main
 from tensorfm.params import KINDS, MAX_DENSE_ENTRIES
 from tensorfm.scoring import interaction_tensors
@@ -751,6 +752,29 @@ class TestArrayReader:
         }[edit])
         assert params_module._read_canonical(path) is None
         assert _bits_equal(load_bundle(path).blocks, params_module._read_lines(path)[5])
+
+    def test_a_load_scans_each_byte_for_separators_once(self, tmp_path, monkeypatch):
+        # 64-token reads through a buffer of 1.5 kB: about 30 fills, each
+        # leaving the start of a token or row unread. Every value has 15
+        # or more digits, so no buffer holds SEPARATORS_KEPT separators.
+        monkeypatch.setattr(params_module, "READ_TOKENS", 64)
+        monkeypatch.setattr(params_module, "SEPARATORS_KEPT", 100)
+        bundle = init("tensorfm", build_schema([40] * 5), k=8, d=3, r_vec=3, init_scale=0.5, seed=3)
+        for arr in bundle.blocks.values():
+            arr[...] = np.random.default_rng(arr.size).normal(size=arr.shape)
+        path = tmp_path / "m.txt"
+        save_bundle(bundle, path)
+        scanned, find = [], floatfmt.find_bytes
+
+        def counted(compare, text, byte, limit=None):
+            if compare is np.less_equal:
+                scanned.append(len(text))
+            return find(compare, text, byte, limit)
+
+        monkeypatch.setattr(floatfmt, "find_bytes", counted)
+        back = params_module._read_canonical(path)
+        assert back is not None and _bits_equal(back[5], bundle.blocks)
+        assert len(scanned) > 20 and sum(scanned) <= path.stat().st_size
 
     def test_loading_holds_a_fixed_scratch_whatever_the_model_size(self, tmp_path):
         # The benchmark's serve model (m=98,572, untrained linear weights)

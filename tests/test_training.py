@@ -221,6 +221,29 @@ class TestAdagrad:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+    def test_touched_rows_update_as_the_fancy_indexed_expression(self):
+        # the row update of a RowGradient, pinned bit for bit over 16 steps
+        # to the 2-D fancy-indexed expression it replaced
+        bundle = init("tensorfm", build_schema([40, 25, 60]), k=5, d=3, r_vec=2, init_scale=0.3, seed=2)
+        want_bundle, state = copy.deepcopy(bundle), adagrad_state(bundle)
+        want_state = {name: acc.copy() for name, acc in state.items()}
+        rng = np.random.default_rng(9)
+        cfg = TrainConfig(learning_rate=0.05)
+        for _ in range(16):
+            rows = np.flatnonzero(rng.random(bundle.schema.m) < 0.2)
+            grads = {name: rng.normal(size=arr.shape) for name, arr in bundle.blocks.items()}
+            for name in ("linear.w", "embeddings"):
+                grads[name] = RowGradient(rows, rng.normal(size=(len(rows),) + bundle.blocks[name].shape[1:]))
+            adagrad_step(bundle, grads, state, cfg)
+            for name, theta in want_bundle.blocks.items():
+                where, g = grads[name] if isinstance(grads[name], RowGradient) else (..., grads[name])
+                acc = want_state[name][where] + g * g
+                want_state[name][where] = acc
+                theta[where] -= cfg.learning_rate * g / (np.sqrt(acc) + tensorfm.training.ADAGRAD_EPSILON)
+        for name, theta in bundle.blocks.items():
+            assert theta.tobytes() == want_bundle.blocks[name].tobytes(), name
+            assert state[name].tobytes() == want_state[name].tobytes(), name
+
     @pytest.mark.parametrize("kind,kw", [("fwfm", {}), ("tensorfm-tucker", dict(d=3, r_vec=2))])
     def test_block_name_picks_l2_coefficient(self, kind, kw):
         # with a zero data gradient only the L2 term moves a block, so one
